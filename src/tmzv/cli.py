@@ -61,6 +61,17 @@ def _parse_tuple(text: str):
     return s
 
 
+def _positive_int(text: str):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return n
+
+
 def _parse_coeffs(text: str):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -431,7 +442,7 @@ def _add_common(p):
                    help="F_p-coefficients of the extension modulus")
     p.add_argument("--s", type=_parse_tuple, default=None,
                    help="comma-separated index tuple")
-    p.add_argument("--prec", type=int, default=None,
+    p.add_argument("--prec", type=_positive_int, default=None,
                    help="target residual valuation")
     p.add_argument("--format", choices=("json", "text"), default="text")
 

@@ -5,6 +5,17 @@ F_q elements are integer codes 0..q-1: the code's base-p digits are the
 coordinates in the modulus basis of F_q = F_p[x]/(modulus).  A FieldSpec
 precomputes add/mul/inv tables, so element arithmetic is table lookup.
 
+Polynomial products over a prime field F_p (FieldSpec.conv) are one
+big-integer product (Kronecker substitution): each coefficient list is
+packed into an integer, one fixed-width slot per coefficient, the two
+integers are multiplied and the slots of the product are read back and
+reduced mod p.  A product slot holds a sum of at most min(len) terms, each
+at most (p-1)^2, so the slot width is the smallest of 1, 2, 4 or 8 bytes
+that holds min(len) * (p-1)^2; packing and unpacking go through an array of
+that item size in the machine's byte order.  Over F_q with q = p^m, m > 1,
+conv is a schoolbook product on the multiplication table that skips zero
+coefficients of both operands.
+
 PrecisionLaurent represents an element of K_inf (ram = 1) or of the totally
 ramified extension K_inf(eta), eta^(q-1) = -theta (ram = q-1), as a truncated
 Laurent series.  Exponent n stands for theta^(-n) (resp. eta^(-n)); the
@@ -15,28 +26,27 @@ coefficients with exponent < N are correct.  N = None means exact.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
-_PACK_BYTES = 8  # per-coefficient width for packed F_p[x] multiplication
+# array typecode for each slot width in bytes
+_SLOT_TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
 
 
 def _pack_mul(p: int, xs, ys):
     """Multiply two F_p coefficient lists via packed big-integer arithmetic."""
-    n = len(xs) + len(ys) - 1
-    # coefficient sums are < min(len) * (p-1)^2; 8 bytes is comfortably safe
-    bx = bytearray(_PACK_BYTES * len(xs))
-    for i, c in enumerate(xs):
-        bx[_PACK_BYTES * i] = c
-    by = bytearray(_PACK_BYTES * len(ys))
-    for i, c in enumerate(ys):
-        by[_PACK_BYTES * i] = c
-    prod = int.from_bytes(bytes(bx), "little") * int.from_bytes(bytes(by), "little")
-    data = prod.to_bytes(_PACK_BYTES * n + _PACK_BYTES, "little")
-    return [
-        int.from_bytes(data[_PACK_BYTES * i : _PACK_BYTES * i + _PACK_BYTES], "little") % p
-        for i in range(n)
-    ]
+    bound = min(len(xs), len(ys)) * (p - 1) ** 2
+    width = next(w for w in (1, 2, 4, 8) if bound >> (8 * w) == 0)
+    code = _SLOT_TYPECODES[width]
+    order = sys.byteorder
+    prod = int.from_bytes(array(code, xs).tobytes(), order) * int.from_bytes(
+        array(code, ys).tobytes(), order
+    )
+    out = array(code)
+    out.frombytes(prod.to_bytes(width * (len(xs) + len(ys) - 1), order))
+    return [c % p for c in out]
 
 
 class FieldSpec:
@@ -164,12 +174,12 @@ class FieldSpec:
             return _pack_mul(self.p, xs, ys)
         out = [0] * (len(xs) + len(ys) - 1)
         mt, at = self.mul_table, self.add_table
+        nz = [(j, y) for j, y in enumerate(ys) if y]
         for i, x in enumerate(xs):
             if x:
                 row = mt[x]
-                for j, y in enumerate(ys):
-                    if y:
-                        out[i + j] = at[out[i + j]][row[y]]
+                for j, y in nz:
+                    out[i + j] = at[out[i + j]][row[y]]
         return out
 
     def __eq__(self, other):
@@ -566,22 +576,22 @@ class PrecisionLaurent:
     def __init__(self, fs, v, coeffs, N=None, ram=1):
         self.fs = fs
         self.ram = ram
-        c = list(coeffs)
+        c = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
+        hi = len(c)
         if v is not None and N is not None:
             # drop stored coefficients at exponents >= N
-            keep = N - v
-            if keep < len(c):
-                c = c[: max(keep, 0)]
-        # strip leading zeros
-        while c and c[0] == 0:
-            c.pop(0)
-            v += 1
-        while c and c[-1] == 0:
-            c.pop()
-        if not c:
-            v = None
-        self.v = v
-        self.coeffs = tuple(c)
+            hi = max(min(hi, N - v), 0)
+        lo = 0
+        while lo < hi and not c[lo]:
+            lo += 1
+        while hi > lo and not c[hi - 1]:
+            hi -= 1
+        if lo == hi:
+            self.v = None
+            self.coeffs = ()
+        else:
+            self.v = v + lo
+            self.coeffs = tuple(c[lo:hi])
         self.N = N
 
     # constructors
@@ -681,10 +691,11 @@ class PrecisionLaurent:
         v = min(self.v, other.v)
         top = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
         out = [0] * (top - v)
-        for i, c in enumerate(self.coeffs):
-            out[self.v - v + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.v - v + i] = fs.add(out[other.v - v + i], c)
+        out[self.v - v : self.v - v + len(self.coeffs)] = self.coeffs
+        at = fs.add_table
+        for i, c in enumerate(other.coeffs, other.v - v):
+            if c:
+                out[i] = at[out[i]][c]
         return PrecisionLaurent(fs, v, out, N=N, ram=self.ram)
 
     def __neg__(self):

@@ -2,7 +2,8 @@
 
 TPoly is an exact polynomial in t with RatFunc coefficients; TwistedPoly
 carries a lazy Frobenius-twist exponent so q-th roots never materialize;
-TateTrunc is a t-truncated series with PrecisionLaurent coefficients;
+TateTrunc is a t-truncated series with PrecisionLaurent coefficients, whose
+product is one F_q polynomial product of the two series laid out flat;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
 (RatFunc, PrecisionLaurent, or the factored/nu-adic scalars).
 
@@ -89,6 +90,11 @@ class TPoly:
             and len(self.coeffs) == len(other.coeffs)
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
+
+    def __hash__(self):
+        # RatFunc coefficients are reduced with a monic denominator, so equal
+        # coefficients have equal (num, den) and equal hashes
+        return hash((self.fs, self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -270,8 +276,69 @@ class TwistedPoly:
         return f"({self.base!r})^({self.e})"
 
 
+def _extent(cs):
+    """(lowest exponent, width) spanned by the stored coefficients of a list
+    of PrecisionLaurent; (0, 0) when none stores any."""
+    live = [c for c in cs if c.v is not None]
+    if not live:
+        return 0, 0
+    lo = min(c.v for c in live)
+    return lo, max(c.v + len(c.coeffs) for c in live) - lo
+
+
+def _lay_out(cs, lo, span, S):
+    """One flat coefficient list holding cs[i] at offset i*S + (v_i - lo)."""
+    last = max(i for i, c in enumerate(cs) if c.v is not None)
+    flat = [0] * (last * S + span)
+    for i, c in enumerate(cs):
+        if c.v is not None:
+            o = i * S + c.v - lo
+            flat[o : o + len(c.coeffs)] = c.coeffs
+    return flat
+
+
+def _product_precisions(a, b):
+    """Precision N of each t-degree k of sum a_i b_j: the least, over
+    i + j = k, of the precision PrecisionLaurent.__mul__ gives a_i * b_j,
+    min(N(a_i) + v(b_j), N(b_j) + v(a_i)), where a zero-to-precision factor
+    counts its N as its valuation.  None means exact."""
+    inf = float("inf")
+
+    def bounds(cs):
+        # (N, lower bound on the valuation); both infinite for an exact zero
+        return [
+            (
+                inf if c.N is None else c.N,
+                c.v if c.v is not None else (inf if c.N is None else c.N),
+            )
+            for c in cs
+        ]
+
+    A, B = bounds(a), bounds(b)
+    Ns = [inf] * len(a)
+    for i, (na, la) in enumerate(A):
+        if la == inf:
+            continue
+        for j in range(len(a) - i):
+            nb, lb = B[j]
+            n = min(na + lb, nb + la)
+            if n < Ns[i + j]:
+                Ns[i + j] = n
+    return [None if n == inf else n for n in Ns]
+
+
 class TateTrunc:
-    """t-truncated series: PrecisionLaurent coefficients for t^0..t^M."""
+    """t-truncated series: PrecisionLaurent coefficients for t^0..t^M.
+
+    A product is one polynomial product over F_q (2-D Kronecker
+    substitution): each operand's t-coefficients are laid into one flat
+    list, row i starting at i*S + (v_i - v_min), with the stride
+    S = span_a + span_b - 1 wide enough that row k of the flat product holds
+    exactly sum_{i+j=k} a_i b_j, starting at exponent v_min(a) + v_min(b).
+    Row k keeps the precision N_k that the pairwise sum of PrecisionLaurent
+    products would have (see _product_precisions), so results match that
+    sum coefficient for coefficient; zero-to-precision entries store no
+    coefficients and contribute only to N_k."""
 
     __slots__ = ("fs", "coeffs", "M", "ram")
 
@@ -325,15 +392,23 @@ class TateTrunc:
         if isinstance(other, PrecisionLaurent):
             return self.scale(other)
         M = self._align(other)
-        z = PrecisionLaurent.zero(self.fs, ram=self.ram)
-        out = [z] * (M + 1)
-        for i in range(M + 1):
-            ci = self[i]
-            if ci.is_zero_to_prec() and ci.N is None:
-                continue
-            for j in range(M + 1 - i):
-                out[i + j] = out[i + j] + ci * other[j]
-        return TateTrunc(self.fs, out, M, ram=self.ram)
+        fs, ram = self.fs, self.ram
+        a, b = self.coeffs[: M + 1], other.coeffs[: M + 1]
+        Ns = _product_precisions(a, b)
+        v_a, span_a = _extent(a)
+        v_b, span_b = _extent(b)
+        if not span_a or not span_b:
+            return TateTrunc(
+                fs, [PrecisionLaurent.zero(fs, N=n, ram=ram) for n in Ns], M, ram=ram
+            )
+        S = span_a + span_b - 1
+        prod = fs.conv(_lay_out(a, v_a, span_a, S), _lay_out(b, v_b, span_b, S))
+        v = v_a + v_b
+        out = [
+            PrecisionLaurent(fs, v, prod[k * S : (k + 1) * S], N=Ns[k], ram=ram)
+            for k in range(M + 1)
+        ]
+        return TateTrunc(fs, out, M, ram=ram)
 
     def scale(self, c: PrecisionLaurent):
         return TateTrunc(self.fs, [x * c for x in self.coeffs], self.M, ram=self.ram)

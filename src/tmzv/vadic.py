@@ -65,7 +65,7 @@ _NU_POW_CACHE: dict = {}
 
 
 def _nu_pow(place: NuPlace, m: int) -> APoly:
-    key = (id(place.nu), m)
+    key = (place.nu, m)
     got = _NU_POW_CACHE.get(key)
     if got is None:
         got = place.nu.pow(m)

@@ -298,7 +298,7 @@ def _tpoly_jet_rel(Q: TPoly, i: int, D: int, rel: int) -> LocalJet:
     """Jet at t = theta of Q^{(i)}, Horner in u = t - theta, without ever
     densifying the twisted coefficients."""
     fs = Q.fs
-    key = (id(Q), id(fs), i, D, rel)
+    key = (Q, i, D, rel)
     got = _QJET_CACHE.get(key)
     if got is not None:
         return got

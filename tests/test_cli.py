@@ -45,6 +45,17 @@ class TestExitCodes:
         rc, _ = run(capsys, "mzv", "--q", "6", "--s", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("verb", [["mzv", "--s", "1"], ["verify", "carlitz"]])
+    @pytest.mark.parametrize("prec", ["-5", "0"])
+    def test_nonpositive_prec_is_usage_error(self, capsys, verb, prec):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--q", "2", "--prec", prec])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.splitlines()[-1].endswith(
+            "--prec: expected a positive integer, got %r" % prec)
+
 
 class TestVerify:
     def test_carlitz_report(self, capsys):

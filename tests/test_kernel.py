@@ -1,0 +1,138 @@
+"""The F_q product kernel and the TateTrunc product built on it, against
+schoolbook and pairwise references."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmzv.cli import main
+from tmzv.scalars import PrecisionLaurent, _pack_mul, field
+from tmzv.tlayer import TateTrunc
+
+
+def schoolbook(fs, xs, ys):
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = fs.add(out[i + j], fs.mul(x, y))
+    return out
+
+
+def schoolbook_mod_p(p, xs, ys):
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def width_edges(p, top=300):
+    """Lengths at which min(len) * (p-1)^2 first needs a wider slot."""
+    out = set()
+    for w in (1, 2, 4):
+        n = (256**w - 1) // (p - 1) ** 2 + 1
+        if n <= top:
+            out.update((n - 1, n))
+    return sorted(n for n in out if n >= 1)
+
+
+class TestConv:
+    # p = 4093 goes through the kernel directly: building its 4093 x 4093
+    # tables takes about a minute and a gigabyte
+    @pytest.mark.parametrize("p", [2, 3, 5, 257, 4093])
+    def test_all_top_digits_at_slot_edges(self, p):
+        for n in width_edges(p) + [1, 300]:
+            for m in (1, n, 300):
+                xs, ys = [p - 1] * n, [p - 1] * m
+                want = schoolbook_mod_p(p, xs, ys)
+                assert _pack_mul(p, xs, ys) == want
+                if p < 4093:
+                    assert field(p).conv(xs, ys) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 257])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_prime_field_matches_schoolbook(self, p, data):
+        digits = st.lists(st.integers(0, p - 1), min_size=1, max_size=300)
+        xs, ys = data.draw(digits), data.draw(digits)
+        assert field(p).conv(xs, ys) == schoolbook_mod_p(p, xs, ys)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_large_p_kernel_matches_schoolbook(self, data):
+        digits = st.lists(st.integers(0, 4092), min_size=1, max_size=300)
+        xs, ys = data.draw(digits), data.draw(digits)
+        assert _pack_mul(4093, xs, ys) == schoolbook_mod_p(4093, xs, ys)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_q4_table_path_matches_schoolbook(self, data):
+        fs = field(2, 2)
+        codes = st.lists(st.integers(0, 3), min_size=1, max_size=300)
+        xs, ys = data.draw(codes), data.draw(codes)
+        assert fs.conv(xs, ys) == schoolbook(fs, xs, ys)
+
+
+def pairwise_product(a, b):
+    """sum_{i+j=k} a_i * b_j with PrecisionLaurent products and sums."""
+    M = min(a.M, b.M)
+    out = [PrecisionLaurent.zero(a.fs, ram=a.ram)] * (M + 1)
+    for i in range(M + 1):
+        ci = a[i]
+        if ci.is_zero_to_prec() and ci.N is None:
+            continue
+        for j in range(M + 1 - i):
+            out[i + j] = out[i + j] + ci * b[j]
+    return out
+
+
+@st.composite
+def laurent_entries(draw, fs, ram):
+    kind = draw(st.sampled_from(["exact", "truncated", "zero_N", "zero"]))
+    if kind == "zero":
+        return PrecisionLaurent.zero(fs, ram=ram)
+    if kind == "zero_N":
+        return PrecisionLaurent.zero(fs, N=draw(st.integers(-12, 30)), ram=ram)
+    v = draw(st.integers(-12, 20))
+    coeffs = draw(st.lists(st.integers(0, fs.q - 1), min_size=1, max_size=16))
+    N = None if kind == "exact" else v + draw(st.integers(0, 24))
+    return PrecisionLaurent(fs, v, coeffs, N=N, ram=ram)
+
+
+@st.composite
+def tate_pairs(draw):
+    fs = field(*draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)])))
+    ram = draw(st.sampled_from([1, fs.q - 1]))
+    entries = laurent_entries(fs, ram)
+    out = []
+    for _ in range(2):
+        M = draw(st.integers(0, 7))
+        cs = draw(st.lists(entries, min_size=M + 1, max_size=M + 1))
+        out.append(TateTrunc(fs, cs, M, ram=ram))
+    return out
+
+
+class TestTateProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=tate_pairs())
+    def test_matches_pairwise_sum(self, pair):
+        a, b = pair
+        got = a * b
+        want = pairwise_product(a, b)
+        assert got.M == min(a.M, b.M)
+        for g, w in zip(got.coeffs, want):
+            assert (g.v, g.coeffs, g.N) == (w.v, w.coeffs, w.N)
+
+    def test_zero_entries_set_precision_only(self):
+        fs = field(3)
+        a = TateTrunc(fs, [PrecisionLaurent.zero(fs, N=5),
+                           PrecisionLaurent.zero(fs)], 1)
+        b = TateTrunc(fs, [PrecisionLaurent(fs, -2, [1, 2], N=4),
+                           PrecisionLaurent.one(fs)], 1)
+        c = a * b
+        assert [(x.v, x.N) for x in c.coeffs] == [(None, 3), (None, 5)]
+
+
+def test_mzv_over_large_prime_field(capsys):
+    assert main(["mzv", "--q", "257", "--s", "1", "--prec", "600"]) == 0
+    assert "valuation: 0" in capsys.readouterr().out

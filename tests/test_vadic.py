@@ -123,6 +123,14 @@ class TestZetaNu:
         want = nu_mod(acc * fac, pl, m)
         assert nu_mod(want - v.apoly_mod(), pl, 8).is_zero()
 
+    def test_alternating_fields_with_fresh_places(self):
+        # a cache keyed by object identity could hand a power of the q = 2
+        # place to the q = 3 one
+        for k in range(40):
+            fs = field(2 if k % 2 == 0 else 3)
+            _, diag = zeta_nu(fs, (1,), NuPlace(APoly.theta(fs)), K=6)
+            assert diag["bound_ok"]
+
     def test_contraction_independence_q3(self):
         fs = field(3)
         rep = zeta_nu_check(fs, (1,), NuPlace(APoly.theta(fs)), K=6)

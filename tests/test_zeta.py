@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import RatFunc, field
+from tmzv.tlayer import l_poly
 from tmzv.zeta import (MZVIndex, carlitz_check, cm_check, compositions,
                        depth_one_check, inversion_check, mzv, mzv_brute,
                        mzv_deformed, polylog, power_sum, power_sum_enum,
@@ -78,6 +79,24 @@ class TestPolylog:
         b = polylog(fs, s, (one, one), prec=25)
         c = polylog(fs, (s[0] + s[1],), (one,), prec=25)
         assert (a - b - c).is_zero_to_prec()
+
+    def test_alternating_arguments_match_series(self):
+        # fresh argument objects on every call: a cache keyed by object
+        # identity could hand one argument's jet to the other
+        fs = field(2)
+        prec = 20
+        want = {}
+        for u in (RatFunc.one(fs), RatFunc.theta(fs)):
+            acc, i = RatFunc.zero(fs), 0
+            # the i-th term has valuation deg L_i - q^i deg u, rising with i
+            while l_poly(fs, i).degree() - fs.q**i * u.num.degree() < prec:
+                acc = acc + RatFunc(u.num.pow(fs.q**i), l_poly(fs, i))
+                i += 1
+            want[u.num.degree()] = acc.laurent(N=prec)
+        for k in range(40):
+            u = RatFunc.one(fs) if k % 2 == 0 else RatFunc.theta(fs)
+            got = polylog(fs, (1,), [u], prec=prec)
+            assert got.eq_to_prec(want[u.num.degree()], prec)
 
     def test_depth_one_at_one_is_zeta(self):
         fs = field(3)
