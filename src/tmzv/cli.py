@@ -14,14 +14,13 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .scalars import APoly, FieldSpec, PrecisionError, PrecisionLaurent, \
     RatFunc, field
 from .tlayer import TPoly, TwistedPoly
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 SUITES = ("carlitz", "at90", "star", "cpy", "cm", "strange",
           "trivialization", "vadic", "periods", "oracle-log")
@@ -366,11 +365,7 @@ def run_verify(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda it: _run_item(*it), items))
-    else:
-        reports = [_run_item(name, fn) for name, fn in items]
+    reports = [_run_item(name, fn) for name, fn in items]
     reports.sort(key=lambda r: r["name"])
     payload = {
         "report_v": REPORT_VERSION,
@@ -383,7 +378,6 @@ def run_verify(args) -> int:
             "nu_prec": args.nu_prec,
             "nu": list(args.nu) if args.nu else None,
             "nmax": args.nmax,
-            "jobs": args.jobs,
         },
         "reports": reports,
         "pass": all(r.get("pass") for r in reports),
@@ -470,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-prec", dest="nu_prec", type=int, default=8)
     p.add_argument("--nmax", type=int, default=8,
                    help="logarithm coefficients checked per shape")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="max concurrent suite items")
     p.set_defaults(fn=run_verify)
 
     p = sub.add_parser("dump", help="serialize an object as JSON")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .scalars import APoly, FieldSpec, RatFunc
+from .scalars import APoly, FieldSpec, RatFunc, memo
 from .tlayer import LocalJet, TPoly, TwistedPoly, _tpoly_pow, anderson_thakur
 from . import tmodule as _tmodule
 
@@ -189,16 +189,10 @@ def phi_tilde(shape: MotiveShape) -> list:
     return out
 
 
-_G_CACHE: dict = {}
-
-
+@memo
 def g_vectors(shape: MotiveShape):
     """G_ell with sigma(G_ell) = (t-theta)^{d_ell} m_ell; returned as a tuple
     whose ell-th entry is the list of m-coordinates [g_{ell,1},...,g_{ell,ell}]."""
-    key = (id(shape.fs), shape.s, shape.model, tuple(id(Q) for Q in shape.Q))
-    got = _G_CACHE.get(key)
-    if got is not None:
-        return got
     fs = shape.fs
     r = shape.r
     out = []
@@ -220,9 +214,7 @@ def g_vectors(shape: MotiveShape):
                     coords[k] = coords[k] - prod * out[i - 1][k]
     # (sign folded into prod; Q*_{ell,i} = (-1)^{ell-i} prod_{i<=k<ell} Q_k)
         out.append(coords)
-    out = tuple(tuple(c) for c in out)
-    _G_CACHE[key] = out
-    return out
+    return tuple(tuple(c) for c in out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ coefficients with exponent < N are correct.  N = None means exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
 
 # array typecode for each slot width in bytes
 _SLOT_TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
@@ -251,7 +251,32 @@ def _default_modulus(p, m):
     raise RuntimeError("no irreducible modulus found")
 
 
-@lru_cache(maxsize=None)
+MEMO_ENTRIES = 8192
+
+
+def memo(fn):
+    """Memoise fn on its positional arguments, compared by value (== and
+    hash), so an argument built afresh hits the entry of an equal one.  Each
+    function keeps at most MEMO_ENTRIES results and drops the oldest first;
+    the table is fn.table."""
+    table = {}
+    miss = object()
+
+    @functools.wraps(fn)
+    def cached(*args):
+        got = table.get(args, miss)
+        if got is miss:
+            got = fn(*args)
+            if len(table) >= MEMO_ENTRIES:
+                del table[next(iter(table))]
+            table[args] = got
+        return got
+
+    cached.table = table
+    return cached
+
+
+@memo
 def field(p: int, m: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, m, modulus)
 

@@ -7,14 +7,13 @@ product is one F_q polynomial product of the two series laid out flat;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
 (RatFunc, PrecisionLaurent, or the factored/nu-adic scalars).
 
-Also provides the classical quantities [k], D_k, L_i, LL_i, gamma_j, Gamma_n,
+Also provides the classical quantities [k], D_k, L_i, gamma_j, Gamma_n,
 the Anderson-Thakur polynomials H_n, and the Omega series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .scalars import (
     APoly,
@@ -22,6 +21,7 @@ from .scalars import (
     PrecisionLaurent,
     PrecisionError,
     RatFunc,
+    memo,
 )
 
 
@@ -634,7 +634,7 @@ def bracket(fs: FieldSpec, k: int) -> APoly:
     return APoly(fs, out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def d_poly(fs: FieldSpec, k: int) -> APoly:
     """D_k = [k] D_{k-1}^q, D_0 = 1."""
     if k == 0:
@@ -642,23 +642,12 @@ def d_poly(fs: FieldSpec, k: int) -> APoly:
     return bracket(fs, k) * d_poly(fs, k - 1).frobenius(1)
 
 
-@lru_cache(maxsize=None)
+@memo
 def l_poly(fs: FieldSpec, i: int) -> APoly:
     """L_i = (theta - theta^q) ... (theta - theta^(q^i)), L_0 = 1."""
     if i == 0:
         return APoly.one(fs)
     return l_poly(fs, i - 1) * (-bracket(fs, i))
-
-
-@lru_cache(maxsize=None)
-def ll_poly(fs: FieldSpec, i: int) -> TPoly:
-    """LL_i = (t - theta^q) ... (t - theta^(q^i)), LL_0 = 1."""
-    if i == 0:
-        return TPoly.one(fs)
-    fac = TPoly(
-        fs, (RatFunc(-APoly.monomial(fs, fs.q**i)), RatFunc.one(fs))
-    )
-    return ll_poly(fs, i - 1) * fac
 
 
 def gamma_j(fs: FieldSpec, j: int) -> TPoly:
@@ -688,22 +677,7 @@ def gamma_factorial(fs: FieldSpec, n: int) -> APoly:
     return acc
 
 
-def classical_quantities(fs: FieldSpec, kind: str, *args):
-    """Dispatch by name: bracket, D, L, LL, gamma_j, Gamma."""
-    table = {
-        "bracket": bracket,
-        "D": d_poly,
-        "L": l_poly,
-        "LL": ll_poly,
-        "gamma_j": gamma_j,
-        "Gamma": gamma_factorial,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown classical quantity {kind!r}")
-    return table[kind](fs, *args)
-
-
-@lru_cache(maxsize=None)
+@memo
 def anderson_thakur(fs: FieldSpec, n: int) -> TPoly:
     """H_n via the generating series: the coefficient alpha_n of x^n in
     x * (1 - sum_j (gamma_j/D_j) x^(q^j))^(-1), times Gamma_n, with the

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import APoly, FieldSpec, PrecisionError, PrecisionLaurent, RatFunc
+from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
+                      RatFunc, memo)
 from .tlayer import LocalJet, TPoly, _tpoly_pow
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,21 @@ def vec_sub(u, v):
 # ---------------------------------------------------------------------------
 
 
-class _ExactScalars:
+class ScalarStrategy:
+    """Base of the scalar strategies.  `key` names the strategy and its
+    parameters; strategies with equal keys compute the same values, so they
+    compare and hash by key and share memo entries."""
+
+    key: tuple
+
+    def __eq__(self, other):
+        return isinstance(other, ScalarStrategy) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class _ExactScalars(ScalarStrategy):
     """Reduced rational functions; everything exact."""
 
     def __init__(self, fs: FieldSpec):
@@ -84,7 +99,7 @@ class _ExactScalars:
         self.zero = RatFunc.zero(fs)
         self.one = RatFunc.one(fs)
         self.theta = RatFunc.theta(fs)
-        self.key = ("exact",)
+        self.key = ("exact", fs)
 
     def const(self, c):
         return RatFunc(APoly.const(self.fs, c))
@@ -99,7 +114,7 @@ class _ExactScalars:
         return _pole_inv_jet(self, k, D)
 
 
-class _LaurentScalars:
+class _LaurentScalars(ScalarStrategy):
     """Truncated Laurent series carrying a relative window (in theta-digits):
     every inversion keeps `window` digits past the leading exponent, so
     products of factors with opposite huge valuations do not collapse."""
@@ -111,7 +126,7 @@ class _LaurentScalars:
         self.zero = PrecisionLaurent.zero(fs, ram=ram)
         self.one = PrecisionLaurent.one(fs, ram=ram)
         self.theta = PrecisionLaurent.theta_pow(fs, 1, ram=ram)
-        self.key = ("laurent", window, ram)
+        self.key = ("laurent", fs, window, ram)
 
     def const(self, c):
         return PrecisionLaurent.const(self.fs, c, ram=self.ram)
@@ -131,16 +146,10 @@ class _LaurentScalars:
         return _pole_inv_jet(self, k, D)
 
 
-_POLE_JET_CACHE: dict = {}
-
-
+@memo
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
     """Jet at t = theta of 1/(t - theta^{q^k}), order D: the coefficient of
     u^m is (-1)^m c0^{m+1} with c0 = 1/(theta - theta^{q^k})."""
-    key = (id(sc.fs), sc.key, k, D)
-    got = _POLE_JET_CACHE.get(key)
-    if got is not None:
-        return got
     th = sc.theta
     c0 = sc.inv(th - th.frobenius(k))
     cs = []
@@ -149,9 +158,7 @@ def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
         cs.append(p if m % 2 == 0 else -p)
         if m + 1 < D:
             p = p * c0
-    got = LocalJet(cs, 0, D, sc.zero)
-    _POLE_JET_CACHE[key] = got
-    return got
+    return LocalJet(cs, 0, D, sc.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +339,6 @@ class TModule:
         return self._log_cache[n]
 
 
-def _shape_key(shape):
-    return (id(shape.fs), shape.s, shape.model, tuple(id(Q) for Q in shape.Q))
-
-
-_THETA_PROD_CACHE: dict = {}
-
-
 def _theta_jet_matrix(shape, m: int, sc, D: int):
     """Order-D jets at t = theta of the m-th twisted transition matrix: the
     inverse-transpose of the motive matrix with numerators twisted by m - 1
@@ -384,10 +384,16 @@ def _theta_jet_matrix(shape, m: int, sc, D: int):
     return out
 
 
+@memo
+def _theta_jet_products(shape, sc, D: int) -> list:
+    """Running products of the twisted transition-matrix jets: entry n - 1
+    is the product over 1..n; _theta_jet_product extends the list in place."""
+    return []
+
+
 def _theta_jet_product(shape, n: int, sc, D: int):
     """Running product of the twisted transition-matrix jets, 1..n."""
-    key = (_shape_key(shape), sc.key, D)
-    lst = _THETA_PROD_CACHE.setdefault(key, [])
+    lst = _theta_jet_products(shape, sc, D)
     while len(lst) < n:
         m = len(lst) + 1
         Th = _theta_jet_matrix(shape, m, sc, D)

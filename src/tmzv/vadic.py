@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, monic_enumerate
+from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo, monic_enumerate
 from .tlayer import LocalJet, TPoly, bracket
+from .tmodule import ScalarStrategy
 
 # ---------------------------------------------------------------------------
 # places and nu-adic expansions
@@ -61,16 +62,9 @@ class NuPlace:
         return f"NuPlace({self.nu!r})"
 
 
-_NU_POW_CACHE: dict = {}
-
-
+@memo
 def _nu_pow(place: NuPlace, m: int) -> APoly:
-    key = (place.nu, m)
-    got = _NU_POW_CACHE.get(key)
-    if got is None:
-        got = place.nu.pow(m)
-        _NU_POW_CACHE[key] = got
-    return got
+    return place.nu.pow(m)
 
 
 def nu_valuation(a: APoly, place: NuPlace):
@@ -287,7 +281,7 @@ class FactoredScalar:
         return f"({self.num!r})/({den})"
 
 
-class FactoredRing:
+class FactoredRing(ScalarStrategy):
     """Scalar strategy over FactoredScalar, for the closed-form logarithm
     coefficients: conversion accepts polynomial elements only, and the pole
     factors invert into pure denominator bookkeeping."""
@@ -296,7 +290,7 @@ class FactoredRing:
         self.fs = fs
         self.zero = FactoredScalar(fs, APoly.zero(fs))
         self.one = FactoredScalar(fs, APoly.one(fs))
-        self.key = ("factored", id(fs))
+        self.key = ("factored", fs)
 
     def const(self, c):
         return FactoredScalar(self.fs, APoly.const(self.fs, c))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, monic_enumerate)
+                      RatFunc, memo, monic_enumerate)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, l_poly)
 
@@ -44,45 +44,36 @@ def inv_bracket(fs: FieldSpec, k: int, N: int) -> PrecisionLaurent:
     return PrecisionLaurent(fs, Q, coeffs, N=N)
 
 
-_GAMMA_CACHE: dict = {}
+@memo
+def _gamma_rows(fs: FieldSpec, imax: int, N: int) -> list:
+    """Row d is the ratios g_i = c_{d,i}/D_d for i = 0..min(d, imax), as
+    series to precision N; _gamma_row extends the list in place."""
+    return [(PrecisionLaurent.one(fs, N=N),)]
 
 
 def _gamma_row(fs: FieldSpec, d: int, imax: int, N: int):
-    """Ratios g_i = c_{d,i}/D_d for i = 0..min(d, imax), as series to
-    precision N."""
-    key = (id(fs), d, imax, N)
-    row = _GAMMA_CACHE.get(key)
-    if row is not None:
-        return row
-    if d == 0:
-        row = (PrecisionLaurent.one(fs, N=N),)
-    else:
-        prev = _gamma_row(fs, d - 1, imax, N)
-        ib = inv_bracket(fs, d, N)
+    rows = _gamma_rows(fs, imax, N)
+    while len(rows) <= d:
+        e = len(rows)
+        prev = rows[-1]
+        ib = inv_bracket(fs, e, N)
         row = []
-        for i in range(min(d, imax) + 1):
+        for i in range(min(e, imax) + 1):
             acc = PrecisionLaurent.zero(fs, N=N)
             if 1 <= i <= len(prev):
                 acc = acc + prev[i - 1].frobenius(1).truncate(N)
             if i < len(prev):
                 acc = acc - prev[i]
             row.append((acc * ib).truncate(N))
-        row = tuple(row)
-    _GAMMA_CACHE[key] = row
-    return row
+        rows.append(tuple(row))
+    return rows[d]
 
 
-_POWER_SUM_CACHE: dict = {}
-
-
+@memo
 def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
     """S_d(k) = sum_{a monic, deg a = d} a^(-k), to guaranteed precision."""
     if d < 0 or k < 1:
         raise ValueError("need d >= 0 and k >= 1")
-    key = (id(fs), d, k, prec)
-    val = _POWER_SUM_CACHE.get(key)
-    if val is not None:
-        return val
     N = prec
     imax = 0
     while fs.q ** (imax + 1) <= k:
@@ -97,9 +88,7 @@ def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
             acc = acc + g[i] * b[j - fs.q**i]
             i += 1
         b.append(acc.truncate(N))
-    val = (g[0] * b[k - 1]).truncate(N)
-    _POWER_SUM_CACHE[key] = val
-    return val
+    return (g[0] * b[k - 1]).truncate(N)
 
 
 def power_sum_enum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
@@ -248,16 +237,10 @@ def _frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
     return PrecisionLaurent(fs, v, coeffs, N=v + rel)
 
 
-_LINV_JET_CACHE: dict = {}
-
-
+@memo
 def _linv_jet(fs: FieldSpec, j: int, D: int, rel: int) -> LocalJet:
     """Jet at t = theta of 1/(t - theta^{q^j}), order D: the coefficient of
     u^m is (-1)^m c0^{m+1} with c0 = 1/(theta - theta^{q^j})."""
-    key = (id(fs), j, D, rel)
-    got = _LINV_JET_CACHE.get(key)
-    if got is not None:
-        return got
     c0 = -inv_bracket(fs, j, fs.q**j + rel)
     cs = []
     p = c0
@@ -265,92 +248,57 @@ def _linv_jet(fs: FieldSpec, j: int, D: int, rel: int) -> LocalJet:
         cs.append(p if m % 2 == 0 else -p)
         if m + 1 < D:
             p = p * c0
-    got = LocalJet(cs, 0, D, PrecisionLaurent.zero(fs))
-    _LINV_JET_CACHE[key] = got
-    return got
+    return LocalJet(cs, 0, D, PrecisionLaurent.zero(fs))
 
 
-_LL_INV_JET_CACHE: dict = {}
-
-
+@memo
 def _ll_inv_jet(fs: FieldSpec, i: int, s: int, D: int, rel: int) -> LocalJet:
     """Jet at t = theta of LL_i^{-s}."""
-    key = (id(fs), i, s, D, rel)
-    got = _LL_INV_JET_CACHE.get(key)
-    if got is not None:
-        return got
     if i == 0:
-        got = LocalJet.const_jet(
+        return LocalJet.const_jet(
             PrecisionLaurent.one(fs), D, PrecisionLaurent.zero(fs))
-    else:
-        got = _ll_inv_jet(fs, i - 1, s, D, rel)
-        f = _linv_jet(fs, i, D, rel)
-        for _ in range(s):
-            got = got * f
-    _LL_INV_JET_CACHE[key] = got
+    got = _ll_inv_jet(fs, i - 1, s, D, rel)
+    f = _linv_jet(fs, i, D, rel)
+    for _ in range(s):
+        got = got * f
     return got
 
 
-_QJET_CACHE: dict = {}
-
-
+@memo
 def _tpoly_jet_rel(Q: TPoly, i: int, D: int, rel: int) -> LocalJet:
     """Jet at t = theta of Q^{(i)}, Horner in u = t - theta, without ever
     densifying the twisted coefficients."""
     fs = Q.fs
-    key = (Q, i, D, rel)
-    got = _QJET_CACHE.get(key)
-    if got is not None:
-        return got
     z = PrecisionLaurent.zero(fs)
+    acc = LocalJet.zero_jet(D, z)
     if Q.is_zero():
-        got = LocalJet.zero_jet(D, z)
-    else:
-        tjet = LocalJet(
-            [PrecisionLaurent.theta_pow(fs, 1), PrecisionLaurent.one(fs)], 0, D, z)
-        acc = LocalJet.zero_jet(D, z)
-        for c in reversed(Q.coeffs):
-            acc = acc * tjet
-            if not c.is_zero():
-                acc = acc + LocalJet.const_jet(_frob_laurent_rel(c, i, rel), D, z)
-        got = acc
-    _QJET_CACHE[key] = got
-    return got
+        return acc
+    tjet = LocalJet(
+        [PrecisionLaurent.theta_pow(fs, 1), PrecisionLaurent.one(fs)], 0, D, z)
+    for c in reversed(Q.coeffs):
+        acc = acc * tjet
+        if not c.is_zero():
+            acc = acc + LocalJet.const_jet(_frob_laurent_rel(c, i, rel), D, z)
+    return acc
 
 
-_LINV_TATE_CACHE: dict = {}
-
-
+@memo
 def _linv_tate(fs: FieldSpec, j: int, M: int) -> TateTrunc:
     """1/(t - theta^{q^j}) in the Tate algebra, exactly:
     -sum_k theta^{-q^j (k+1)} t^k."""
-    key = (id(fs), j, M)
-    got = _LINV_TATE_CACHE.get(key)
-    if got is not None:
-        return got
     neg = fs.neg(fs.one)
     cs = [PrecisionLaurent(fs, fs.q**j * (k + 1), (neg,)) for k in range(M + 1)]
-    got = TateTrunc(fs, cs, M)
-    _LINV_TATE_CACHE[key] = got
-    return got
+    return TateTrunc(fs, cs, M)
 
 
-_LL_INV_TATE_CACHE: dict = {}
-
-
+@memo
 def _ll_inv_tate(fs: FieldSpec, i: int, s: int, M: int) -> TateTrunc:
-    key = (id(fs), i, s, M)
-    got = _LL_INV_TATE_CACHE.get(key)
-    if got is not None:
-        return got
     if i == 0:
-        got = TateTrunc.one(fs, M)
-    else:
-        got = _ll_inv_tate(fs, i - 1, s, M)
-        f = _linv_tate(fs, i, M)
-        for _ in range(s):
-            got = got * f
-    _LL_INV_TATE_CACHE[key] = got
+        return TateTrunc.one(fs, M)
+    got = _ll_inv_tate(fs, i - 1, s, M)
+    f = _linv_tate(fs, i, M)
+    for _ in range(s):
+        got = got * f
     return got
 
 

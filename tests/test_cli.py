@@ -78,17 +78,6 @@ class TestVerify:
             outs.append(json.dumps(d, sort_keys=True))
         assert outs[0] == outs[1]
 
-    def test_jobs_flag_gives_same_reports(self, capsys):
-        ds = []
-        for jobs in ("1", "3"):
-            _, out = run(capsys, "verify", "carlitz", "--prec", "20",
-                         "--jobs", jobs, "--format", "json")
-            d = json.loads(out)
-            for r in d["reports"]:
-                r.pop("elapsed_s")
-            ds.append(d["reports"])
-        assert ds[0] == ds[1]
-
 
 class TestDump:
     @pytest.mark.parametrize("obj,extra", [

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import RatFunc, field
 from tmzv.tlayer import l_poly
-from tmzv.zeta import (MZVIndex, carlitz_check, cm_check, compositions,
-                       depth_one_check, inversion_check, mzv, mzv_brute,
-                       mzv_deformed, polylog, power_sum, power_sum_enum,
-                       stark_unit_check, strange_formula_check)
+from tmzv.zeta import (MZVIndex, _gamma_rows, carlitz_check, cm_check,
+                       compositions, depth_one_check, inversion_check, mzv,
+                       mzv_brute, mzv_deformed, polylog, power_sum,
+                       power_sum_enum, stark_unit_check, strange_formula_check)
 
 
 def indices(max_weight=5, max_depth=3):
@@ -37,6 +37,14 @@ class TestPowerSums:
             for k in (1, 2, 3):
                 diff = power_sum(fs, d, k, 20) - power_sum_enum(fs, d, k, 20)
                 assert diff.is_zero_to_prec()
+
+    def test_high_degree_from_cold_rows(self):
+        # the rows up to degree 1200 are built in one loop, not one call
+        # frame per degree
+        fs = field(2)
+        _gamma_rows.table.pop((fs, 0, 10), None)
+        val = power_sum(fs, 1200, 1, 10)
+        assert val.is_zero_to_prec() and val.N == 10
 
 
 class TestMZV:
