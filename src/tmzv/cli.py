@@ -457,12 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     _add_common(p)
     p.add_argument("--model", choices=("at", "star"), default=None)
-    p.add_argument("--t-order", dest="t_order", type=int, default=20,
+    p.add_argument("--t-order", dest="t_order", type=_positive_int,
+                   default=20,
                    help="t-truncation order for series identities")
     p.add_argument("--nu", type=_parse_coeffs, default=None,
                    help="coefficients of the finite place, low to high")
-    p.add_argument("--nu-prec", dest="nu_prec", type=int, default=8)
-    p.add_argument("--nmax", type=int, default=8,
+    p.add_argument("--nu-prec", dest="nu_prec", type=_positive_int,
+                   default=8)
+    p.add_argument("--nmax", type=_positive_int, default=8,
                    help="logarithm coefficients checked per shape")
     p.set_defaults(fn=run_verify)
 

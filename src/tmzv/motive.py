@@ -300,12 +300,6 @@ def delta1(coords, shape: MotiveShape) -> list:
     return out
 
 
-def delta1_z(coords, shape: MotiveShape) -> dict:
-    """z-graded variant: {level: column}, the level-L column to be paired
-    with z^L (equivalently tau^L)."""
-    return _delta1_levels(coords, shape)
-
-
 # ---------------------------------------------------------------------------
 # special points and the split decomposition
 # ---------------------------------------------------------------------------

@@ -751,10 +751,16 @@ class PrecisionLaurent:
             cands.append(self.N + other.v)
         if other.N is not None:
             cands.append(other.N + self.v)
+        v = self.v + other.v
+        xs, ys = self.coeffs, other.coeffs
         if cands:
             N = min(cands)
-        out = fs.conv(self.coeffs, other.coeffs)
-        return PrecisionLaurent(fs, self.v + other.v, out, N=N, ram=self.ram)
+            # a coefficient at index N - v or later in either operand only
+            # reaches exponents >= N, which the product drops; N - v is
+            # min(N_a - v_a, N_b - v_b) >= 1, as a series stores no
+            # coefficient at or past its N
+            xs, ys = xs[: N - v], ys[: N - v]
+        return PrecisionLaurent(fs, v, fs.conv(xs, ys), N=N, ram=self.ram)
 
     def scale(self, c):
         fs = self.fs
@@ -904,16 +910,15 @@ class PrecisionLaurent:
                 out[(n - self.v) // e] = c if n % 2 == 0 else fs.neg(c)
         return PrecisionLaurent(fs, self.v // e, out, N=N, ram=1)
 
+    def residual_valuation(self):
+        """How far a residual is certified to vanish, in theta-units: v_inf
+        when a coefficient is known, N / ram when the value is zero to
+        precision N, None when it is exactly zero."""
+        if self.v is None:
+            return None if self.N is None else Fraction(self.N, self.ram)
+        return Fraction(self.v, self.ram)
+
     # comparisons
-    def sub_valuation(self, other):
-        """Valuation of (self - other), capped at the joint precision.
-
-        Returns (val, N): the difference is zero to precision N when
-        val is None, else has exact valuation val.
-        """
-        d = self - other
-        return (d.v, d.N)
-
     def eq_to_prec(self, other, N):
         d = self - other
         if d.N is not None and d.N < N:
@@ -989,23 +994,12 @@ def _minN(a, b):
     return min(a, b)
 
 
-def field_arith(a: PrecisionLaurent, b: PrecisionLaurent, op: str) -> PrecisionLaurent:
-    """Dispatch arithmetic by operator symbol."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def abs_infty(a: PrecisionLaurent) -> Fraction:
-    """|a|_inf as the exact exponent e of q (|a| = q^e)."""
-    return a.abs_infty_exp()
-
-
-def frobenius_scalar(a: PrecisionLaurent, i: int) -> PrecisionLaurent:
-    return a.frobenius(i)
+def min_residual_valuation(values):
+    """Least residual_valuation over PrecisionLaurent values; None when every
+    one is an exact zero."""
+    best = None
+    for x in values:
+        v = x.residual_valuation()
+        if v is not None and (best is None or v < best):
+            best = v
+    return best

@@ -22,13 +22,8 @@ from .scalars import (
     PrecisionError,
     RatFunc,
     memo,
+    min_residual_valuation,
 )
-
-
-def _is_zero(x):
-    if isinstance(x, PrecisionLaurent):
-        return x.is_zero_to_prec()
-    return x.is_zero()
 
 
 def _is_exact_zero(x):
@@ -180,21 +175,6 @@ class TPoly:
         while len(cs) < D:
             cs.append(z)
         return LocalJet(cs, 0, D, z)
-
-    def eval_scalar(self, x):
-        """Evaluate at a scalar value of t (Horner); x any backend scalar."""
-        if self.is_zero():
-            return None
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
-
-    def eval_laurent(self, x: PrecisionLaurent, prec=None):
-        acc = PrecisionLaurent.zero(self.fs, N=prec, ram=x.ram)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.laurent(N=prec, ram=x.ram)
-        return acc
 
     def gauss_norm_exp(self) -> Fraction:
         """Exponent e with ||f|| = q^e (max coefficient |.|_inf)."""
@@ -418,9 +398,6 @@ class TateTrunc:
             self.fs, [c.frobenius(i) for c in self.coeffs], self.M, ram=self.ram
         )
 
-    def truncate_t(self, M):
-        return TateTrunc(self.fs, self.coeffs[: M + 1], min(M, self.M), ram=self.ram)
-
     def gauss_norm_exp(self) -> Fraction:
         best = None
         for c in self.coeffs:
@@ -433,20 +410,9 @@ class TateTrunc:
         return best
 
     def min_residual_valuation(self):
-        """Min over coefficients of the valuation (None coefficients count as
-        their precision N); used for residual reports.  Returns a Fraction in
-        theta-units, or None if everything is exactly zero."""
-        best = None
-        for c in self.coeffs:
-            if c.is_zero_to_prec():
-                if c.N is None:
-                    continue
-                val = Fraction(c.N, c.ram)
-            else:
-                val = c.v_infty()
-            if best is None or val < best:
-                best = val
-        return best
+        """Least residual valuation over the coefficients, in theta-units;
+        None if every coefficient is an exact zero."""
+        return min_residual_valuation(self.coeffs)
 
     def eval_theta(self):
         """Evaluate the stored truncation at t = theta."""
@@ -555,10 +521,6 @@ class LocalJet:
     def scale(self, c):
         return LocalJet([x * c for x in self.coeffs], self.shift, self.D, self.zero)
 
-    def ushift(self, k):
-        """Multiply by u^k (k may be negative: division by (t-theta)^(-k))."""
-        return LocalJet(self.coeffs, self.shift + k, self.D + k, self.zero)
-
     def inv(self):
         """Jet inverse; leading scalar must be invertible."""
         if self.is_zero():
@@ -584,41 +546,6 @@ class LocalJet:
         if self.coeffs and self.shift < 0:
             raise PrecisionError("jet has a pole at t = theta")
         return [self.order(j) for j in range(D)]
-
-
-# free-function wrappers over the method API
-def twist(g, i: int):
-    return g.twist(i)
-
-
-def gauss_norm(f) -> Fraction:
-    """Exponent e with ||f|| = q^e."""
-    return f.gauss_norm_exp()
-
-
-def local_expand(f, D: int, conv=None, zero=None) -> LocalJet:
-    """Taylor expansion in u = t - theta to order D."""
-    if isinstance(f, TPoly):
-        return f.jet(D, conv=conv, zero=zero)
-    if isinstance(f, TateTrunc):
-        # binomial re-expansion of the stored coefficients only
-        fs = f.fs
-        th = PrecisionLaurent.theta_pow(fs, 1, ram=f.ram)
-        z = PrecisionLaurent.zero(fs, ram=f.ram)
-        out = [z] * D
-        # (theta + u)^n contributions via iterated Horner in u
-        # maintain jet of t^n
-        cur = LocalJet([PrecisionLaurent.one(fs, ram=f.ram)], 0, D, z)
-        tjet = LocalJet([th, PrecisionLaurent.one(fs, ram=f.ram)], 0, D, z)
-        acc = LocalJet([], D, D, z)
-        for n in range(f.M + 1):
-            c = f[n]
-            if not (c.is_zero_to_prec() and c.N is None):
-                acc = acc + cur.scale(c)
-            if n < f.M:
-                cur = cur * tjet
-        return acc
-    raise TypeError("local_expand expects TPoly or TateTrunc")
 
 
 # classical quantities

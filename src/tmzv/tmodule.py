@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, memo)
+                      RatFunc, memo, min_residual_valuation)
 from .tlayer import LocalJet, TPoly, _tpoly_pow
 
 # ---------------------------------------------------------------------------
@@ -22,30 +22,41 @@ from .tlayer import LocalJet, TPoly, _tpoly_pow
 # ---------------------------------------------------------------------------
 
 
+def _exact_zero(x):
+    """An exact-zero PrecisionLaurent or a zero RatFunc: its product with
+    anything is an exact zero, and adding that to a sum changes nothing.
+    Jet and t-series zeros are not: their order or truncation enters the
+    sum."""
+    if type(x) is PrecisionLaurent:
+        return x.v is None and x.N is None
+    return type(x) is RatFunc and not x.num.coeffs
+
+
 def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
+    """A B over duck-typed scalars.  Terms with an exact-zero factor are
+    skipped, which leaves every entry as it was; an entry whose terms are
+    all skipped is one of those zeros."""
+    live = [[not _exact_zero(b) for b in row] for row in B]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
+    for row in A:
+        terms = [(a, Bk, lk) for a, Bk, lk in zip(row, B, live)
+                 if not _exact_zero(a)]
+        out_row = []
+        for j in range(len(B[0])):
             acc = None
-            for k in range(m):
-                t = A[i][k] * B[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
+            for a, Bk, lk in terms:
+                if lk[j]:
+                    t = a * Bk[j]
+                    acc = t if acc is None else acc + t
+            if acc is None:
+                acc = terms[0][1][j] if terms else row[0]
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
 def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = None
-        for a, x in zip(row, v):
-            t = a * x
-            acc = t if acc is None else acc + t
-        out.append(acc)
-    return out
+    return [x for x, in mat_mul(A, [[x] for x in v])]
 
 
 def mat_add(A, B):
@@ -168,7 +179,8 @@ def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
 
 class TModule:
     """E_theta = d[theta] + E_1 tau + ... + E_k tau^k with d x d matrices
-    over K (RatFunc entries); d[theta] = theta I + N with N nilpotent."""
+    over K (RatFunc entries); d[theta] = theta I + N with N strictly upper
+    triangular (ValueError otherwise)."""
 
     def __init__(self, fs: FieldSpec, d: int, dtheta, taus, provenance=None,
                  scalars=None):
@@ -179,6 +191,13 @@ class TModule:
         self.provenance = provenance
         self.scalars = scalars if scalars is not None else _ExactScalars(fs)
         sc = self.scalars
+        self.nilpotent = [[(a - sc.theta if i == j else a)
+                           for j, a in enumerate(row)]
+                          for i, row in enumerate(dtheta)]
+        if not all(_exact_zero(x) for i, row in enumerate(self.nilpotent)
+                   for x in row[:i + 1]):
+            raise ValueError("d[theta] - theta I must be strictly upper "
+                             "triangular")
         self._exp_cache = [mat_identity(d, sc.one, sc.zero)]
         self._log_cache = [mat_identity(d, sc.one, sc.zero)]
         self._laurent_twins: dict = {}
@@ -210,12 +229,6 @@ class TModule:
         if prov is not None and hasattr(prov, "block_dims"):
             return prov.block_dims
         return (self.d,)
-
-    @property
-    def nilpotent(self):
-        th = self.scalars.theta
-        return [[(a - th if i == j else a) for j, a in enumerate(row)]
-                for i, row in enumerate(self.dtheta)]
 
     @classmethod
     def carlitz(cls, fs: FieldSpec):
@@ -293,9 +306,7 @@ class TModule:
 
     def exp_coeff(self, n: int):
         """Q_n solving Q_n (theta^{q^n} I + N^{(n)}) - d[theta] Q_n =
-        sum_{k>=1} E_{theta,k} Q_{n-k}^{(k)}, via a Neumann iteration in
-        the two nilpotent parts (theta^{q^n} != theta)."""
-        fs = self.fs
+        sum_{k>=1} E_{theta,k} Q_{n-k}^{(k)} (see _sylvester_solve)."""
         while len(self._exp_cache) <= n:
             m = len(self._exp_cache)
             R = self._conv_rhs(self._exp_cache, m)
@@ -311,19 +322,30 @@ class TModule:
         return R
 
     def _sylvester_solve(self, R, n):
-        """Solve X (lam I + N') - (theta I + N) X = R with N' = N^{(n)},
-        lam = theta^{q^n} - theta: X_{j+1} = (R - X_j N' + N X_j)/lam."""
-        th = self.scalars.theta
-        ilam = self.scalars.inv(th.frobenius(n) - th)
+        """Solve X (theta^{q^n} I + N') - (theta I + N) X = R with
+        N' = N^{(n)} by substitution: with lam = theta^{q^n} - theta,
+        X_ij = (R_ij - sum_{k<j} X_ik N'_kj + sum_{k>i} N_ik X_kj) / lam,
+        and since N and N' are strictly upper triangular the sums only
+        reach entries below or to the left, so rows go bottom-up and
+        columns left to right."""
+        sc = self.scalars
+        ilam = sc.inv(sc.theta.frobenius(n) - sc.theta)
+        d = self.d
         N = self.nilpotent
-        Np = mat_map(N, lambda x: x.frobenius(n))
-        X = mat_map(R, lambda x: x * ilam)
-        for _ in range(2 * self.d + 2):
-            X2 = mat_map(mat_add(mat_sub(R, mat_mul(X, Np)), mat_mul(N, X)),
-                         lambda x: x * ilam)
-            if X2 == X:
-                break
-            X = X2
+        # the entries that can be nonzero: N_ik with k > i, N'_kj with k < j
+        N_right = [[(k, N[i][k]) for k in range(i + 1, d)
+                    if not _exact_zero(N[i][k])] for i in range(d)]
+        Np_above = [[(k, N[k][j].frobenius(n)) for k in range(j)
+                     if not _exact_zero(N[k][j])] for j in range(d)]
+        X = [[None] * d for _ in range(d)]
+        for i in range(d - 1, -1, -1):
+            for j in range(d):
+                acc = R[i][j]
+                for k, c in Np_above[j]:
+                    acc = acc - X[i][k] * c
+                for k, c in N_right[i]:
+                    acc = acc + c * X[k][j]
+                X[i][j] = acc * ilam
         return X
 
     def log_coeff_recursive(self, n: int):
@@ -444,22 +466,6 @@ def _abs_exp(x):
     raise TypeError("unsupported scalar type %r" % (type(x),))
 
 
-def _scalar_min_val(x):
-    """Residual valuation in theta-units; None means exactly zero."""
-    if x.is_zero_to_prec():
-        return None if x.N is None else Fraction(x.N, x.ram)
-    return x.v_infty()
-
-
-def _vec_min_val(vec):
-    best = None
-    for x in vec:
-        v = _scalar_min_val(x)
-        if v is not None and (best is None or v < best):
-            best = v
-    return best
-
-
 def _eval_window(fs: FieldSpec, prec: int, vals) -> int:
     w = prec + 2 * fs.q + 10
     emax = 0
@@ -488,7 +494,7 @@ def _series_sum(coeff_fn, vec, prec: int, max_terms: int, start: int = 0):
         vn = [x.frobenius(n) for x in vec] if n else vec
         term = mat_vec(mat, vn)
         acc = term if acc is None else vec_add(acc, term)
-        v = _vec_min_val(term)
+        v = min_residual_valuation(term)
         stable = stable + 1 if (v is None or v >= prec) else 0
         if stable >= 2:
             return acc
@@ -593,7 +599,7 @@ def stark_log_eval(shape, prec: int = 40, max_terms: int = 60):
             blocks.append(accb)
         term = delta0(blocks, shape)
         acc = term if acc is None else vec_add(acc, term)
-        v = _vec_min_val(term)
+        v = min_residual_valuation(term)
         stable = stable + 1 if (v is None or v >= prec) else 0
         if stable >= 2:
             return _truncate_vec(acc, prec)
@@ -632,7 +638,8 @@ def split_log_check(shape, prec: int = 30) -> dict:
         a = APoly.monomial(fs, n)
         z = E.lie_act(a, log_eval(E, u, prec=inner), conv=sc.conv)
         zsum = z if zsum is None else vec_add(zsum, z)
-    res = _vec_min_val(vec_sub(zsum, stark_log_eval(shape, prec=inner)))
+    res = min_residual_valuation(
+        vec_sub(zsum, stark_log_eval(shape, prec=inner)))
     passed = recomposes and v_matches and (res is None or res >= prec)
     return {
         "identity": "Log(v) = sum_i d[t^(n_i)] Log(u_i)",
@@ -719,7 +726,8 @@ def period_check(shape, prec: int = 30) -> dict:
     E = _shape_module(shape)
     res = []
     for v in lam:
-        res.append(_vec_min_val(exp_eval(E, v, prec=prec, scalars=sc)))
+        res.append(min_residual_valuation(
+            exp_eval(E, v, prec=prec, scalars=sc)))
     passed = all(x is None or x >= prec for x in res)
     return {
         "identity": "Exp(lambda_j) = 0",
@@ -743,13 +751,12 @@ def depth_one_period_check(fs, n: int, prec: int = 30) -> dict:
     W = 2 * (prec + n * math.ceil(fs.q / (fs.q - 1)) + 4)
     oinv = omega(fs, W, 2 * W).eval_theta().inv(window=W)
     diff = lam[n - 1] - oinv.pow(n)
-    res_last = (Fraction(diff.N, diff.ram) if diff.is_zero_to_prec()
-                else diff.v_infty())
+    res_last = diff.residual_valuation()
     emax = max((_abs_exp(x) or 0) for x in lam)
     sc = _LaurentScalars(fs, _eval_window(fs, prec, ()) + math.ceil(emax),
                          ram=fs.q - 1)
-    res_exp = _vec_min_val(exp_eval(_shape_module(shape), lam, prec=prec,
-                                    scalars=sc))
+    res_exp = min_residual_valuation(
+        exp_eval(_shape_module(shape), lam, prec=prec, scalars=sc))
     passed = ((res_last is None or res_last >= prec)
               and (res_exp is None or res_exp >= prec))
     return {
@@ -775,13 +782,9 @@ def log_oracle_check(shape, nmax: int = 8, window: int = 80) -> dict:
     for n in range(1, nmax + 1):
         A = log_coeff_matrix(shape, n, sc)
         B = E.log_coeff_recursive(n)
-        worst = None
-        for row_a, row_b in zip(A, B):
-            for x, y in zip(row_a, row_b):
-                v = _scalar_min_val(x - y)
-                if v is not None and (worst is None or v < worst):
-                    worst = v
-        residuals.append(worst)
+        residuals.append(min_residual_valuation(
+            x - y for row_a, row_b in zip(A, B)
+            for x, y in zip(row_a, row_b)))
     passed = all(v is None or v >= window for v in residuals)
     return {
         "identity": "closed-form log coefficients = recursive inverse",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, memo, monic_enumerate)
+                      RatFunc, memo, min_residual_valuation, monic_enumerate)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, l_poly)
 
@@ -324,17 +324,7 @@ class _JetBackend:
 
     @staticmethod
     def min_val(x):
-        best = None
-        for c in x.coeffs:
-            if c.is_zero_to_prec():
-                if c.N is None:
-                    continue
-                v = Fraction(c.N, c.ram)
-            else:
-                v = c.v_infty()
-            if best is None or v < best:
-                best = v
-        return best
+        return min_residual_valuation(x.coeffs)
 
 
 class _TateBackend:
@@ -481,18 +471,6 @@ def polylog(fs: FieldSpec, s, u, star: bool = False,
     return lseries_value(fs, s, Q=Q, star=star, prec=prec)
 
 
-def t_deformed_polylog(fs: FieldSpec, s, u, star: bool = False, M: int = 20,
-                       prec: int = 40) -> TateTrunc:
-    """The t-deformation: LL-products replace the L_i in the denominators."""
-    s = tuple(s)
-    u = [_as_ratfunc(fs, x) for x in u]
-    if len(u) != len(s):
-        raise ValueError("need one argument per index entry")
-    _check_polylog_domain(fs, s, u)
-    Q = tuple(TPoly.const(fs, x) for x in u)
-    return lseries_tate(fs, s, Q=Q, star=star, M=M, prec=prec)
-
-
 # ---------------------------------------------------------------------------
 # deformed rows and the rigid-analytic trivialization
 # ---------------------------------------------------------------------------
@@ -543,17 +521,6 @@ class DeformedRow:
             vals = [v for v in (r1, r2) if v is not None]
             out[(a, b)] = min(vals) if vals else None
         return out
-
-    def value_at_theta(self, a: int, b: int, star: bool,
-                       prec: int = None) -> PrecisionLaurent:
-        """Independent jet-backend evaluation of the interval at t = theta."""
-        shape = self.shape
-        prec = self.prec if prec is None else prec
-        sub = shape.s[a - 1:b - 1]
-        Qsub = shape.Q[a - 1:b - 1]
-        if star:
-            sub, Qsub = tuple(reversed(sub)), tuple(reversed(Qsub))
-        return lseries_value(shape.fs, sub, Q=Qsub, star=star, prec=prec)
 
 
 def _sgn_tate(x, n: int):
@@ -749,8 +716,8 @@ def stark_unit_check(shape, prec: int = 40, split: bool = True) -> dict:
     coordinates match the (Gamma-scaled) zeta values from the independent
     power-sum DP, and the split decomposition recomposes and reproduces z."""
     from .motive import special_point, tmodule_of
-    from .tmodule import (_LaurentScalars, _conv_scalar, _vec_min_val,
-                          exp_eval, split_log_check, stark_log_eval, vec_sub)
+    from .tmodule import (_LaurentScalars, _conv_scalar, exp_eval,
+                          split_log_check, stark_log_eval, vec_sub)
 
     fs = shape.fs
     r = shape.r
@@ -760,7 +727,7 @@ def stark_unit_check(shape, prec: int = 40, split: bool = True) -> dict:
     Z = exp_eval(E, z, prec=prec)
     sc = _LaurentScalars(fs, prec + 10)
     v = [_conv_scalar(sc, x) for x in special_point(shape)]
-    res_exp = _vec_min_val(vec_sub(Z, v))
+    res_exp = min_residual_valuation(vec_sub(Z, v))
 
     coord_res = []
     for ell in range(1, r + 1):
@@ -771,9 +738,7 @@ def stark_unit_check(shape, prec: int = 40, split: bool = True) -> dict:
         if star or (r - ell) % 2 == 1:
             want = -want
         diff = z[shape.slot(ell, 0)] - want
-        coord_res.append(None if diff.is_zero_to_prec() and diff.N is None
-                         else (Fraction(diff.N, diff.ram)
-                               if diff.is_zero_to_prec() else diff.v_infty()))
+        coord_res.append(diff.residual_valuation())
     split_out = split_log_check(shape, prec=min(prec, 30)) if split else None
     passed = ((res_exp is None or res_exp >= prec)
               and all(v_ is None or v_ >= prec for v_ in coord_res)
@@ -795,8 +760,8 @@ def depth_one_check(fs: FieldSpec, n: int, prec: int = 40) -> dict:
     coordinates of the interpolation polynomial and the last coordinate of
     z_n equal to Gamma_n zeta_A(n)."""
     from .motive import special_point, star_shape, tmodule_of
-    from .tmodule import (TModule, _LaurentScalars, _conv_scalar,
-                          _vec_min_val, exp_eval, stark_log_eval, vec_sub)
+    from .tmodule import (TModule, _LaurentScalars, _conv_scalar, exp_eval,
+                          stark_log_eval, vec_sub)
 
     shape = star_shape(fs, (n,))
     E = tmodule_of(shape)
@@ -813,14 +778,13 @@ def depth_one_check(fs: FieldSpec, n: int, prec: int = 40) -> dict:
     z = [-x for x in stark_log_eval(shape, prec=prec + 10)]
     Z = exp_eval(C, z, prec=prec)
     sc = _LaurentScalars(fs, prec + 10)
-    res_exp = _vec_min_val(vec_sub(Z, [_conv_scalar(sc, x) for x in Zn]))
+    res_exp = min_residual_valuation(
+        vec_sub(Z, [_conv_scalar(sc, x) for x in Zn]))
 
     gam = gamma_factorial(fs, n)
     ref = mzv(fs, (n,), prec=prec + gam.degree() + 2).value
     diff = z[n - 1] - gam.laurent() * ref
-    res_last = (None if diff.is_zero_to_prec() and diff.N is None
-                else (Fraction(diff.N, diff.ram) if diff.is_zero_to_prec()
-                      else diff.v_infty()))
+    res_last = diff.residual_valuation()
     passed = (same_module and point_matches
               and (res_exp is None or res_exp >= prec)
               and (res_last is None or res_last >= prec))
@@ -897,8 +861,8 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
     to (-1)^(r-ell) Li*_{(s_r,...,s_ell)}(u_r,...,u_ell), checked against the
     independent chain-sum series; Exp inverts the logarithm back to v_u."""
     from .motive import MotiveShape, special_point, tmodule_of
-    from .tmodule import (_LaurentScalars, _conv_scalar, _vec_min_val,
-                          exp_eval, log_eval, vec_sub)
+    from .tmodule import (_LaurentScalars, _conv_scalar, exp_eval, log_eval,
+                          vec_sub)
 
     s = tuple(s)
     r = len(s)
@@ -912,7 +876,8 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
     z = log_eval(E, list(v), prec=prec + 10)
     Z = exp_eval(E, z, prec=prec)
     sc = _LaurentScalars(fs, prec + 10)
-    res_exp = _vec_min_val(vec_sub(Z, [_conv_scalar(sc, x) for x in v]))
+    res_exp = min_residual_valuation(
+        vec_sub(Z, [_conv_scalar(sc, x) for x in v]))
 
     coord_res = []
     for ell in range(1, r + 1):
@@ -922,9 +887,7 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
         if (r - ell) % 2 == 1:
             want = -want
         diff = z[shape.slot(ell, 0)] - want
-        coord_res.append(None if diff.is_zero_to_prec() and diff.N is None
-                         else (Fraction(diff.N, diff.ram)
-                               if diff.is_zero_to_prec() else diff.v_infty()))
+        coord_res.append(diff.residual_valuation())
     passed = ((res_exp is None or res_exp >= prec)
               and all(v_ is None or v_ >= prec for v_ in coord_res))
     return {
@@ -948,8 +911,7 @@ def carlitz_check(fs: FieldSpec, prec: int = 60) -> dict:
     C = TModule.carlitz(fs)
     Z = exp_eval(C, [z1], prec=prec)
     diff = Z[0] - PrecisionLaurent.one(fs)
-    res = (Fraction(diff.N, diff.ram) if diff.is_zero_to_prec()
-           else diff.v_infty())
+    res = diff.residual_valuation()
     return {
         "identity": "exp_C(zeta_A(1)) = 1",
         "q": fs.q,

@@ -56,6 +56,22 @@ class TestExitCodes:
         assert cap.err.splitlines()[-1].endswith(
             "--prec: expected a positive integer, got %r" % prec)
 
+    # each once exited 0 with an empty or vacuous report, or exit 2 labelled
+    # as a resource error
+    @pytest.mark.parametrize("suite,flag", [("oracle-log", "--nmax"),
+                                            ("vadic", "--nu-prec"),
+                                            ("trivialization", "--t-order")])
+    @pytest.mark.parametrize("value", ["-3", "-1", "0", "two"])
+    def test_nonpositive_verify_sizes_are_usage_errors(self, capsys, suite,
+                                                       flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, flag, value])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.splitlines()[-1].endswith(
+            "%s: expected a positive integer, got %r" % (flag, value))
+
 
 class TestVerify:
     def test_carlitz_report(self, capsys):

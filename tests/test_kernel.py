@@ -133,6 +133,64 @@ class TestTateProduct:
         assert [(x.v, x.N) for x in c.coeffs] == [(None, 3), (None, 5)]
 
 
+@st.composite
+def laurent_factors(draw, fs, ram):
+    """A nonzero series, exact or known below N > v (N - v = 1 included),
+    optionally stretched by a Frobenius twist as the log recursion does."""
+    v = draw(st.integers(-12, 20))
+    coeffs = [draw(st.integers(1, fs.q - 1))] + draw(
+        st.lists(st.integers(0, fs.q - 1), max_size=40))
+    N = draw(st.one_of(st.none(), st.integers(v + 1, v + 30)))
+    return PrecisionLaurent(fs, v, coeffs, N=N, ram=ram).frobenius(
+        draw(st.integers(0, 2)))
+
+
+@st.composite
+def laurent_pairs(draw):
+    fs = field(*draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)])))
+    ram = draw(st.sampled_from([1, fs.q - 1]))
+    return draw(laurent_factors(fs, ram)), draw(laurent_factors(fs, ram))
+
+
+def schoolbook_laurent(a, b):
+    """a * b from the full schoolbook product and the error-term bound."""
+    cands = [x.N + y.v for x, y in ((a, b), (b, a)) if x.N is not None]
+    full = schoolbook(a.fs, a.coeffs, b.coeffs)
+    return PrecisionLaurent(a.fs, a.v + b.v, full,
+                            N=min(cands) if cands else None, ram=a.ram)
+
+
+class TestLaurentProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=laurent_pairs())
+    def test_clipped_product_matches_schoolbook(self, pair):
+        a, b = pair
+        got, want = a * b, schoolbook_laurent(a, b)
+        assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
+
+    @pytest.mark.parametrize("q,ram", [(3, 1), (3, 2), (5, 4)])
+    def test_operands_clipped_at_product_precision(self, q, ram, monkeypatch):
+        # N(a * b) - v(a * b) = min(N_a - v_a, N_b - v_b) = 1 here: only the
+        # leading coefficients meet below N, however long the operands are
+        fs = field(q)
+        a = PrecisionLaurent(fs, 0, [1, 2, 1], N=1, ram=ram)
+        b = PrecisionLaurent(fs, -3, [1, 1, 2, 1], ram=ram).frobenius(2)
+        lengths = []
+        conv = type(fs).conv
+
+        def spy(self, xs, ys):
+            lengths.append((len(xs), len(ys)))
+            return conv(self, xs, ys)
+
+        monkeypatch.setattr(type(fs), "conv", spy)
+        got = a * b
+        monkeypatch.undo()
+        want = schoolbook_laurent(a, b)
+        assert lengths == [(1, 1)]
+        assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
+        assert got.N == got.v + 1
+
+
 def test_mzv_over_large_prime_field(capsys):
     assert main(["mzv", "--q", "257", "--s", "1", "--prec", "600"]) == 0
     assert "valuation: 0" in capsys.readouterr().out

@@ -1,16 +1,21 @@
 """t-modules: F_q[t]-action, exponential/logarithm, periods."""
 
+from functools import reduce
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmzv.motive import at_shape, star_shape
-from tmzv.scalars import APoly, RatFunc, field
-from tmzv.tlayer import d_poly, l_poly
-from tmzv.tmodule import (TModule, _LaurentScalars, _shape_module,
-                          _vec_min_val, check_log_domain,
+from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, field,
+                          min_residual_valuation)
+from tmzv.tlayer import TateTrunc, d_poly, l_poly
+from tmzv.tmodule import (TModule, _ExactScalars, _LaurentScalars,
+                          _shape_module, check_log_domain,
                           depth_one_period_check, exp_eval, log_coeff_matrix,
-                          log_eval, log_oracle_check, period_check,
+                          log_eval, log_oracle_check, mat_add, mat_map,
+                          mat_mul, mat_sub, mat_vec, period_check,
                           split_log_check, vec_sub)
 
 
@@ -18,6 +23,170 @@ def small_apolys(fs, max_deg=3):
     elt = st.integers(min_value=0, max_value=fs.q - 1)
     return st.lists(elt, min_size=0, max_size=max_deg + 1).map(
         lambda cs: APoly(fs, tuple(cs)))
+
+
+def dense_mat_mul(A, B):
+    """Every term of every entry, exact zeros included."""
+    return [[reduce(add, (a * B[k][j] for k, a in enumerate(row)))
+             for j in range(len(B[0]))] for row in A]
+
+
+def laurent_entries(fs):
+    """Exact zeros, zeros known to a finite precision, and nonzero series."""
+    def build(kind, v, coeffs, dN):
+        if kind == "zero":
+            return PrecisionLaurent.zero(fs)
+        if kind == "zero_N":
+            return PrecisionLaurent.zero(fs, N=v + dN)
+        return PrecisionLaurent(fs, v, [1] + coeffs,
+                                N=None if kind == "exact" else v + dN)
+    return st.builds(build, st.sampled_from(["zero", "zero", "zero_N",
+                                             "exact", "truncated"]),
+                     st.integers(-6, 8),
+                     st.lists(st.integers(0, fs.q - 1), max_size=8),
+                     st.integers(1, 20))
+
+
+def ratfunc_entries(fs):
+    poly = small_apolys(fs, 2)
+    return st.one_of(st.just(RatFunc.zero(fs)), st.builds(
+        lambda a, b: RatFunc(a, b + APoly.monomial(fs, 3)), poly, poly))
+
+
+@st.composite
+def matrix_pairs(draw, entries, zero):
+    fs = field(draw(st.sampled_from([2, 3])))
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    ent = entries(fs)
+    A = [[draw(ent) for _ in range(m)] for _ in range(n)]
+    B = [[draw(ent) for _ in range(p)] for _ in range(m)]
+    if draw(st.booleans()):  # a row of A or a column of B all exact zeros
+        if draw(st.booleans()):
+            A[0] = [zero(fs)] * m
+        else:
+            for row in B:
+                row[0] = zero(fs)
+    return A, B
+
+
+def laurent_key(x):
+    return type(x), x.v, x.coeffs, x.N
+
+
+class TestMatrixProducts:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=matrix_pairs(laurent_entries, PrecisionLaurent.zero))
+    def test_laurent_products_match_dense(self, pair):
+        A, B = pair
+        want = dense_mat_mul(A, B)
+        got = mat_mul(A, B)
+        assert [[laurent_key(x) for x in r] for r in got] == \
+            [[laurent_key(x) for x in r] for r in want]
+        v = [row[0] for row in B]
+        assert [laurent_key(x) for x in mat_vec(A, v)] == \
+            [laurent_key(r[0]) for r in dense_mat_mul(A, [[x] for x in v])]
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=matrix_pairs(ratfunc_entries, RatFunc.zero))
+    def test_ratfunc_products_match_dense(self, pair):
+        A, B = pair
+        got = mat_mul(A, B)
+        assert got == dense_mat_mul(A, B)
+        assert all(type(x) is RatFunc for r in got for x in r)
+
+    def test_zero_known_to_precision_lowers_N(self):
+        fs = field(2)
+        A = [[PrecisionLaurent.zero(fs, N=3), PrecisionLaurent.zero(fs)]]
+        B = [[PrecisionLaurent.one(fs)], [PrecisionLaurent.one(fs, N=9)]]
+        (x,), = mat_mul(A, B)
+        assert (x.v, x.N) == (None, 3)
+        A = [[PrecisionLaurent.zero(fs), PrecisionLaurent.zero(fs)]]
+        (x,), = mat_mul(A, B)
+        assert (x.v, x.N) == (None, None)
+
+    def test_tate_zeros_are_not_skipped(self):
+        # a zero t-series still truncates the sum at its own t-order
+        fs = field(2)
+        one3 = TateTrunc.one(fs, 3)
+        A = [[TateTrunc.zero(fs, 1), one3]]
+        (x,), = mat_mul(A, [[one3], [one3]])
+        assert x.M == 1
+
+
+def solve_by_iteration(E, R, n):
+    """The fixed point of X = (R - X N' + N X) / lam, iterated from R / lam."""
+    sc = E.scalars
+    ilam = sc.inv(sc.theta.frobenius(n) - sc.theta)
+    N = E.nilpotent
+    Np = mat_map(N, lambda x: x.frobenius(n))
+    X = mat_map(R, lambda x: x * ilam)
+    for _ in range(2 * E.d + 2):
+        X2 = mat_map(mat_add(mat_sub(R, mat_mul(X, Np)), mat_mul(N, X)),
+                     lambda x: x * ilam)
+        if X2 == X:
+            return X
+        X = X2
+    raise AssertionError("no fixed point")
+
+
+def sylvester_lhs(E, X, n):
+    """X d[theta]^(n) - d[theta] X, with d[theta]^(n) = theta^(q^n) I + N'."""
+    twisted = mat_map(E.dtheta, lambda x: x.frobenius(n))
+    return mat_sub(mat_mul(X, twisted), mat_mul(E.dtheta, X))
+
+
+SYLVESTER_MODULES = [("tensor", q, n) for q in (2, 3) for n in (1, 2, 3, 4)] \
+    + [("at", 2, (1, 2)), ("star", 3, (2, 1))]
+
+
+class TestSylvesterSolve:
+    @pytest.mark.parametrize("kind,q,arg", SYLVESTER_MODULES, ids=str)
+    def test_solution_satisfies_equation_exactly(self, kind, q, arg):
+        fs = field(q)
+        if kind == "tensor":
+            E = TModule.carlitz_tensor(fs, arg)
+        else:
+            E = _shape_module((at_shape if kind == "at" else star_shape)(
+                fs, arg))
+        assert isinstance(E.scalars, _ExactScalars)
+        d = E.d
+        # a dense right side, and the ones the exponential recursion builds
+        dense = [[RatFunc(APoly.monomial(fs, i + 2 * j) + APoly.one(fs),
+                          APoly.theta(fs) + APoly.one(fs))
+                  for j in range(d)] for i in range(d)]
+        cases = [(dense, 1), (dense, 2)]
+        for n in (1, 2):
+            cases.append((E._conv_rhs([E.exp_coeff(k) for k in range(n)], n),
+                          n))
+        for R, n in cases:
+            X = E._sylvester_solve(R, n)
+            assert sylvester_lhs(E, X, n) == R
+        assert E.exp_coeff(2) == E._sylvester_solve(cases[-1][0], 2)
+
+    @pytest.mark.parametrize("q,s,model", [(2, (1, 2), "at"),
+                                           (3, (2, 4), "at"),
+                                           (2, (2, 1, 1), "star")])
+    def test_same_values_and_precision_as_iteration(self, q, s, model):
+        fs = field(q)
+        shape = at_shape(fs, s) if model == "at" else star_shape(fs, s)
+        E = _shape_module(shape).with_scalars(_LaurentScalars(fs, 40))
+        for n in (1, 2, 3):
+            R = E._conv_rhs([E.exp_coeff(k) for k in range(n)], n)
+            got = E._sylvester_solve(R, n)
+            want = solve_by_iteration(E, R, n)
+            assert [[laurent_key(x) for x in r] for r in got] == \
+                [[laurent_key(x) for x in r] for r in want]
+
+    def test_rejects_non_triangular_d_theta(self):
+        fs = field(2)
+        z, one, th = RatFunc.zero(fs), RatFunc.one(fs), RatFunc.theta(fs)
+        tau = [[z, z], [one, z]]
+        with pytest.raises(ValueError, match="strictly upper triangular"):
+            TModule(fs, 2, [[th, z], [one, th]], [tau])
+        with pytest.raises(ValueError, match="strictly upper triangular"):
+            TModule(fs, 2, [[th + one, one], [z, th]], [tau])
+        E = TModule(fs, 2, [[th, one], [z, th]], [tau])
+        assert E.with_laurent(20).nilpotent[0][1] == PrecisionLaurent.one(fs)
 
 
 class TestCarlitz:
@@ -72,7 +241,7 @@ class TestExpLog:
         w = log_eval(E, v, prec=30)
         sc = _LaurentScalars(fs, 40)
         d = vec_sub(w, [sc.conv(x).truncate(30) for x in z])
-        res = _vec_min_val(d)
+        res = min_residual_valuation(d)
         assert res is None or res >= 30
 
     def test_functional_equation(self):
@@ -84,7 +253,8 @@ class TestExpLog:
         sc = _LaurentScalars(fs, 60)
         lhs = exp_eval(E, E.lie_act(a, z), prec=30)
         rhs = E.act(a, exp_eval(E, z, prec=45), conv=sc.conv)
-        res = _vec_min_val(vec_sub(lhs, [x.truncate(30) for x in rhs]))
+        res = min_residual_valuation(
+            vec_sub(lhs, [x.truncate(30) for x in rhs]))
         assert res is None or res >= 30
 
     def test_log_domain_rejects_large_input(self):
