@@ -167,8 +167,8 @@ def _deser(fs: FieldSpec, d):
 
 def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
                 prec: int) -> dict:
-    from .motive import MotiveShape, at_shape, build_motive, special_point, \
-        star_shape, tmodule_of
+    from .motive import at_shape, build_motive, special_point, star_shape, \
+        tmodule_of
     from .zeta import mzv
 
     out = {"object": obj, "field": _ser_field(fs)}
@@ -345,11 +345,15 @@ def _suite_items(suite: str, args):
     return items
 
 
+# errors that mean "this input needs more than the run can give": exit 2
+RESOURCE_ERRORS = (PrecisionError, MemoryError, RecursionError)
+
+
 def _run_item(name, fn):
     t0 = time.monotonic()
     try:
         rep = fn()
-    except (PrecisionError, MemoryError, RecursionError) as exc:
+    except RESOURCE_ERRORS as exc:
         rep = {"pass": False, "resource_error": str(exc) or
                type(exc).__name__}
     rep = dict(rep)
@@ -484,6 +488,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except RESOURCE_ERRORS as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 2
 
 

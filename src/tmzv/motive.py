@@ -13,7 +13,7 @@ a +1 twist on its coefficient, keeping all Frobenius twists nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import APoly, FieldSpec, RatFunc, memo

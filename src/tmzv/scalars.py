@@ -14,7 +14,9 @@ at most (p-1)^2, so the slot width is the smallest of 1, 2, 4 or 8 bytes
 that holds min(len) * (p-1)^2; packing and unpacking go through an array of
 that item size in the machine's byte order.  Over F_q with q = p^m, m > 1,
 conv is a schoolbook product on the multiplication table that skips zero
-coefficients of both operands.
+coefficients of both operands.  conv(xs, ys, n) returns only the first n
+coefficients of the product: the packed product is cut to n slots before it
+is unpacked, and the table path computes no more.
 
 PrecisionLaurent represents an element of K_inf (ram = 1) or of the totally
 ramified extension K_inf(eta), eta^(q-1) = -theta (ram = q-1), as a truncated
@@ -35,8 +37,9 @@ from fractions import Fraction
 _SLOT_TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
 
 
-def _pack_mul(p: int, xs, ys):
-    """Multiply two F_p coefficient lists via packed big-integer arithmetic."""
+def _pack_mul(p: int, xs, ys, n=None):
+    """Multiply two F_p coefficient lists via packed big-integer arithmetic;
+    with n, only the first n product coefficients are unpacked."""
     bound = min(len(xs), len(ys)) * (p - 1) ** 2
     width = next(w for w in (1, 2, 4, 8) if bound >> (8 * w) == 0)
     code = _SLOT_TYPECODES[width]
@@ -44,8 +47,12 @@ def _pack_mul(p: int, xs, ys):
     prod = int.from_bytes(array(code, xs).tobytes(), order) * int.from_bytes(
         array(code, ys).tobytes(), order
     )
+    size = len(xs) + len(ys) - 1
+    if n is not None and n < size:
+        size = n
+        prod &= (1 << (8 * width * n)) - 1
     out = array(code)
-    out.frombytes(prod.to_bytes(width * (len(xs) + len(ys) - 1), order))
+    out.frombytes(prod.to_bytes(width * size, order))
     return [c % p for c in out]
 
 
@@ -166,19 +173,25 @@ class FieldSpec:
         """Image of an integer under F_p -> F_q (prime-subfield element)."""
         return n % self.p
 
-    def conv(self, xs, ys):
-        """Convolution (polynomial product coefficients) of F_q code lists."""
+    def conv(self, xs, ys, n=None):
+        """Convolution (polynomial product coefficients) of F_q code lists;
+        with n, only the first n coefficients of the product."""
         if not xs or not ys:
             return []
         if self.m == 1:
-            return _pack_mul(self.p, xs, ys)
-        out = [0] * (len(xs) + len(ys) - 1)
+            return _pack_mul(self.p, xs, ys, n)
+        size = len(xs) + len(ys) - 1
+        if n is not None:
+            size = min(size, n)
+        out = [0] * size
         mt, at = self.mul_table, self.add_table
         nz = [(j, y) for j, y in enumerate(ys) if y]
-        for i, x in enumerate(xs):
+        for i, x in enumerate(xs[:size]):
             if x:
                 row = mt[x]
                 for j, y in nz:
+                    if i + j >= size:
+                        break
                     out[i + j] = at[out[i + j]][row[y]]
         return out
 
@@ -752,15 +765,17 @@ class PrecisionLaurent:
         if other.N is not None:
             cands.append(other.N + self.v)
         v = self.v + other.v
-        xs, ys = self.coeffs, other.coeffs
+        xs, ys, n = self.coeffs, other.coeffs, None
         if cands:
             N = min(cands)
             # a coefficient at index N - v or later in either operand only
-            # reaches exponents >= N, which the product drops; N - v is
+            # reaches exponents >= N, which the product drops, so neither
+            # operand nor the product goes past it; N - v is
             # min(N_a - v_a, N_b - v_b) >= 1, as a series stores no
             # coefficient at or past its N
-            xs, ys = xs[: N - v], ys[: N - v]
-        return PrecisionLaurent(fs, v, fs.conv(xs, ys), N=N, ram=self.ram)
+            n = N - v
+            xs, ys = xs[:n], ys[:n]
+        return PrecisionLaurent(fs, v, fs.conv(xs, ys, n), N=N, ram=self.ram)
 
     def scale(self, c):
         fs = self.fs

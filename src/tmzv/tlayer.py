@@ -3,7 +3,8 @@
 TPoly is an exact polynomial in t with RatFunc coefficients; TwistedPoly
 carries a lazy Frobenius-twist exponent so q-th roots never materialize;
 TateTrunc is a t-truncated series with PrecisionLaurent coefficients, whose
-product is one F_q polynomial product of the two series laid out flat;
+product is one F_q polynomial product of the two series laid out flat and
+clipped to what the product certifies;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
 (RatFunc, PrecisionLaurent, or the factored/nu-adic scalars).
 
@@ -256,24 +257,56 @@ class TwistedPoly:
         return f"({self.base!r})^({self.e})"
 
 
-def _extent(cs):
-    """(lowest exponent, width) spanned by the stored coefficients of a list
-    of PrecisionLaurent; (0, 0) when none stores any."""
-    live = [c for c in cs if c.v is not None]
-    if not live:
-        return 0, 0
-    lo = min(c.v for c in live)
-    return lo, max(c.v + len(c.coeffs) for c in live) - lo
+def _clipped_rows(a, b, Ns):
+    """The rows of a that reach a kept coefficient of sum a_i b_j, as
+    (i, v_i, coefficients).  A coefficient of a_i at exponent e meets b_j
+    (from v(b_j) on) in row i + j, and lands below N_{i+j} only if
+    e < N_{i+j} - v(b_j); so a_i is cut below the largest of these bounds
+    over the live b_j with i + j <= M, kept whole if it feeds an exact row,
+    and left out if the bound does not pass v(a_i)."""
+    M = len(Ns) - 1
+    live = [(j, c.v) for j, c in enumerate(b) if c.v is not None]
+    rows = []
+    for i, c in enumerate(a):
+        if c.v is None:
+            continue
+        top = c.v
+        for j, vb in live:
+            if i + j > M:
+                break
+            n = Ns[i + j]
+            if n is None:
+                top = None
+                break
+            if n - vb > top:
+                top = n - vb
+        if top is None:
+            rows.append((i, c.v, c.coeffs))
+        elif top > c.v:
+            rows.append((i, c.v, c.coeffs[: top - c.v]))
+    return rows
 
 
-def _lay_out(cs, lo, span, S):
-    """One flat coefficient list holding cs[i] at offset i*S + (v_i - lo)."""
-    last = max(i for i, c in enumerate(cs) if c.v is not None)
-    flat = [0] * (last * S + span)
-    for i, c in enumerate(cs):
-        if c.v is not None:
-            o = i * S + c.v - lo
-            flat[o : o + len(c.coeffs)] = c.coeffs
+def _slope(rows):
+    """Integer slope of the valuations from the first row to the last."""
+    (i0, v0, _), (i1, v1, _) = rows[0], rows[-1]
+    return (v1 - v0) // (i1 - i0) if i1 > i0 else 0
+
+
+def _extent(rows, beta):
+    """(lo, span) of the rows under t -> theta^beta t, which moves row i to
+    the exponents from v_i - beta*i; lo is the lowest of them."""
+    lo = min(v - beta * i for i, v, _ in rows)
+    return lo, max(v - beta * i + len(cs) for i, v, cs in rows) - lo
+
+
+def _lay_out(rows, beta, lo, S):
+    """One flat coefficient list holding row i at offset
+    i*S + (v_i - beta*i - lo); S >= span keeps the rows in order."""
+    flat = []
+    for i, v, cs in rows:
+        flat += [0] * (i * S + v - beta * i - lo - len(flat))
+        flat += cs
     return flat
 
 
@@ -311,14 +344,24 @@ class TateTrunc:
     """t-truncated series: PrecisionLaurent coefficients for t^0..t^M.
 
     A product is one polynomial product over F_q (2-D Kronecker
-    substitution): each operand's t-coefficients are laid into one flat
-    list, row i starting at i*S + (v_i - v_min), with the stride
-    S = span_a + span_b - 1 wide enough that row k of the flat product holds
-    exactly sum_{i+j=k} a_i b_j, starting at exponent v_min(a) + v_min(b).
-    Row k keeps the precision N_k that the pairwise sum of PrecisionLaurent
-    products would have (see _product_precisions), so results match that
-    sum coefficient for coefficient; zero-to-precision entries store no
-    coefficients and contribute only to N_k."""
+    substitution) that computes only what its rows certify.  Row k of the
+    product keeps the precision N_k that the pairwise sum of
+    PrecisionLaurent products would have (see _product_precisions), and
+    results match that sum coefficient for coefficient:
+
+    - clip: each operand row a_i is cut to the exponents below
+      max_j (N_{i+j} - v(b_j)) over the live b_j with i + j <= M (and
+      likewise for b); a row that feeds an exact product row is kept whole,
+      and a row cut to nothing is left out.  Zero-to-precision entries store
+      no coefficients and contribute only to N_k.
+    - rescale: row i is laid out at offset i*S + (v_i - beta*i - lo), which
+      is the layout of the isometry t -> theta^beta t.  beta is 0 or the
+      end-to-end slope of either operand's row valuations, whichever packs
+      shortest; the stride S = span_a + span_b - 1 is wide enough that row k
+      of the flat product holds exactly sum_{i+j=k} a_i b_j, starting at
+      exponent lo_a + lo_b + beta*k.
+    - short unpack: conv returns only the first (M+1)*S product
+      coefficients, so the rows above M are never unpacked."""
 
     __slots__ = ("fs", "coeffs", "M", "ram")
 
@@ -375,17 +418,25 @@ class TateTrunc:
         fs, ram = self.fs, self.ram
         a, b = self.coeffs[: M + 1], other.coeffs[: M + 1]
         Ns = _product_precisions(a, b)
-        v_a, span_a = _extent(a)
-        v_b, span_b = _extent(b)
-        if not span_a or not span_b:
+        ra, rb = _clipped_rows(a, b, Ns), _clipped_rows(b, a, Ns)
+        if not ra or not rb:
             return TateTrunc(
                 fs, [PrecisionLaurent.zero(fs, N=n, ram=ram) for n in Ns], M, ram=ram
             )
-        S = span_a + span_b - 1
-        prod = fs.conv(_lay_out(a, v_a, span_a, S), _lay_out(b, v_b, span_b, S))
-        v = v_a + v_b
+
+        def packing(beta):
+            (lo_a, span_a), (lo_b, span_b) = _extent(ra, beta), _extent(rb, beta)
+            S = span_a + span_b - 1
+            return (ra[-1][0] + rb[-1][0]) * S + span_a + span_b, beta, lo_a, lo_b, S
+
+        _, beta, lo_a, lo_b, S = min(map(packing, {0, _slope(ra), _slope(rb)}))
+        prod = fs.conv(
+            _lay_out(ra, beta, lo_a, S), _lay_out(rb, beta, lo_b, S), (M + 1) * S
+        )
         out = [
-            PrecisionLaurent(fs, v, prod[k * S : (k + 1) * S], N=Ns[k], ram=ram)
+            PrecisionLaurent(
+                fs, lo_a + lo_b + beta * k, prod[k * S : (k + 1) * S], N=Ns[k], ram=ram
+            )
             for k in range(M + 1)
         ]
         return TateTrunc(fs, out, M, ram=ram)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation)
-from .tlayer import LocalJet, TPoly, _tpoly_pow
+from .tlayer import LocalJet, TPoly
 
 # ---------------------------------------------------------------------------
 # small matrix helpers (duck-typed scalars)

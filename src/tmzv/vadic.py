@@ -14,7 +14,6 @@ exact bookkeeping rather than arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo, monic_enumerate
 from .tlayer import LocalJet, TPoly, bracket

@@ -283,23 +283,23 @@ def _tpoly_jet_rel(Q: TPoly, i: int, D: int, rel: int) -> LocalJet:
 
 
 @memo
-def _linv_tate(fs: FieldSpec, j: int, M: int) -> TateTrunc:
-    """1/(t - theta^{q^j}) in the Tate algebra, exactly:
-    -sum_k theta^{-q^j (k+1)} t^k."""
-    neg = fs.neg(fs.one)
-    cs = [PrecisionLaurent(fs, fs.q**j * (k + 1), (neg,)) for k in range(M + 1)]
-    return TateTrunc(fs, cs, M)
-
-
-@memo
 def _ll_inv_tate(fs: FieldSpec, i: int, s: int, M: int) -> TateTrunc:
+    """LL_i^{-s} = prod_{j=1..i} (t - theta^{q^j})^{-s} in the Tate algebra,
+    exactly.  Each division by t - c, c = theta^{q^i}, is the recurrence
+    out_k = c^{-1} (out_{k-1} - in_k) on the t-coefficients, and c^{-1} is
+    an exponent shift by q^i."""
     if i == 0:
         return TateTrunc.one(fs, M)
-    got = _ll_inv_tate(fs, i - 1, s, M)
-    f = _linv_tate(fs, i, M)
+    got = _ll_inv_tate(fs, i - 1, s, M).coeffs
+    k = fs.q**i
     for _ in range(s):
-        got = got * f
-    return got
+        prev = PrecisionLaurent.zero(fs)
+        out = []
+        for c in got:
+            prev = (prev - c).shift(k)
+            out.append(prev)
+        got = out
+    return TateTrunc(fs, got, M)
 
 
 def _tpoly_tate_rel(Q: TPoly, i: int, M: int, rel: int) -> TateTrunc:
@@ -353,7 +353,6 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
     outermost shells fall below the target valuation (their norms eventually
     decay geometrically)."""
     k = len(pairs)
-    total = backend.zero()
     prefix = [backend.zero() for _ in range(k)]
     stable = 0
     seen = False
@@ -367,7 +366,6 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
             else:
                 inner = (prefix[m + 1] + G[m + 1]) if star else prefix[m + 1]
                 G[m] = T * inner
-        total = total + G[0]
         for m in range(k):
             prefix[m] = prefix[m] + G[m]
         val = backend.min_val(G[0])
@@ -375,7 +373,7 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
             seen = True
         stable = stable + 1 if (seen and (val is None or val >= prec)) else 0
         if stable >= 2 and i + 1 >= k:
-            return total
+            return prefix[0]
     raise PrecisionError(
         f"L-series shells did not certify precision {prec} within {imax} terms")
 
@@ -420,9 +418,7 @@ def mzv_deformed(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVVal
     """Third MZV route: normalized deformed series at t = theta divided by
     the Gamma factors."""
     idx = MZVIndex(tuple(s))
-    gam = APoly.one(fs)
-    for si in idx.s:
-        gam = gam * gamma_factorial(fs, si)
+    gam = _gamma_product(fs, idx.s)
     d = gam.degree()
     val = lseries_value(fs, idx.s, star=star, prec=prec + d + 2)
     ginv = gam.laurent().inv(window=prec + d + 2)
@@ -527,19 +523,33 @@ def _sgn_tate(x, n: int):
     return x if n % 2 == 0 else -x
 
 
+def _interval_series(fs: FieldSpec, M: int, prec: int):
+    """lseries_tate at (M, prec), built once per distinct series: strict and
+    weak chains agree in depth one, and the empty interval gives 1.  The
+    table lives as long as the returned function."""
+    table = {}
+
+    def series(sub, Qsub, weak):
+        key = (sub, Qsub, weak and len(sub) > 1)
+        if key not in table:
+            table[key] = (lseries_tate(fs, sub, Q=Qsub, star=weak, M=M, prec=prec)
+                          if sub else TateTrunc.one(fs, M))
+        return table[key]
+
+    return series
+
+
 def deformed_row(shape, n_terms: int = 20, prec: int = 40) -> DeformedRow:
-    fs = shape.fs
     r = shape.r
+    series = _interval_series(shape.fs, n_terms, prec)
     L, Ls = {}, {}
     for a in range(1, r + 2):
         for b in range(a + 1, r + 2):
             sub = shape.s[a - 1:b - 1]
             Qsub = shape.Q[a - 1:b - 1]
-            L[(a, b)] = lseries_tate(fs, sub, Q=Qsub, star=False,
-                                     M=n_terms, prec=prec)
-            Ls[(a, b)] = lseries_tate(fs, tuple(reversed(sub)),
-                                      Q=tuple(reversed(Qsub)), star=True,
-                                      M=n_terms, prec=prec)
+            L[(a, b)] = series(sub, Qsub, False)
+            Ls[(a, b)] = series(tuple(reversed(sub)), tuple(reversed(Qsub)),
+                                True)
     return DeformedRow(shape, n_terms, prec, L, Ls)
 
 
@@ -575,24 +585,14 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     zero_t = TateTrunc.zero(fs, M)
     one_t = TateTrunc.one(fs, M)
 
-    cache: dict = {}
-
-    def F(sub, Qsub, weak):
-        key = (sub, weak)
-        if key not in cache:
-            if not sub:
-                cache[key] = one_t
-            else:
-                cache[key] = lseries_tate(fs, sub, Q=Qsub, star=weak,
-                                          M=M, prec=Nw)
-        return cache[key]
+    series = _interval_series(fs, M, Nw)
 
     def interval(a, b, reverse, weak):
         sub = s[a - 1:b - 1]
         Qsub = shape.Q[a - 1:b - 1]
         if reverse:
             sub, Qsub = tuple(reversed(sub)), tuple(reversed(Qsub))
-        return F(sub, Qsub, weak)
+        return series(sub, Qsub, weak)
 
     # Omega-free triangular factors: Psi = Fhat . diag(Omega^{d_l}),
     # Upsilon = diag(Omega^{-d_j}) . Ghat
@@ -640,9 +640,7 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
         sub = tuple(reversed(s[ell - 1:]))
         got = lseries_value(fs, sub, Q=tuple(reversed(shape.Q[ell - 1:])),
                             star=not star, prec=N + 2)
-        gam = APoly.one(fs)
-        for si in sub:
-            gam = gam * gamma_factorial(fs, si)
+        gam = _gamma_product(fs, sub)
         ref = mzv(fs, sub, star=not star, prec=N + gam.degree() + 2).value
         diff = got - (gam.laurent() * ref)
         last.append(None if diff.v is None else Fraction(diff.v))

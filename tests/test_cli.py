@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import tmzv.cli
+import tmzv.zeta
 from tmzv.cli import REPORT_VERSION, load_object, main
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import field
@@ -71,6 +73,23 @@ class TestExitCodes:
         assert cap.out == ""
         assert cap.err.splitlines()[-1].endswith(
             "%s: expected a positive integer, got %r" % (flag, value))
+
+    @pytest.mark.parametrize("error", [
+        tmzv.cli.PrecisionError("shells did not certify precision 20"),
+        MemoryError(), RecursionError("maximum recursion depth exceeded")])
+    @pytest.mark.parametrize("verb,target", [
+        (["mzv", "--s", "1"], (tmzv.zeta, "mzv")),
+        (["dump", "series", "--s", "1"], (tmzv.cli, "dump_object"))])
+    def test_resource_errors_exit_2_with_one_line(self, capsys, monkeypatch,
+                                                  verb, target, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(*target, fail)
+        assert main([*verb, "--q", "2"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == (str(error) or type(error).__name__) + "\n"
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tmzv.cli import main
 from tmzv.scalars import PrecisionLaurent, _pack_mul, field
-from tmzv.tlayer import TateTrunc
+from tmzv.tlayer import TateTrunc, _clipped_rows, _product_precisions
 
 
 def schoolbook(fs, xs, ys):
@@ -64,6 +64,17 @@ class TestConv:
         xs, ys = data.draw(digits), data.draw(digits)
         assert _pack_mul(4093, xs, ys) == schoolbook_mod_p(4093, xs, ys)
 
+    @pytest.mark.parametrize("q", [2, 3, 257, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_short_product_is_prefix_of_full(self, q, data):
+        fs = field(2, 2) if q == 4 else field(q)
+        codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=120)
+        xs, ys = data.draw(codes), data.draw(codes)
+        full = fs.conv(xs, ys)
+        for n in (0, 1, data.draw(st.integers(0, len(full) + 3)), len(full)):
+            assert fs.conv(xs, ys, n) == full[:n]
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_q4_table_path_matches_schoolbook(self, data):
@@ -112,16 +123,107 @@ def tate_pairs(draw):
     return out
 
 
+@st.composite
+def sloped_tate_pairs(draw):
+    """Long rows whose valuations follow a per-operand slope (so the two
+    operands' slopes differ), mixing exact, truncated and zero rows: short
+    truncated rows clip the long ones, often to nothing, and exact rows
+    keep the rows that feed them whole."""
+    fs = field(*draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)])))
+    ram = draw(st.sampled_from([1, fs.q - 1]))
+    M = draw(st.integers(0, 7))
+    out = []
+    for _ in range(2):
+        v0, slope = draw(st.integers(-12, 12)), draw(st.integers(-4, 8))
+        cs = []
+        for i in range(M + 1):
+            kind = draw(st.sampled_from(["exact", "truncated", "truncated",
+                                         "zero_N", "zero"]))
+            v = v0 + slope * i + draw(st.integers(0, 2))
+            if kind == "zero":
+                cs.append(PrecisionLaurent.zero(fs, ram=ram))
+            elif kind == "zero_N":
+                cs.append(PrecisionLaurent.zero(fs, N=v, ram=ram))
+            else:
+                coeffs = [draw(st.integers(1, fs.q - 1))] + draw(
+                    st.lists(st.integers(0, fs.q - 1), max_size=40))
+                N = None if kind == "exact" else v + draw(st.integers(1, 12))
+                cs.append(PrecisionLaurent(fs, v, coeffs, N=N, ram=ram))
+        out.append(TateTrunc(fs, cs, M, ram=ram))
+    return out
+
+
+def assert_matches_pairwise(a, b):
+    got = a * b
+    want = pairwise_product(a, b)
+    assert got.M == min(a.M, b.M)
+    for g, w in zip(got.coeffs, want):
+        assert (g.v, g.coeffs, g.N) == (w.v, w.coeffs, w.N)
+
+
 class TestTateProduct:
     @settings(max_examples=300, deadline=None)
     @given(pair=tate_pairs())
     def test_matches_pairwise_sum(self, pair):
-        a, b = pair
-        got = a * b
-        want = pairwise_product(a, b)
-        assert got.M == min(a.M, b.M)
-        for g, w in zip(got.coeffs, want):
-            assert (g.v, g.coeffs, g.N) == (w.v, w.coeffs, w.N)
+        assert_matches_pairwise(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=sloped_tate_pairs())
+    def test_clipped_rescaled_product_matches_pairwise_sum(self, pair):
+        assert_matches_pairwise(*pair)
+
+    def test_rows_laid_out_along_their_slope(self, monkeypatch):
+        # row i sits at exponent 10*i: under t -> theta^10 t every row starts
+        # at 0, so each operand packs into 6 slots instead of 5*101 + 51
+        fs = field(3)
+        rows = [PrecisionLaurent(fs, 10 * i, [1]) for i in range(6)]
+        a = TateTrunc(fs, rows, 5)
+        lengths = []
+        conv = type(fs).conv
+
+        def spy(self, xs, ys, n=None):
+            lengths.append((len(xs), len(ys), n))
+            return conv(self, xs, ys, n)
+
+        monkeypatch.setattr(type(fs), "conv", spy)
+        got = a * a
+        monkeypatch.undo()
+        assert lengths == [(6, 6, 6)]
+        assert [(c.v, c.coeffs) for c in got.coeffs] == [
+            (10 * k, ((k + 1) % 3,)) if (k + 1) % 3 else (None, ())
+            for k in range(6)]
+        assert_matches_pairwise(a, a)
+
+    @pytest.mark.parametrize("q,ram", [(3, 1), (3, 2)])
+    def test_row_clipped_to_nothing(self, q, ram):
+        # N_1 = N(a_0) + v(b_1) = 2 lies below v(a_1 b_0) = 10, so a_1 is
+        # left out and row 1 holds a_0 b_1 alone
+        fs = field(q)
+        a = TateTrunc(fs, [PrecisionLaurent(fs, 0, [1], N=2, ram=ram),
+                           PrecisionLaurent(fs, 10, [1, 2] * 20, ram=ram)], 1, ram=ram)
+        b = TateTrunc(fs, [PrecisionLaurent.one(fs, ram=ram),
+                           PrecisionLaurent.one(fs, ram=ram)], 1, ram=ram)
+        Ns = _product_precisions(a.coeffs, b.coeffs)
+        assert Ns == [2, 2]
+        assert [i for i, _, _ in _clipped_rows(a.coeffs, b.coeffs, Ns)] == [0]
+        assert [(x.v, x.coeffs, x.N) for x in (a * b).coeffs] == [(0, (1,), 2)] * 2
+        assert_matches_pairwise(a, b)
+
+    @pytest.mark.parametrize("q,ram", [(2, 1), (5, 4)])
+    def test_exact_row_blocks_the_clip(self, q, ram):
+        # a_0 b_0 is exact, so a_0 is kept whole although it also feeds
+        # row 1, which is known only below N(b_1) + v(a_0) = 3
+        fs = field(q)
+        long_row = PrecisionLaurent(fs, 0, [1, 0, 1] * 15, ram=ram)
+        a = TateTrunc(fs, [long_row, PrecisionLaurent.zero(fs, ram=ram)], 1, ram=ram)
+        b = TateTrunc(fs, [PrecisionLaurent.one(fs, ram=ram),
+                           PrecisionLaurent(fs, 1, [1, 1], N=3, ram=ram)], 1, ram=ram)
+        Ns = _product_precisions(a.coeffs, b.coeffs)
+        assert Ns == [None, 3]
+        rows = _clipped_rows(a.coeffs, b.coeffs, Ns)
+        assert rows == [(0, 0, long_row.coeffs)]
+        assert (a * b).coeffs[0] == long_row
+        assert_matches_pairwise(a, b)
 
     def test_zero_entries_set_precision_only(self):
         fs = field(3)
@@ -178,9 +280,9 @@ class TestLaurentProduct:
         lengths = []
         conv = type(fs).conv
 
-        def spy(self, xs, ys):
+        def spy(self, xs, ys, n=None):
             lengths.append((len(xs), len(ys)))
-            return conv(self, xs, ys)
+            return conv(self, xs, ys, n)
 
         monkeypatch.setattr(type(fs), "conv", spy)
         got = a * b

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmzv.motive import at_shape, star_shape
-from tmzv.scalars import RatFunc, field
-from tmzv.tlayer import l_poly
-from tmzv.zeta import (MZVIndex, _gamma_rows, carlitz_check, cm_check,
-                       compositions, depth_one_check, inversion_check, mzv,
-                       mzv_brute, mzv_deformed, polylog, power_sum,
-                       power_sum_enum, stark_unit_check, strange_formula_check)
+from tmzv.scalars import PrecisionLaurent, RatFunc, field
+from tmzv.tlayer import TateTrunc, l_poly
+from tmzv.zeta import (MZVIndex, _gamma_rows, _ll_inv_tate, carlitz_check,
+                       cm_check, compositions, depth_one_check,
+                       inversion_check, lseries_tate, mzv, mzv_brute,
+                       mzv_deformed, polylog, power_sum, power_sum_enum,
+                       stark_unit_check, strange_formula_check)
 
 
 def indices(max_weight=5, max_depth=3):
@@ -111,6 +112,37 @@ class TestPolylog:
         a = polylog(fs, (2,), (RatFunc.one(fs),), prec=25)
         b = mzv(fs, (2,), prec=25).value
         assert (a - b).is_zero_to_prec()
+
+
+def linv_dense(fs, j, M):
+    """1/(t - theta^{q^j}) = -sum_k theta^{-q^j (k+1)} t^k, exactly."""
+    neg = fs.neg(fs.one)
+    return TateTrunc(fs, [PrecisionLaurent(fs, fs.q**j * (k + 1), (neg,))
+                          for k in range(M + 1)], M)
+
+
+class TestDeformedSeries:
+    @pytest.mark.parametrize("q,i,s,M", [(2, 3, 1, 8), (2, 2, 3, 6),
+                                         (3, 2, 2, 5), (5, 1, 4, 4),
+                                         (3, 1, 1, 0)])
+    def test_ll_inv_recurrence_matches_dense_product(self, q, i, s, M):
+        fs = field(q)
+        want = TateTrunc.one(fs, M)
+        for j in range(1, i + 1):
+            for _ in range(s):
+                want = want * linv_dense(fs, j, M)
+        got = _ll_inv_tate(fs, i, s, M)
+        assert got.M == M
+        assert [(c.v, c.coeffs, c.N) for c in got.coeffs] == [
+            (c.v, c.coeffs, c.N) for c in want.coeffs]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_depth_one_strict_and_weak_agree(self, q, s):
+        fs = field(q)
+        strict = lseries_tate(fs, (s,), star=False, M=6, prec=20)
+        weak = lseries_tate(fs, (s,), star=True, M=6, prec=20)
+        assert strict.coeffs == weak.coeffs
 
 
 class TestCompositions:
