@@ -717,23 +717,37 @@ class PrecisionLaurent:
 
     # arithmetic
     def __add__(self, other):
+        return self._add(other, False)
+
+    def __sub__(self, other):
+        return self._add(other, True)
+
+    def _add(self, other, negate):
+        """self + other, or self - other in the same single pass."""
         self._check(other)
-        N = _minN(self.N, other.N)
-        if self.v is None and other.v is None:
-            return PrecisionLaurent.zero(self.fs, N=N, ram=self.ram)
-        if self.v is None:
-            return PrecisionLaurent(self.fs, other.v, other.coeffs, N=N, ram=self.ram)
-        if other.v is None:
-            return PrecisionLaurent(self.fs, self.v, self.coeffs, N=N, ram=self.ram)
         fs = self.fs
+        N = _minN(self.N, other.N)
+        if other.v is None:
+            if self.v is None:
+                return PrecisionLaurent.zero(fs, N=N, ram=self.ram)
+            return PrecisionLaurent(fs, self.v, self.coeffs, N=N, ram=self.ram)
+        nt = fs.neg_table
+        if self.v is None:
+            ys = [nt[c] for c in other.coeffs] if negate else other.coeffs
+            return PrecisionLaurent(fs, other.v, ys, N=N, ram=self.ram)
         v = min(self.v, other.v)
         top = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
         out = [0] * (top - v)
         out[self.v - v : self.v - v + len(self.coeffs)] = self.coeffs
         at = fs.add_table
-        for i, c in enumerate(other.coeffs, other.v - v):
-            if c:
-                out[i] = at[out[i]][c]
+        if negate:
+            for i, c in enumerate(other.coeffs, other.v - v):
+                if c:
+                    out[i] = at[out[i]][nt[c]]
+        else:
+            for i, c in enumerate(other.coeffs, other.v - v):
+                if c:
+                    out[i] = at[out[i]][c]
         return PrecisionLaurent(fs, v, out, N=N, ram=self.ram)
 
     def __neg__(self):
@@ -741,9 +755,6 @@ class PrecisionLaurent:
         return PrecisionLaurent(
             fs, self.v, [fs.neg(c) for c in self.coeffs], N=self.N, ram=self.ram
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)

@@ -14,6 +14,7 @@ the Anderson-Thakur polynomials H_n, and the Omega series.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .scalars import (
@@ -409,7 +410,10 @@ class TateTrunc:
         return TateTrunc(self.fs, [-c for c in self.coeffs], self.M, ram=self.ram)
 
     def __sub__(self, other):
-        return self + (-other)
+        M = self._align(other)
+        return TateTrunc(
+            self.fs, [self[i] - other[i] for i in range(M + 1)], M, ram=self.ram
+        )
 
     def __mul__(self, other):
         if isinstance(other, PrecisionLaurent):
@@ -523,6 +527,18 @@ class LocalJet:
     def const_jet(cls, c, D, zero):
         return cls([c], 0, D, zero)
 
+    @classmethod
+    def pole_inv(cls, c0, D, zero):
+        """Jet of c0/(1 + c0 u), order D: the coefficient of u^m is
+        (-1)^m c0^{m+1}.  With c0 = 1/(theta - a) this is 1/(t - a)."""
+        cs = []
+        p = c0
+        for m in range(D):
+            cs.append(p if m % 2 == 0 else -p)
+            if m + 1 < D:
+                p = p * c0
+        return cls(cs, 0, D, zero)
+
     def is_zero(self):
         return not self.coeffs
 
@@ -534,20 +550,25 @@ class LocalJet:
         D = min(self.D, other.D)
         if self.is_zero():
             return LocalJet(other.coeffs, other.shift, D, self.zero)
-        if other.is_zero():
-            return LocalJet(self.coeffs, self.shift, D, self.zero)
-        lo = min(self.shift, other.shift)
-        hi = min(D, max(self.shift + len(self.coeffs), other.shift + len(other.coeffs)))
-        out = []
-        for j in range(lo, hi):
-            out.append(self.order(j) + other.order(j))
-        return LocalJet(out, lo, D, self.zero)
+        return self._combine(other, D, operator.add)
 
     def __neg__(self):
         return LocalJet([-c for c in self.coeffs], self.shift, self.D, self.zero)
 
     def __sub__(self, other):
-        return self + (-other)
+        D = min(self.D, other.D)
+        if self.is_zero():
+            return LocalJet([-c for c in other.coeffs], other.shift, D, self.zero)
+        return self._combine(other, D, operator.sub)
+
+    def _combine(self, other, D, op):
+        """op(self, other) order by order, self nonzero."""
+        if other.is_zero():
+            return LocalJet(self.coeffs, self.shift, D, self.zero)
+        lo = min(self.shift, other.shift)
+        hi = min(D, max(self.shift + len(self.coeffs), other.shift + len(other.coeffs)))
+        out = [op(self.order(j), other.order(j)) for j in range(lo, hi)]
+        return LocalJet(out, lo, D, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, LocalJet):

@@ -159,17 +159,9 @@ class _LaurentScalars(ScalarStrategy):
 
 @memo
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
-    """Jet at t = theta of 1/(t - theta^{q^k}), order D: the coefficient of
-    u^m is (-1)^m c0^{m+1} with c0 = 1/(theta - theta^{q^k})."""
+    """Jet at t = theta of 1/(t - theta^{q^k}), order D."""
     th = sc.theta
-    c0 = sc.inv(th - th.frobenius(k))
-    cs = []
-    p = c0
-    for m in range(D):
-        cs.append(p if m % 2 == 0 else -p)
-        if m + 1 < D:
-            p = p * c0
-    return LocalJet(cs, 0, D, sc.zero)
+    return LocalJet.pole_inv(sc.inv(th - th.frobenius(k)), D, sc.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ single term in characteristic p, giving
 
 with g_i = c_{d,i}/D_d.  The normalized ratios g_i satisfy the first-order
 recursion g'_{i} = (g_{i-1}^q - g_i)/[d+1] coming from
-e_{d+1} = e_d^q - D_d^{q-1} e_d, so no large polynomial is ever built.
+e_{d+1} = e_d^q - D_d^{q-1} e_d, so no large polynomial is ever built, and
+the division by the bracket [d+1] is a shift-and-add recurrence.
+
+Row d has g_0 = +-1/l_d and g_i = +-1/(D_i L_{d-i}^{q^i}), all of
+valuation >= 0, so v_inf(S_d(k)) >= max(d k, deg l_d) with
+deg l_d = q + q^2 + ... + q^d.  A multiple zeta value is therefore summed
+over the O(log_q prec) outermost degrees below that bound (mzv_cutoff).
 """
 
 from __future__ import annotations
@@ -44,6 +50,28 @@ def inv_bracket(fs: FieldSpec, k: int, N: int) -> PrecisionLaurent:
     return PrecisionLaurent(fs, Q, coeffs, N=N)
 
 
+def _div_bracket(x: PrecisionLaurent, e: int, N: int) -> PrecisionLaurent:
+    """(x * inv_bracket(fs, e, N)).truncate(N), by the recurrence of
+    1/[e] = sum_j theta^{-Q - j(Q-1)}, Q = q^e: the quotient y, stored from
+    exponent v(x) + Q, has y_m = x_m + y_{m-(Q-1)}, one addition per
+    coefficient and no product.  Zero and exact inputs, and Q >= N, take
+    the product."""
+    fs = x.fs
+    Q = fs.q**e
+    if x.v is None or x.N is None or Q >= N:
+        return (x * inv_bracket(fs, e, N)).truncate(N)
+    v = x.v + Q
+    Nout = min(N, x.N + Q, N + x.v)
+    out = list(x.coeffs[:max(Nout - v, 0)])
+    out.extend([0] * (Nout - v - len(out)))
+    at = fs.add_table
+    for m in range(Q - 1, len(out)):
+        c = out[m - Q + 1]
+        if c:
+            out[m] = at[out[m]][c]
+    return PrecisionLaurent(fs, v, out, N=Nout)
+
+
 @memo
 def _gamma_rows(fs: FieldSpec, imax: int, N: int) -> list:
     """Row d is the ratios g_i = c_{d,i}/D_d for i = 0..min(d, imax), as
@@ -56,7 +84,6 @@ def _gamma_row(fs: FieldSpec, d: int, imax: int, N: int):
     while len(rows) <= d:
         e = len(rows)
         prev = rows[-1]
-        ib = inv_bracket(fs, e, N)
         row = []
         for i in range(min(e, imax) + 1):
             acc = PrecisionLaurent.zero(fs, N=N)
@@ -64,17 +91,29 @@ def _gamma_row(fs: FieldSpec, d: int, imax: int, N: int):
                 acc = acc + prev[i - 1].frobenius(1).truncate(N)
             if i < len(prev):
                 acc = acc - prev[i]
-            row.append((acc * ib).truncate(N))
+            row.append(_div_bracket(acc, e, N))
         rows.append(tuple(row))
     return rows[d]
 
 
+def _power_sum_floor(q: int, d: int, k: int) -> int:
+    """max(d k, deg l_d), a lower bound on v_inf(S_d(k)) for k >= 1: every
+    monic of degree d contributes theta^{-dk}, and S_d(k) = g_0 b_{k-1}
+    with v_inf(g_0) = deg l_d = q (q^d - 1)/(q - 1) and v_inf(b_{k-1}) >= 0.
+    (k deg l_d is no bound once k > q: S_1(3) over F_2 has valuation 4.)"""
+    return max(d * k, q * (q**d - 1) // (q - 1))
+
+
 @memo
 def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
-    """S_d(k) = sum_{a monic, deg a = d} a^(-k), to guaranteed precision."""
+    """S_d(k) = sum_{a monic, deg a = d} a^(-k), to guaranteed precision;
+    zero to precision prec, without building any row, once
+    _power_sum_floor(q, d, k) >= prec."""
     if d < 0 or k < 1:
         raise ValueError("need d >= 0 and k >= 1")
     N = prec
+    if _power_sum_floor(fs.q, d, k) >= N:
+        return PrecisionLaurent.zero(fs, N=N)
     imax = 0
     while fs.q ** (imax + 1) <= k:
         imax += 1
@@ -134,17 +173,25 @@ class MZVValue:
     star: bool
 
 
-def mzv_cutoff(s, prec: int) -> int:
-    return prec // min(s) + 2 + 1
+def mzv_cutoff(s, prec: int, q: int) -> int:
+    """Least D with max(D s_1, deg l_D) >= prec.  A term whose outermost
+    monic has degree d is S_d(s_1) times inner power sums of valuation
+    >= 0, so it has valuation >= _power_sum_floor(q, d, s_1), which grows
+    with d; every degree from D on is zero to precision prec."""
+    D = 0
+    while _power_sum_floor(q, D, s[0]) < prec:
+        D += 1
+    return D
 
 
 def mzv(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVValue:
     """zeta_A(s_1,...,s_r) = sum over deg a_1 > ... > deg a_r >= 0 of
     1/(a_1^{s_1} ... a_r^{s_r}); star variant uses >=.  Dynamic program
-    over power sums; tail of top degree d has valuation >= d*min(s)."""
+    over power sums, summed over the outermost degrees below
+    mzv_cutoff."""
     idx = MZVIndex(tuple(s))
     s = idx.s
-    D = mzv_cutoff(s, prec)
+    D = mzv_cutoff(s, prec, fs.q)
     N = prec
     r = len(s)
     # G[d] for the innermost factor, then fold outward with prefix sums
@@ -172,7 +219,7 @@ def mzv_brute(fs: FieldSpec, s, star: bool = False, prec: int = 20,
     idx = MZVIndex(tuple(s))
     s = idx.s
     if D is None:
-        D = mzv_cutoff(s, prec)
+        D = mzv_cutoff(s, prec, fs.q)
     N = prec
     T = {(j, d): power_sum_enum(fs, d, s[j], N)
          for j in range(len(s)) for d in range(D)}
@@ -239,16 +286,9 @@ def _frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
 
 @memo
 def _linv_jet(fs: FieldSpec, j: int, D: int, rel: int) -> LocalJet:
-    """Jet at t = theta of 1/(t - theta^{q^j}), order D: the coefficient of
-    u^m is (-1)^m c0^{m+1} with c0 = 1/(theta - theta^{q^j})."""
+    """Jet at t = theta of 1/(t - theta^{q^j}), order D."""
     c0 = -inv_bracket(fs, j, fs.q**j + rel)
-    cs = []
-    p = c0
-    for m in range(D):
-        cs.append(p if m % 2 == 0 else -p)
-        if m + 1 < D:
-            p = p * c0
-    return LocalJet(cs, 0, D, PrecisionLaurent.zero(fs))
+    return LocalJet.pole_inv(c0, D, PrecisionLaurent.zero(fs))
 
 
 @memo

@@ -1,5 +1,6 @@
 """The F_q product kernel and the TateTrunc product built on it, against
-schoolbook and pairwise references."""
+schoolbook and pairwise references; direct subtraction and division by a
+bracket, against the negation and product they replace."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from tmzv.cli import main
 from tmzv.scalars import PrecisionLaurent, _pack_mul, field
-from tmzv.tlayer import TateTrunc, _clipped_rows, _product_precisions
+from tmzv.tlayer import LocalJet, TateTrunc, _clipped_rows, _product_precisions
+from tmzv.zeta import _div_bracket, inv_bracket
 
 
 def schoolbook(fs, xs, ys):
@@ -291,6 +293,73 @@ class TestLaurentProduct:
         assert lengths == [(1, 1)]
         assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
         assert got.N == got.v + 1
+
+
+FIELDS = st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)])
+
+
+class TestSubtraction:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_laurent_sub_is_sum_with_negation(self, data):
+        fs = field(*data.draw(FIELDS))
+        ram = data.draw(st.sampled_from([1, fs.q - 1]))
+        a = data.draw(laurent_entries(fs, ram))
+        b = data.draw(laurent_entries(fs, ram))
+        assert a - b == a + (-b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=tate_pairs())
+    def test_tate_sub_is_sum_with_negation(self, pair):
+        a, b = pair
+        got, want = a - b, a + (-b)
+        assert got.M == want.M and got.coeffs == want.coeffs
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_jet_sub_is_sum_with_negation(self, data):
+        fs = field(*data.draw(FIELDS))
+        ram = data.draw(st.sampled_from([1, fs.q - 1]))
+        zero = PrecisionLaurent.zero(fs, ram=ram)
+        a, b = [LocalJet(data.draw(st.lists(laurent_entries(fs, ram), max_size=6)),
+                         data.draw(st.integers(-2, 3)), data.draw(st.integers(0, 6)),
+                         zero) for _ in range(2)]
+        got, want = a - b, a + (-b)
+        assert (got.coeffs, got.shift, got.D) == (want.coeffs, want.shift, want.D)
+
+
+class TestBracketDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_recurrence_matches_product(self, data):
+        # long operands, exact ones and zeros to precision included; N below
+        # v + Q, below Q and far above both
+        fs = field(*data.draw(FIELDS))
+        kind = data.draw(st.sampled_from(["exact", "truncated", "truncated",
+                                          "zero_N", "zero"]))
+        v = data.draw(st.integers(-10, 30))
+        if kind == "zero":
+            x = PrecisionLaurent.zero(fs)
+        elif kind == "zero_N":
+            x = PrecisionLaurent.zero(fs, N=v)
+        else:
+            coeffs = data.draw(st.lists(st.integers(0, fs.q - 1), min_size=1,
+                                        max_size=60))
+            N = None if kind == "exact" else v + data.draw(st.integers(0, 70))
+            x = PrecisionLaurent(fs, v, coeffs, N=N)
+        e = data.draw(st.integers(1, 4))
+        N = data.draw(st.integers(1, 120))
+        assert _div_bracket(x, e, N) == (x * inv_bracket(fs, e, N)).truncate(N)
+
+    def test_no_kernel_call(self, monkeypatch):
+        fs = field(2, 2)
+        x = PrecisionLaurent(fs, 0, [1, 2, 3] * 30, N=90)
+        want = (x * inv_bracket(fs, 1, 90)).truncate(90)
+        calls = []
+        monkeypatch.setattr(type(fs), "conv", lambda *a: calls.append(a))
+        got = _div_bracket(x, 1, 90)
+        monkeypatch.undo()
+        assert calls == [] and got == want
 
 
 def test_mzv_over_large_prime_field(capsys):

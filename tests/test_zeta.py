@@ -1,9 +1,12 @@
 """Multiple zeta values, polylogarithms, and the identity check reports."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmzv import zeta
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import PrecisionLaurent, RatFunc, field
 from tmzv.tlayer import TateTrunc, l_poly
@@ -46,6 +49,86 @@ class TestPowerSums:
         _gamma_rows.table.pop((fs, 0, 10), None)
         val = power_sum(fs, 1200, 1, 10)
         assert val.is_zero_to_prec() and val.N == 10
+
+
+def fq(q):
+    return field(2, 2) if q == 4 else field(q)
+
+
+def deg_l(q, d):
+    return sum(q**i for i in range(1, d + 1))
+
+
+def linear_cutoff(s, prec, q):
+    """The cutoff the certified one replaced: prec // min(s) + 3 degrees."""
+    return prec // min(s) + 3
+
+
+class TestDegreeCutoff:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_power_sum_valuation_bound(self, q):
+        # N lies above every bound, so each value comes from the DP itself
+        fs = fq(q)
+        for d in range(5):
+            N = max(12 * d, deg_l(q, d)) + 1
+            for k in range(1, 13):
+                bound = max(d * k, deg_l(q, d))
+                assert power_sum(fs, d, k, N).residual_valuation() >= min(N, bound)
+
+    def test_k_times_deg_l_is_no_bound(self):
+        # S_1(3) over F_2 = theta^-3 + (theta + 1)^-3 has valuation 4, below
+        # k * deg l_1 = 6
+        fs = field(2)
+        for val in (power_sum(fs, 1, 3, 20), power_sum_enum(fs, 1, 3, 20)):
+            assert val.v == 4
+
+    def test_short_circuit_builds_no_rows(self):
+        fs = field(3)
+        _gamma_rows.table.pop((fs, 0, 40), None)
+        val = power_sum(fs, 3, 1, 40)  # deg l_3 = 39 < 40: computed
+        assert val.v == 39 and val.N == 40
+        _gamma_rows.table.pop((fs, 0, 39), None)
+        power_sum.table.pop((fs, 3, 1, 39), None)
+        val = power_sum(fs, 3, 1, 39)  # deg l_3 = 39 >= 39: zero, no rows
+        assert val.is_zero_to_prec() and val.N == 39
+        assert (fs, 0, 39) not in _gamma_rows.table
+
+    @given(q=st.sampled_from([2, 3, 4, 5]),
+           s=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
+           prec=st.integers(1, 200), star=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linear_cutoff(self, q, s, prec, star):
+        # the reference sums prec // min(s) + 3 degrees with power sums from
+        # the full DP: no short cut, no memo
+        fs = fq(q)
+        got = mzv(fs, s, star=star, prec=prec).value
+        with mock.patch.object(zeta, "mzv_cutoff", linear_cutoff), \
+                mock.patch.object(zeta, "power_sum", power_sum.__wrapped__), \
+                mock.patch.object(zeta, "_power_sum_floor", lambda q, d, k: 0):
+            want = mzv(fs, s, star=star, prec=prec).value
+        assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
+
+    def test_cutoff_is_logarithmic(self):
+        assert zeta.mzv_cutoff((1,), 2500, 2) == 11
+        assert zeta.mzv_cutoff((1, 2, 3), 1500, 3) == 7
+        assert zeta.mzv_cutoff((40,), 100, 2) == 3
+
+    def test_high_precision_builds_few_power_sums(self):
+        fs = field(2)
+        prec = 20000
+        for key in [k for k in power_sum.table if k[3] == prec]:
+            del power_sum.table[key]
+        val = mzv(fs, (1,), prec=prec).value
+        assert val.N == prec
+        assert len([k for k in power_sum.table if k[3] == prec]) <= 20
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("star", [False, True])
+    def test_brute_default_cutoff_matches_dp(self, q, star):
+        fs = field(q)
+        for s in [(1,), (2,), (1, 2), (2, 1), (3, 1)]:
+            assert mzv_brute(fs, s, star=star).value == mzv(fs, s, star=star, prec=20).value
+
 
 
 class TestMZV:
