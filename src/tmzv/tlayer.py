@@ -38,7 +38,7 @@ def _is_exact_zero(x):
 class TPoly:
     """Polynomial in t over K = F_q(theta); coefficient i belongs to t^i."""
 
-    __slots__ = ("fs", "coeffs")
+    __slots__ = ("fs", "coeffs", "_hash")
 
     def __init__(self, fs: FieldSpec, coeffs=()):
         self.fs = fs
@@ -46,6 +46,10 @@ class TPoly:
         while c and c[-1].is_zero():
             c.pop()
         self.coeffs = tuple(c)
+        # RatFunc coefficients are reduced with a monic denominator, so equal
+        # coefficients have equal (num, den) and equal hashes; coeffs never
+        # changes, so the hash is taken once here
+        self._hash = hash((fs, self.coeffs))
 
     @classmethod
     def zero(cls, fs):
@@ -89,9 +93,7 @@ class TPoly:
         )
 
     def __hash__(self):
-        # RatFunc coefficients are reduced with a monic denominator, so equal
-        # coefficients have equal (num, den) and equal hashes
-        return hash((self.fs, self.coeffs))
+        return self._hash
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs

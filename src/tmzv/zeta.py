@@ -368,19 +368,31 @@ class _JetBackend:
 
 
 class _TateBackend:
-    """t-truncated series to order M over K_inf scalars."""
+    """t-truncated series to order M over K_inf scalars.  Each shell term
+    Q^(i) LL_i^(-s) is built once into `terms`, at the window W >= rel that
+    the table serves, and cut to rel (see _interval_series)."""
 
-    def __init__(self, fs, M, rel):
+    def __init__(self, fs, M, rel, W=None, terms=None):
         self.fs, self.M, self.rel = fs, M, rel
+        self.W = rel if W is None else W
+        self.terms = {} if terms is None else terms
 
     def zero(self):
         return TateTrunc.zero(self.fs, self.M)
 
     def term(self, s, Q, i):
-        qt = _tpoly_tate_rel(Q, i, self.M, self.rel)
-        if i == 0:
-            return qt
-        return qt * _ll_inv_tate(self.fs, i, s, self.M)
+        key = (s, Q, i)
+        got = self.terms.get(key)
+        if got is None:
+            got = _tpoly_tate_rel(Q, i, self.M, self.W)
+            if i > 0:
+                got = got * _ll_inv_tate(self.fs, i, s, self.M)
+            self.terms[key] = got
+        cut = self.W - self.rel
+        if cut == 0:
+            return got
+        return TateTrunc(self.fs, [c if c.N is None else c.truncate(c.N - cut)
+                                   for c in got.coeffs], self.M)
 
     @staticmethod
     def min_val(x):
@@ -397,18 +409,22 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
     stable = 0
     seen = False
     for i in range(imax + 1):
-        G = [None] * k
+        # at entry m, G is shell i of the chains from entry m + 1 on and
+        # prefix[m + 1] the shells before i; a strict chain goes on in the
+        # earlier shells only, a weak one in shell i too
+        G = None
         for m in range(k - 1, -1, -1):
             s, Q = pairs[m]
             T = backend.term(s, Q, i)
-            if m == k - 1:
-                G[m] = T
-            else:
-                inner = (prefix[m + 1] + G[m + 1]) if star else prefix[m + 1]
-                G[m] = T * inner
-        for m in range(k):
-            prefix[m] = prefix[m] + G[m]
-        val = backend.min_val(G[0])
+            if G is not None:
+                if star:
+                    prefix[m + 1] = prefix[m + 1] + G
+                    T = T * prefix[m + 1]
+                else:
+                    T, prefix[m + 1] = T * prefix[m + 1], prefix[m + 1] + G
+            G = T
+        prefix[0] = prefix[0] + G
+        val = backend.min_val(G)
         if val is not None:
             seen = True
         stable = stable + 1 if (seen and (val is None or val >= prec)) else 0
@@ -539,41 +555,62 @@ class DeformedRow:
           (-1)^{b-1} L*(rev a,b) = sum_k (-1)^k L(k,b) L*(rev a,k)
                                + (-1)^a L(a,b)
 
-        returns {interval: min residual valuation over the two}."""
+        returns {interval: min residual valuation over the two}.  Each
+        residual is taken times the sign of its left side, which leaves its
+        valuation alone: L*(rev a,b) minus the right side with every sign
+        folded into an addition or a subtraction."""
+        L, Ls = self.L, self.Lstar
         out = {}
-        for (a, b) in self.L:
-            lhs = _sgn_tate(self.Lstar[(a, b)], a)
-            rhs = TateTrunc.zero(self.shape.fs, self.M)
-            for k in range(a + 1, b):
-                rhs = rhs + _sgn_tate(self.L[(a, k)] * self.Lstar[(k, b)], k - 1)
-            rhs = rhs + _sgn_tate(self.L[(a, b)], b - 1)
-            r1 = (lhs - rhs).min_residual_valuation()
-            lhs2 = _sgn_tate(self.Lstar[(a, b)], b - 1)
-            rhs2 = TateTrunc.zero(self.shape.fs, self.M)
-            for k in range(a + 1, b):
-                rhs2 = rhs2 + _sgn_tate(self.L[(k, b)] * self.Lstar[(a, k)], k)
-            rhs2 = rhs2 + _sgn_tate(self.L[(a, b)], a)
-            r2 = (lhs2 - rhs2).min_residual_valuation()
+        for (a, b) in L:
+            r1 = _signed_residual(
+                Ls[(a, b)],
+                [(L[(a, k)] * Ls[(k, b)], k - 1 + a) for k in range(a + 1, b)]
+                + [(L[(a, b)], b - 1 + a)])
+            r2 = _signed_residual(
+                Ls[(a, b)],
+                [(L[(k, b)] * Ls[(a, k)], k + b - 1) for k in range(a + 1, b)]
+                + [(L[(a, b)], a + b - 1)])
             vals = [v for v in (r1, r2) if v is not None]
             out[(a, b)] = min(vals) if vals else None
         return out
+
+
+def _signed_residual(lhs, terms):
+    """Least residual valuation of lhs - sum (-1)^n x over (x, n) in terms."""
+    for x, n in terms:
+        lhs = lhs - x if n % 2 == 0 else lhs + x
+    return lhs.min_residual_valuation()
 
 
 def _sgn_tate(x, n: int):
     return x if n % 2 == 0 else -x
 
 
-def _interval_series(fs: FieldSpec, M: int, prec: int):
-    """lseries_tate at (M, prec), built once per distinct series: strict and
-    weak chains agree in depth one, and the empty interval gives 1.  The
-    table lives as long as the returned function."""
-    table = {}
+def _interval_series(fs: FieldSpec, M: int, prec: int, s):
+    """lseries_tate at (M, prec) for the intervals of the index s, built
+    once per distinct series: strict and weak chains agree in depth one,
+    and the empty interval gives 1.
+
+    The intervals also share one table of shell terms Q^(i) LL_i^(-s),
+    keyed by (s, Q, i) and built at the widest window
+    W = prec + _rel_guard(fs, s), which is at least every interval's
+    rel = prec + _rel_guard(fs, sub).  An interval takes each term with
+    every finite row's N lowered by W - rel, and that is the term built at
+    rel: row k of Q^(i) has N = v + rel, LL_i^(-s) is exact, so row k of
+    the product has N_k = min_j (v(Q_j) + v(LL_{k-j})) + rel with exact
+    coefficients below it, and widening rel moves every N_k by the same
+    amount.  Both tables live as long as the returned function."""
+    W = prec + _rel_guard(fs, s)
+    terms, table = {}, {}
 
     def series(sub, Qsub, weak):
         key = (sub, Qsub, weak and len(sub) > 1)
         if key not in table:
-            table[key] = (lseries_tate(fs, sub, Q=Qsub, star=weak, M=M, prec=prec)
-                          if sub else TateTrunc.one(fs, M))
+            if sub:
+                backend = _TateBackend(fs, M, prec + _rel_guard(fs, sub), W, terms)
+                table[key] = lseries_raw(fs, list(zip(sub, Qsub)), weak, prec, backend)
+            else:
+                table[key] = TateTrunc.one(fs, M)
         return table[key]
 
     return series
@@ -581,7 +618,7 @@ def _interval_series(fs: FieldSpec, M: int, prec: int):
 
 def deformed_row(shape, n_terms: int = 20, prec: int = 40) -> DeformedRow:
     r = shape.r
-    series = _interval_series(shape.fs, n_terms, prec)
+    series = _interval_series(shape.fs, n_terms, prec, shape.s)
     L, Ls = {}, {}
     for a in range(1, r + 2):
         for b in range(a + 1, r + 2):
@@ -625,7 +662,7 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     zero_t = TateTrunc.zero(fs, M)
     one_t = TateTrunc.one(fs, M)
 
-    series = _interval_series(fs, M, Nw)
+    series = _interval_series(fs, M, Nw, s)
 
     def interval(a, b, reverse, weak):
         sub = s[a - 1:b - 1]

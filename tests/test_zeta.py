@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmzv import zeta
-from tmzv.motive import at_shape, star_shape
+from tmzv.motive import MotiveShape, at_shape, star_shape
 from tmzv.scalars import PrecisionLaurent, RatFunc, field
-from tmzv.tlayer import TateTrunc, l_poly
-from tmzv.zeta import (MZVIndex, _gamma_rows, _ll_inv_tate, carlitz_check,
-                       cm_check, compositions, depth_one_check,
-                       inversion_check, lseries_tate, mzv, mzv_brute,
-                       mzv_deformed, polylog, power_sum, power_sum_enum,
-                       stark_unit_check, strange_formula_check)
+from tmzv.tlayer import TateTrunc, anderson_thakur, l_poly
+from tmzv.zeta import (MZVIndex, _gamma_rows, _JetBackend, _ll_inv_tate,
+                       _rel_guard, _TateBackend, carlitz_check, cm_check,
+                       compositions, deformed_row, depth_one_check,
+                       inversion_check, lseries_raw, lseries_tate, mzv,
+                       mzv_brute, mzv_deformed, polylog, power_sum,
+                       power_sum_enum, stark_unit_check,
+                       strange_formula_check)
 
 
 def indices(max_weight=5, max_depth=3):
@@ -226,6 +228,184 @@ class TestDeformedSeries:
         strict = lseries_tate(fs, (s,), star=False, M=6, prec=20)
         weak = lseries_tate(fs, (s,), star=True, M=6, prec=20)
         assert strict.coeffs == weak.coeffs
+
+
+def rows(x):
+    return [(c.v, c.coeffs, c.N) for c in x.coeffs]
+
+
+def shape_with(fs, s, scaled):
+    """The AT shape of s, or one whose Q_m are H_{s_m} / (theta + 1)^7, so
+    that the twisted coefficients are rational functions, not polynomials.
+    The Laurent expansion of a rational coefficient needs its denominator's
+    degree above half its numerator's; 7 exceeds the theta-degree of every
+    coefficient of H_s for s <= 6 and q <= 4."""
+    if not scaled:
+        return at_shape(fs, s)
+    c = RatFunc.one(fs)
+    for _ in range(7):
+        c = c * (RatFunc.theta(fs) + RatFunc.one(fs)).inv()
+    return MotiveShape(fs, s, tuple(anderson_thakur(fs, si).scale(c)
+                                    for si in s), "ExtGeneric")
+
+
+def lseries_reference(pairs, star, prec, backend, imax=64):
+    """The shell sum with the weak chains' inner sum prefix + G formed
+    apart from the prefix update, kept as the reference."""
+    k = len(pairs)
+    prefix = [backend.zero() for _ in range(k)]
+    stable, seen = 0, False
+    for i in range(imax + 1):
+        G = [None] * k
+        for m in range(k - 1, -1, -1):
+            s, Q = pairs[m]
+            T = backend.term(s, Q, i)
+            if m == k - 1:
+                G[m] = T
+            else:
+                inner = (prefix[m + 1] + G[m + 1]) if star else prefix[m + 1]
+                G[m] = T * inner
+        for m in range(k):
+            prefix[m] = prefix[m] + G[m]
+        val = backend.min_val(G[0])
+        if val is not None:
+            seen = True
+        stable = stable + 1 if (seen and (val is None or val >= prec)) else 0
+        if stable >= 2 and i + 1 >= k:
+            return prefix[0]
+    raise AssertionError("reference did not stop")
+
+
+class TermsAtRel(_TateBackend):
+    """Each shell term built afresh at the series' own rel, with no table."""
+
+    def term(self, s, Q, i):
+        qt = zeta._tpoly_tate_rel(Q, i, self.M, self.rel)
+        return qt if i == 0 else qt * _ll_inv_tate(self.fs, i, s, self.M)
+
+
+def series_reference(fs, s, Q, star, M, prec):
+    """lseries_tate by the reference shell sum and terms."""
+    backend = TermsAtRel(fs, M, prec + _rel_guard(fs, s))
+    return lseries_reference(list(zip(s, Q)), star, prec, backend)
+
+
+def sgn(x, n):
+    return x if n % 2 == 0 else -x
+
+
+def residuals_reference(row):
+    """inversion_residuals with each side's terms negated by their sign
+    and summed, then subtracted, kept as the reference."""
+    L, Ls, z = row.L, row.Lstar, TateTrunc.zero(row.shape.fs, row.M)
+    out = {}
+    for (a, b) in L:
+        rhs = z
+        for k in range(a + 1, b):
+            rhs = rhs + sgn(L[(a, k)] * Ls[(k, b)], k - 1)
+        rhs = rhs + sgn(L[(a, b)], b - 1)
+        r1 = (sgn(Ls[(a, b)], a) - rhs).min_residual_valuation()
+        rhs = z
+        for k in range(a + 1, b):
+            rhs = rhs + sgn(L[(k, b)] * Ls[(a, k)], k)
+        rhs = rhs + sgn(L[(a, b)], a)
+        r2 = (sgn(Ls[(a, b)], b - 1) - rhs).min_residual_valuation()
+        vals = [v for v in (r1, r2) if v is not None]
+        out[(a, b)] = min(vals) if vals else None
+    return out
+
+
+class TestTermTable:
+    @given(q=st.sampled_from([2, 3, 4]), s=indices(max_weight=6),
+           M=st.integers(1, 6), prec=st.integers(1, 30), scaled=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_row_intervals_match_per_interval_series(self, q, s, M, prec, scaled):
+        # each interval of the row takes its shell terms from the row's
+        # table, built at the widest window; a per-interval call builds its
+        # own, and so does the reference, at the interval's window
+        fs = fq(q)
+        shape = shape_with(fs, s, scaled)
+        row = deformed_row(shape, n_terms=M, prec=prec)
+        for (a, b) in row.L:
+            sub, Q = s[a - 1:b - 1], shape.Q[a - 1:b - 1]
+            for star, got, sub, Q in ((False, row.L[(a, b)], sub, Q),
+                                      (True, row.Lstar[(a, b)], sub[::-1], Q[::-1])):
+                want = series_reference(fs, sub, Q, star, M, prec)
+                assert rows(got) == rows(want)
+                assert rows(lseries_tate(fs, sub, Q=Q, star=star, M=M,
+                                         prec=prec)) == rows(want)
+
+    @pytest.mark.parametrize("q,s", [(2, (1, 2, 1)), (3, (2, 1, 3)),
+                                     (2, (3, 3)), (3, (1, 1, 1))])
+    def test_each_term_built_once_at_the_widest_window(self, q, s):
+        # a term is Q^(i) from _tpoly_tate_rel, times LL_i^(-s) when i > 0
+        fs = field(q)
+        made, products, depth = [], [], []
+        tpoly, ll_inv = zeta._tpoly_tate_rel, zeta._ll_inv_tate
+
+        def spy_tpoly(Q, i, M, rel):
+            made.append((Q, i, rel))
+            return tpoly(Q, i, M, rel)
+
+        def spy_ll_inv(fs, i, s, M):
+            # its recursion on i - 1 comes through here too: count only the
+            # outermost call, which pairs with the last Q^(i)
+            if not depth:
+                Q, j, _ = made[-1]
+                assert j == i
+                products.append((s, Q, i))
+            depth.append(i)
+            try:
+                return ll_inv(fs, i, s, M)
+            finally:
+                depth.pop()
+
+        with mock.patch.object(zeta, "_tpoly_tate_rel", spy_tpoly), \
+                mock.patch.object(zeta, "_ll_inv_tate", spy_ll_inv):
+            deformed_row(at_shape(fs, s), n_terms=6, prec=22)
+        W = 22 + _rel_guard(fs, s)
+        assert products and all(rel == W for _, _, rel in made)
+        assert len(products) == len(set(products))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("s", [(1, 2), (2, 1, 1), (1, 3, 2), (3, 1, 2)])
+    def test_inversion_residuals_match_negated_sums(self, q, s):
+        # an unshared deformed row, so a wrong sign shows as a residual
+        for shape in (at_shape(field(q), s), star_shape(field(q), s)):
+            row = deformed_row(shape, n_terms=6, prec=22)
+            assert row.inversion_residuals() == residuals_reference(row)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("s", [(1, 2), (2, 1, 1), (1, 1, 1), (3, 2)])
+    @pytest.mark.parametrize("star", [False, True])
+    def test_shell_sum_matches_reference(self, q, s, star):
+        fs = field(q)
+        pairs = [(si, anderson_thakur(fs, si)) for si in s]
+        rel = 20 + _rel_guard(fs, s)
+        got = lseries_raw(fs, pairs, star, 20, _TateBackend(fs, 5, rel))
+        want = lseries_reference(pairs, star, 20, _TateBackend(fs, 5, rel))
+        assert rows(got) == rows(want)
+        got = lseries_raw(fs, pairs, star, 20, _JetBackend(fs, 2, rel + 2))
+        want = lseries_reference(pairs, star, 20, _JetBackend(fs, 2, rel + 2))
+        assert got.shift == want.shift and rows(got) == rows(want)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("star", [False, True])
+    def test_rows_agree_with_higher_precision_below_their_N(self, q, star):
+        # what a row claims below its N is what prec + 40 computes there
+        fs = field(q)
+        P, M = 20, 6
+        for s in compositions(5, 3):
+            lo = lseries_tate(fs, s, star=star, M=M, prec=P)
+            hi = lseries_tate(fs, s, star=star, M=M, prec=P + 40)
+            for a, b in zip(lo.coeffs, hi.coeffs):
+                if a.N is None:
+                    assert b == a
+                else:
+                    assert b.N is None or b.N >= a.N
+                    assert (a - b).truncate(a.N).is_zero_to_prec()
 
 
 class TestCompositions:
