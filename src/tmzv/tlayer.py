@@ -371,11 +371,10 @@ class TateTrunc:
     def __init__(self, fs, coeffs, M, ram=1):
         self.fs = fs
         self.M = M
-        cs = list(coeffs)
-        z = PrecisionLaurent.zero(fs, ram=ram)
-        while len(cs) < M + 1:
-            cs.append(z)
-        self.coeffs = tuple(cs[: M + 1])
+        cs = tuple(coeffs)[: M + 1]
+        if len(cs) <= M:
+            cs += (PrecisionLaurent.zero(fs, ram=ram),) * (M + 1 - len(cs))
+        self.coeffs = cs
         self.ram = ram
 
     @classmethod
@@ -449,6 +448,12 @@ class TateTrunc:
 
     def scale(self, c: PrecisionLaurent):
         return TateTrunc(self.fs, [x * c for x in self.coeffs], self.M, ram=self.ram)
+
+    def truncate(self, N):
+        """Every row's precision lowered to at most N."""
+        return TateTrunc(
+            self.fs, [c.truncate(N) for c in self.coeffs], self.M, ram=self.ram
+        )
 
     def twist(self, i: int):
         return TateTrunc(

@@ -66,17 +66,23 @@ def _nu_pow(place: NuPlace, m: int) -> APoly:
     return place.nu.pow(m)
 
 
-def nu_valuation(a: APoly, place: NuPlace):
-    """v_nu(a); None for the zero polynomial."""
+def nu_split(a: APoly, place: NuPlace):
+    """(v_nu(a), a / nu^v), from one division by nu per power; (None, a)
+    for the zero polynomial."""
     if a.is_zero():
-        return None
+        return None, a
     v = 0
     while True:
         quo, rem = divmod(a, place.nu)
         if not rem.is_zero():
-            return v
+            return v, a
         a = quo
         v += 1
+
+
+def nu_valuation(a: APoly, place: NuPlace):
+    """v_nu(a); None for the zero polynomial."""
+    return nu_split(a, place)[0]
 
 
 def nu_mod(a: APoly, place: NuPlace, m: int) -> APoly:
@@ -181,16 +187,10 @@ def nu_reduce(x, place: NuPlace, prec: int) -> NuAdic:
         raise TypeError("nu_reduce expects APoly or RatFunc")
     if x.is_zero():
         return NuAdic(place, prec, (), prec)
-    vn = nu_valuation(x.num, place)
-    vd = nu_valuation(x.den, place)
+    vn, num = nu_split(x.num, place)
+    vd, den = nu_split(x.den, place)
     v = vn - vd
     m = max(prec - v, 1)
-    num = x.num
-    den = x.den
-    for _ in range(vn):
-        num = num // place.nu
-    for _ in range(vd):
-        den = den // place.nu
     unit = nu_mod(num * nu_inv(den, place, m), place, m)
     return NuAdic.from_unit(place, v, unit, prec)
 
@@ -258,12 +258,9 @@ class FactoredScalar:
         if self.is_zero():
             return NuAdic(place, prec, (), prec)
         vd = self.den_valuation(place)
-        vn = nu_valuation(self.num, place)
+        vn, num = nu_split(self.num, place)
         v = vn - vd
         m = max(prec - v, 1)
-        num = self.num
-        for _ in range(vn):
-            num = num // place.nu
         unit = nu_mod(num, place, m)
         for k, e in sorted(self.den.items()):
             b = bracket(self.fs, k)
@@ -443,7 +440,7 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     E = tmodule_of(shape)
     if a is None:
         a = a_nu(shape, place)
-    va = nu_valuation(a, place)
+    va, au = nu_split(a, place)
     d1 = shape.block_dims[0]
     # working modulus: survives the denominator valuations of every term
     m = K + va + 2 + 12 * (3 * d1 - 1) + 5
@@ -454,9 +451,6 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     # divide by a: shift the valuation and multiply by the unit inverse
     if val.is_zero_to_prec():
         return NuAdic(place, K, (), K), diag
-    au = a
-    for _ in range(va):
-        au = au // place.nu
     mm = max(K - (val.v - va), 1)
     lift = APoly.zero(fs)
     for i, dgt in enumerate(val.digits):

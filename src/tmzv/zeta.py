@@ -253,11 +253,17 @@ def _rel_guard(fs: FieldSpec, s) -> int:
 
 
 def _laurent_rel(c: RatFunc, rel: int) -> PrecisionLaurent:
-    """Laurent expansion keeping `rel` digits past the leading exponent."""
+    """Laurent expansion keeping `rel` digits past the leading exponent.
+    Numerator and denominator are each expanded to `rel` digits past their
+    own leading exponents, so the quotient is known to v + rel however far
+    the numerator's degree outgrows the denominator's (an absolute cut at
+    v + rel would leave a twisted denominator zero to that precision)."""
     if c.is_zero():
         return PrecisionLaurent.zero(c.fs)
-    v = c.den.degree() - c.num.degree()
-    return c.laurent(N=v + rel)
+    num = c.num.laurent(N=rel - c.num.degree())
+    if c.is_poly():
+        return num
+    return num / c.den.laurent(N=rel - c.den.degree())
 
 
 def _frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
@@ -343,8 +349,31 @@ def _ll_inv_tate(fs: FieldSpec, i: int, s: int, M: int) -> TateTrunc:
 
 
 def _tpoly_tate_rel(Q: TPoly, i: int, M: int, rel: int) -> TateTrunc:
+    """Q^(i) to order M, row n to N = min(v_n + rel, rel); a zero row is
+    zero to precision rel."""
     return TateTrunc(
-        Q.fs, [_frob_laurent_rel(Q[n], i, rel) for n in range(min(M, Q.degree()) + 1)], M)
+        Q.fs, [_frob_laurent_rel(Q[n], i, rel) for n in range(min(M, Q.degree()) + 1)],
+        M).truncate(rel)
+
+
+def _shell_term(s: int, Q: TPoly, i: int, M: int, C: int) -> TateTrunc:
+    """Q^(i) LL_i^(-s) to order M, every row to N = min(v + C, C): C digits
+    past the row's valuation bound, and never past the exponent C.  Every
+    row of LL_i^(-s) has v >= s (q + ... + q^i) >= 0, so the capped rows of
+    Q^(i) still carry each product row to at least that N, LL_i^(-s) is
+    needed only below C - min v(Q^(i)), and the term is zero to precision
+    C, with no product, once min v(Q^(i)) + s (q + ... + q^i) >= C; the
+    product is cut to C."""
+    qt = _tpoly_tate_rel(Q, i, M, C)
+    if i == 0:
+        return qt
+    fs, q = Q.fs, Q.fs.q
+    # a row zero to precision N has valuation >= N
+    vq = min(c.N if c.v is None else c.v for c in qt.coeffs)
+    if vq + s * (q ** (i + 1) - q) // (q - 1) >= C:
+        return TateTrunc.zero(fs, M, N=C)
+    ll = _ll_inv_tate(fs, i, s, M).truncate(C - vq)
+    return (qt * ll).truncate(C)
 
 
 class _JetBackend:
@@ -366,11 +395,18 @@ class _JetBackend:
     def min_val(x):
         return min_residual_valuation(x.coeffs)
 
+    @staticmethod
+    def settled(G, total):
+        """A jet's value is read only to prec."""
+        return True
+
 
 class _TateBackend:
     """t-truncated series to order M over K_inf scalars.  Each shell term
     Q^(i) LL_i^(-s) is built once into `terms`, at the window W >= rel that
-    the table serves, and cut to rel (see _interval_series)."""
+    the table serves, and cut to rel (see _interval_series): its row k is
+    known to N = min(v_k + rel, rel), rel digits past the row's valuation
+    bound v_k and never past the exponent rel."""
 
     def __init__(self, fs, M, rel, W=None, terms=None):
         self.fs, self.M, self.rel = fs, M, rel
@@ -384,26 +420,32 @@ class _TateBackend:
         key = (s, Q, i)
         got = self.terms.get(key)
         if got is None:
-            got = _tpoly_tate_rel(Q, i, self.M, self.W)
-            if i > 0:
-                got = got * _ll_inv_tate(self.fs, i, s, self.M)
-            self.terms[key] = got
+            got = self.terms[key] = _shell_term(s, Q, i, self.M, self.W)
         cut = self.W - self.rel
         if cut == 0:
             return got
-        return TateTrunc(self.fs, [c if c.N is None else c.truncate(c.N - cut)
-                                   for c in got.coeffs], self.M)
+        return TateTrunc(self.fs, [c.truncate(c.N - cut) for c in got.coeffs], self.M)
 
     @staticmethod
     def min_val(x):
         return x.min_residual_valuation()
 
+    @staticmethod
+    def settled(G, total):
+        """Whether shell G leaves every certified digit of the sum alone:
+        each row of G is zero to its precision or starts at or past the
+        sum's N.  The rows are known to about rel, well past prec, so a
+        shell below theta^-prec can still reach them."""
+        return all(g.v is None or (t.N is not None and g.v >= t.N)
+                   for g, t in zip(G.coeffs, total.coeffs))
+
 
 def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64):
     """Shell dynamic program.  pairs = [(s_1, Q_1), ..., (s_k, Q_k)] with the
     first pair taking the largest Frobenius index.  Stops when two consecutive
-    outermost shells fall below the target valuation (their norms eventually
-    decay geometrically)."""
+    outermost shells fall below the target valuation and the backend finds
+    them settled, below every digit the sum certifies (their norms
+    eventually decay geometrically)."""
     k = len(pairs)
     prefix = [backend.zero() for _ in range(k)]
     stable = 0
@@ -427,7 +469,8 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
         val = backend.min_val(G)
         if val is not None:
             seen = True
-        stable = stable + 1 if (seen and (val is None or val >= prec)) else 0
+        stable = stable + 1 if (seen and (val is None or val >= prec)
+                                and backend.settled(G, prefix[0])) else 0
         if stable >= 2 and i + 1 >= k:
             return prefix[0]
     raise PrecisionError(
@@ -462,7 +505,9 @@ def lseries_value(fs: FieldSpec, s, Q=None, star: bool = False,
 
 def lseries_tate(fs: FieldSpec, s, Q=None, star: bool = False, M: int = 20,
                  prec: int = 40) -> TateTrunc:
-    """t-truncation to order M of the normalized series."""
+    """t-truncation to order M of the normalized series.  Every shell term
+    is kept to N = min(v + rel, rel), rel = prec + _rel_guard(fs, s), so no
+    digit far below theta^-prec is computed."""
     s = tuple(s)
     Q = _default_Q(fs, s, Q)
     rel = prec + _rel_guard(fs, s)
@@ -595,11 +640,11 @@ def _interval_series(fs: FieldSpec, M: int, prec: int, s):
     keyed by (s, Q, i) and built at the widest window
     W = prec + _rel_guard(fs, s), which is at least every interval's
     rel = prec + _rel_guard(fs, sub).  An interval takes each term with
-    every finite row's N lowered by W - rel, and that is the term built at
-    rel: row k of Q^(i) has N = v + rel, LL_i^(-s) is exact, so row k of
-    the product has N_k = min_j (v(Q_j) + v(LL_{k-j})) + rel with exact
-    coefficients below it, and widening rel moves every N_k by the same
-    amount.  Both tables live as long as the returned function."""
+    every row's N lowered by W - rel, and that is the term built at
+    rel: row k of the term has N_k = min(w_k + W, W) with
+    w_k = min_j (v(Q_j) + v(LL_{k-j})) and exact coefficients below it,
+    and min(w_k + W, W) - (W - rel) = min(w_k + rel, rel).  Both tables
+    live as long as the returned function."""
     W = prec + _rel_guard(fs, s)
     terms, table = {}, {}
 

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, report format, exit codes, round trips."""
 
 import json
+import os
 
 import pytest
 
@@ -112,6 +113,30 @@ class TestVerify:
                 r.pop("elapsed_s")
             outs.append(json.dumps(d, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+def without_timing(x):
+    """A report with every field named *_s (a time in seconds) dropped."""
+    if isinstance(x, dict):
+        return {k: without_timing(v) for k, v in x.items() if not k.endswith("_s")}
+    if isinstance(x, list):
+        return [without_timing(v) for v in x]
+    return x
+
+
+class TestGoldenReports:
+    # the deformed-row suites at their defaults, against stored reports with
+    # the timing fields dropped; a change that moves any residual, pass flag
+    # or count must regenerate tests/data/verify_<suite>.json and say so
+    @pytest.mark.parametrize("suite", ["trivialization", "star"])
+    def test_report_matches_stored(self, capsys, suite):
+        rc, out = run(capsys, "verify", suite, "--format", "json")
+        assert rc == 0
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "verify_%s.json" % suite)
+        with open(path) as f:
+            want = json.load(f)
+        assert without_timing(json.loads(out)) == want
 
 
 class TestDump:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, RatFunc, field, monic_enumerate
 from tmzv.vadic import (FactoredScalar, NuAdic, NuPlace, a_nu,
-                        nu_inv, nu_mod, nu_reduce, nu_valuation, zeta_nu,
-                        zeta_nu_check)
+                        nu_inv, nu_mod, nu_reduce, nu_split, nu_valuation,
+                        zeta_nu, zeta_nu_check)
 
 
 def q2_place():
@@ -31,6 +31,28 @@ class TestNuPlace:
         assert nu_valuation(APoly.zero(fs), pl) is None
         assert nu_valuation(APoly.theta(fs), pl) == 0
         assert nu_valuation(pl.nu * pl.nu * APoly.theta(fs), pl) == 2
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_recovers_unit_and_power(self, data):
+        # places of degree 1-3 over F_2 and F_3: every monic irreducible
+        fs = field(data.draw(st.sampled_from([2, 3])))
+        places = []
+        for d in (1, 2, 3):
+            for nu in monic_enumerate(fs, d):
+                try:
+                    places.append(NuPlace(nu))
+                except ValueError:
+                    pass
+        pl = data.draw(st.sampled_from(places))
+        unit = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
+                               for _ in range(data.draw(st.integers(1, 6)))))
+        if unit.is_zero() or nu_mod(unit, pl, 1).is_zero():
+            return
+        k = data.draw(st.integers(0, 4))
+        assert nu_split(unit * pl.nu.pow(k), pl) == (k, unit)
+        assert nu_valuation(unit * pl.nu.pow(k), pl) == k
+        assert nu_split(APoly.zero(fs), pl) == (None, APoly.zero(fs))
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)

@@ -1,15 +1,19 @@
 """Multiple zeta values, polylogarithms, and the identity check reports."""
 
+import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmzv import zeta
 from tmzv.motive import MotiveShape, at_shape, star_shape
-from tmzv.scalars import PrecisionLaurent, RatFunc, field
-from tmzv.tlayer import TateTrunc, anderson_thakur, l_poly
+from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
+from tmzv.tlayer import TateTrunc, TPoly, anderson_thakur, l_poly
 from tmzv.zeta import (MZVIndex, _gamma_rows, _JetBackend, _ll_inv_tate,
                        _rel_guard, _TateBackend, carlitz_check, cm_check,
                        compositions, deformed_row, depth_one_check,
@@ -198,6 +202,23 @@ class TestPolylog:
         b = mzv(fs, (2,), prec=25).value
         assert (a - b).is_zero_to_prec()
 
+    @pytest.mark.parametrize("prec", [30, 40])
+    def test_rational_argument_with_growing_twist(self, prec):
+        # u = theta^3 / (theta + 1): the twisted numerator outgrows the
+        # square of the twisted denominator, so a denominator cut at the
+        # quotient's own precision would be zero to that precision
+        fs = field(2)
+        th = RatFunc.theta(fs)
+        u = th * th * th / (th + RatFunc.one(fs))
+        acc, i = RatFunc.zero(fs), 0
+        # the i-th term has valuation 2 deg L_i - q^i (deg num - deg den)
+        while 2 * l_poly(fs, i).degree() - 2 * fs.q**i < prec:
+            L = l_poly(fs, i)
+            acc = acc + RatFunc(u.num.pow(fs.q**i), u.den.pow(fs.q**i) * L * L)
+            i += 1
+        got = polylog(fs, (2,), [u], prec=prec)
+        assert got.N == prec and got.eq_to_prec(acc.laurent(N=prec), prec)
+
 
 def linv_dense(fs, j, M):
     """1/(t - theta^{q^j}) = -sum_k theta^{-q^j (k+1)} t^k, exactly."""
@@ -236,10 +257,7 @@ def rows(x):
 
 def shape_with(fs, s, scaled):
     """The AT shape of s, or one whose Q_m are H_{s_m} / (theta + 1)^7, so
-    that the twisted coefficients are rational functions, not polynomials.
-    The Laurent expansion of a rational coefficient needs its denominator's
-    degree above half its numerator's; 7 exceeds the theta-degree of every
-    coefficient of H_s for s <= 6 and q <= 4."""
+    that the twisted coefficients are rational functions, not polynomials."""
     if not scaled:
         return at_shape(fs, s)
     c = RatFunc.one(fs)
@@ -270,18 +288,35 @@ def lseries_reference(pairs, star, prec, backend, imax=64):
         val = backend.min_val(G[0])
         if val is not None:
             seen = True
-        stable = stable + 1 if (seen and (val is None or val >= prec)) else 0
+        stable = stable + 1 if (seen and (val is None or val >= prec)
+                                and backend.settled(G[0], prefix[0])) else 0
         if stable >= 2 and i + 1 >= k:
             return prefix[0]
     raise AssertionError("reference did not stop")
 
 
-class TermsAtRel(_TateBackend):
-    """Each shell term built afresh at the series' own rel, with no table."""
+def term_at_rel(fs, s, Q, i, M, rel):
+    """Q^(i), row n to N = v + rel, times the exact LL_i^(-s): the shell
+    term with no ceiling."""
+    qt = TateTrunc(fs, [zeta._frob_laurent_rel(Q[n], i, rel)
+                        for n in range(min(M, Q.degree()) + 1)], M)
+    return qt if i == 0 else qt * _ll_inv_tate(fs, i, s, M)
+
+
+class UncappedTerms(_TateBackend):
+    """Each shell term built afresh at the series' own rel, with no table
+    and no ceiling."""
 
     def term(self, s, Q, i):
-        qt = zeta._tpoly_tate_rel(Q, i, self.M, self.rel)
-        return qt if i == 0 else qt * _ll_inv_tate(self.fs, i, s, self.M)
+        return term_at_rel(self.fs, s, Q, i, self.M, self.rel)
+
+
+class TermsAtRel(_TateBackend):
+    """Each shell term built afresh at the series' own rel, with no table,
+    every row then cut at the ceiling rel."""
+
+    def term(self, s, Q, i):
+        return term_at_rel(self.fs, s, Q, i, self.M, self.rel).truncate(self.rel)
 
 
 def series_reference(fs, s, Q, star, M, prec):
@@ -322,7 +357,8 @@ class TestTermTable:
     def test_row_intervals_match_per_interval_series(self, q, s, M, prec, scaled):
         # each interval of the row takes its shell terms from the row's
         # table, built at the widest window; a per-interval call builds its
-        # own, and so does the reference, at the interval's window
+        # own, and so does the reference, at the interval's window and
+        # with the same ceiling
         fs = fq(q)
         shape = shape_with(fs, s, scaled)
         row = deformed_row(shape, n_terms=M, prec=prec)
@@ -406,6 +442,145 @@ class TestCertificate:
                 else:
                     assert b.N is None or b.N >= a.N
                     assert (a - b).truncate(a.N).is_zero_to_prec()
+
+
+def exact_depth_one(fs, s, Q, M, N):
+    """sum_i Q^(i) LL_i^(-s) to order M with exact rational t-coefficients,
+    over the shells up to the second in a row whose rows all have
+    valuation >= N (the shells' valuations rise with i)."""
+
+    def tmul(a, b):
+        out = [RatFunc.zero(fs)] * (M + 1)
+        for i, x in enumerate(a):
+            for j in range(M + 1 - i):
+                out[i + j] = out[i + j] + x * b[j]
+        return out
+
+    acc = [RatFunc.zero(fs)] * (M + 1)
+    ll = [RatFunc.one(fs)] + [RatFunc.zero(fs)] * M
+    i, small = 0, 0
+    while small < 2:
+        if i > 0:
+            # 1/(t - c) = -sum_k t^k / c^(k+1), c = theta^(q^i)
+            c = RatFunc.from_apoly(APoly.monomial(fs, fs.q**i))
+            f, ck = [], c
+            for _ in range(M + 1):
+                f.append(-ck.inv())
+                ck = ck * c
+            for _ in range(s):
+                ll = tmul(ll, f)
+        term = tmul([Q[n].frobenius(i) for n in range(M + 1)], ll)
+        acc = [x + y for x, y in zip(acc, term)]
+        vals = [x.den.degree() - x.num.degree() for x in term if not x.is_zero()]
+        small = small + 1 if all(v >= N for v in vals) else 0
+        i += 1
+    return acc
+
+
+def assert_agrees_with_uncapped(fs, shape, M, prec, star):
+    """Every interval of the deformed row, and the series of the whole
+    index, agree with prec + 40 and uncapped terms below their N, and no N
+    passes the reference's."""
+    s = shape.s
+    row = deformed_row(shape, n_terms=M, prec=prec)
+    got = [(s, shape.Q, star,
+            lseries_tate(fs, s, Q=shape.Q, star=star, M=M, prec=prec))]
+    for (a, b) in row.L:
+        sub, Q = s[a - 1:b - 1], shape.Q[a - 1:b - 1]
+        got.append((sub, Q, False, row.L[(a, b)]))
+        got.append((sub[::-1], Q[::-1], True, row.Lstar[(a, b)]))
+    P = prec + 40
+    for sub, Q, weak, x in got:
+        backend = UncappedTerms(fs, M, P + _rel_guard(fs, sub))
+        ref = lseries_raw(fs, list(zip(sub, Q)), weak, P, backend)
+        for a, b in zip(x.coeffs, ref.coeffs):
+            if a.N is None:
+                assert b == a
+            else:
+                assert b.N is None or b.N >= a.N
+                assert (a - b).truncate(a.N).is_zero_to_prec()
+
+
+# a deformed row, as JSON, computed here after other calls and cold in a
+# fresh interpreter
+ROW_JSON = """
+import json
+from tmzv.motive import at_shape
+from tmzv.scalars import field
+from tmzv.zeta import deformed_row
+row = deformed_row(at_shape(field(3), (2, 1, 3)), n_terms=4, prec=20)
+print(json.dumps({kind: {"%d,%d" % k: v.to_dict() for k, v in sorted(t.items())}
+                  for kind, t in (("L", row.L), ("Lstar", row.Lstar))},
+                 sort_keys=True))
+"""
+
+
+class TestCeiling:
+    @given(q=st.sampled_from([2, 3, 4]), s=indices(max_weight=6),
+           M=st.integers(1, 6), prec=st.integers(1, 30), star=st.booleans())
+    # shell 3 of (1, 1) over F_2 has valuation 14, past prec 1 but below
+    # the rows' N = 17: the shells stop only once they are zero to that N
+    @example(q=2, s=(1, 1), M=1, prec=1, star=False)
+    @settings(max_examples=25, deadline=None)
+    def test_rows_agree_with_uncapped_reference(self, q, s, M, prec, star):
+        # every strict and weak interval of a deformed row, and the series
+        # of the whole index, against prec + 40 with no ceiling on the terms
+        assert_agrees_with_uncapped(fq(q), at_shape(fq(q), s), M, prec, star)
+
+    @pytest.mark.parametrize("q,s,M,scaled", [(3, (2,), 2, True),
+                                               (4, (3,), 3, False)])
+    def test_row_zero_in_every_summed_shell_is_not_exact(self, q, s, M, scaled):
+        # row M of (t - theta^q)^(-s) is zero in characteristic p (its
+        # binomial factor is 3 and 10), so shell 1 is zero there, and shell
+        # 2 is not: a zero term row is zero to precision rel, not exact
+        fs = fq(q)
+        assert_agrees_with_uncapped(fs, shape_with(fs, s, scaled), M, 1, False)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_term_rows_at_the_ceiling(self, q, i):
+        # row k of a shell term is known to min(N_k, C), N_k its precision
+        # with no ceiling; 1 + theta^5 t has its least valuation in row 1,
+        # which leaves the product's row 0 past C until the product is cut
+        fs = field(q)
+        C, M = 20, 4
+        for Q in (anderson_thakur(fs, q + 1), TPoly.zero(fs),
+                  TPoly.from_apoly_coeffs(fs, [APoly.one(fs), APoly.monomial(fs, 5)])):
+            for s in (1, 2, 3):
+                got = zeta._shell_term(s, Q, i, M, C)
+                want = term_at_rel(fs, s, Q, i, M, C)
+                for a, b in zip(got.coeffs, want.coeffs):
+                    assert a.N == (C if b.N is None else min(b.N, C))
+                    assert (a - b).truncate(a.N).is_zero_to_prec()
+
+    def test_row_does_not_depend_on_earlier_calls(self, capsys):
+        fs = field(3)
+        shape = at_shape(fs, (2, 1, 3))
+        for M, prec in ((6, 30), (2, 9), (4, 12), (3, 20)):
+            deformed_row(shape, n_terms=M, prec=prec)
+            lseries_tate(fs, shape.s, Q=shape.Q, M=M, prec=prec)
+        exec(ROW_JSON, {})
+        warm = json.loads(capsys.readouterr().out)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(zeta.__file__)))
+        cold = subprocess.run([sys.executable, "-c", ROW_JSON],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(cold.stdout) == warm
+
+    def test_rational_coefficients_with_growing_twist(self):
+        # Q = H_5 / (theta + 1) over F_2: the twisted numerator outgrows the
+        # square of the twisted denominator
+        fs = field(2)
+        c = (RatFunc.theta(fs) + RatFunc.one(fs)).inv()
+        Q = anderson_thakur(fs, 5).scale(c)
+        row = deformed_row(MotiveShape(fs, (5,), (Q,), "ExtGeneric"),
+                           n_terms=1, prec=1)
+        got = row.L[(1, 2)]
+        assert row.Lstar[(1, 2)].coeffs == got.coeffs
+        N = max(x.N for x in got.coeffs)
+        for x, want in zip(got.coeffs, exact_depth_one(fs, 5, Q, 1, N)):
+            assert x.N >= 1
+            assert (x - want.laurent(N=x.N)).is_zero_to_prec()
 
 
 class TestCompositions:
