@@ -129,7 +129,7 @@ def _ser_field(fs: FieldSpec):
 def _ser(x):
     if isinstance(x, APoly):
         return {"type": "apoly",
-                "coeffs": [x.fs._digits(c) for c in x.coeffs]}
+                "coeffs": [x.fs.digits(c) for c in x.coeffs]}
     if isinstance(x, RatFunc):
         return {"type": "ratfunc", "num": _ser(x.num), "den": _ser(x.den)}
     if isinstance(x, TPoly):
@@ -143,17 +143,10 @@ def _ser(x):
     raise TypeError("cannot serialize %r" % type(x).__name__)
 
 
-def _unpack(fs: FieldSpec, digits):
-    c = 0
-    for x in reversed(digits):
-        c = c * fs.p + (x % fs.p)
-    return c
-
-
 def _deser(fs: FieldSpec, d):
     kind = d["type"]
     if kind == "apoly":
-        return APoly(fs, tuple(_unpack(fs, digs) for digs in d["coeffs"]))
+        return APoly(fs, tuple(fs.from_digits(ds) for ds in d["coeffs"]))
     if kind == "ratfunc":
         return RatFunc(_deser(fs, d["num"]), _deser(fs, d["den"]))
     if kind == "tpoly":

@@ -2,21 +2,30 @@
 completion K_inf = F_q((1/theta)) with tracked guaranteed precision.
 
 F_q elements are integer codes 0..q-1: the code's base-p digits are the
-coordinates in the modulus basis of F_q = F_p[x]/(modulus).  A FieldSpec
-precomputes add/mul/inv tables, so element arithmetic is table lookup.
+coordinates in the basis 1, x, ..., x^(m-1) of F_q = F_p[x]/(modulus).  No
+FieldSpec keeps a q x q table:
 
-Polynomial products over a prime field F_p (FieldSpec.conv) are one
-big-integer product (Kronecker substitution): each coefficient list is
-packed into an integer, one fixed-width slot per coefficient, the two
-integers are multiplied and the slots of the product are read back and
-reduced mod p.  A product slot holds a sum of at most min(len) terms, each
-at most (p-1)^2, so the slot width is the smallest of 1, 2, 4 or 8 bytes
-that holds min(len) * (p-1)^2; packing and unpacking go through an array of
-that item size in the machine's byte order.  Over F_q with q = p^m, m > 1,
-conv is a schoolbook product on the multiplication table that skips zero
-coefficients of both operands.  conv(xs, ys, n) returns only the first n
-coefficients of the product: the packed product is cut to n slots before it
-is unpacked, and the table path computes no more.
+- over a prime field (m = 1) every element operation is integer arithmetic
+  mod p;
+- over F_q, q = p^m with m > 1, a FieldSpec keeps the powers of one
+  primitive element g (the least code >= p whose order is q - 1) and their
+  logarithms, lists of size q.  A product adds logarithms; a sum uses Zech
+  logarithms, g^i + g^j = g^(i + Z(j - i)) with g^Z(k) = 1 + g^k.
+
+Polynomial products (FieldSpec.conv) are one big-integer product (Kronecker
+substitution) for every q.  Over F_p each coefficient list is packed into an
+integer, one fixed-width slot per coefficient, the two integers are
+multiplied and the slots of the product are read back and reduced mod p.  A
+product slot holds a sum of at most min(len) terms, each at most (p-1)^2, so
+the slot width is the smallest of 1, 2, 4 or 8 bytes that holds
+min(len) * (p-1)^2; packing and unpacking go through an array of that item
+size in the machine's byte order.  Over F_q with m > 1 the product is taken
+over F_p[x]: each code becomes its m digits followed by m - 1 zero digits,
+so the digit product of a coefficient pair, of degree <= 2m - 2, stays
+inside its group of 2m - 1 slots; each group of the F_p product is read back
+as lo + x^m hi and reduced by the modulus as lo + (x^m mod modulus) * hi.
+conv(xs, ys, n) returns only the first n coefficients of the product: the
+packed product is cut to n slots (or slot groups) before it is unpacked.
 
 PrecisionLaurent represents an element of K_inf (ram = 1) or of the totally
 ramified extension K_inf(eta), eta^(q-1) = -theta (ram = q-1), as a truncated
@@ -56,6 +65,20 @@ def _pack_mul(p: int, xs, ys, n=None):
     return [c % p for c in out]
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, in increasing order."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class FieldSpec:
     """F_q with q = p^m, defined by a monic irreducible modulus over F_p.
 
@@ -64,7 +87,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if p < 2 or not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError("p must be prime")
         if m < 1:
             raise ValueError("m must be >= 1")
@@ -72,102 +95,126 @@ class FieldSpec:
         self.m = m
         self.q = p**m
         if self.q > 4096:
-            raise ValueError("field too large for table-based arithmetic")
+            raise ValueError("q = %d^%d exceeds the largest supported field "
+                             "size q <= 4096" % (p, m))
         if modulus is None:
             modulus = _default_modulus(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not _is_irreducible(p, modulus):
-            raise ValueError("modulus is not irreducible over F_p")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree m")
+            if m > 1 and not APoly(field(p), modulus).is_irreducible():
+                raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
-        self._build_tables()
+        self.one = 1
+        if m > 1:
+            self._build_logs()
 
-    def _build_tables(self):
+    def _build_logs(self):
+        """_log[g^i] = i for 0 <= i < q - 1 and _log[0] = Z = 2(q - 1);
+        _exp[i] = g^(i mod (q - 1)) for i < Z and _exp[i] = 0 from Z to 2Z,
+        so a sum of logarithms that involves the log of 0 reads 0;
+        _zech[k] = log(1 + g^k)."""
         p, m, q = self.p, self.m, self.q
+        red = [(-c) % p for c in self.modulus[:-1]]  # x^m mod the modulus
 
-        def digits(c):
-            out = []
-            for _ in range(m):
-                out.append(c % p)
-                c //= p
-            return out
+        def times(ds, gs):
+            # ds * g mod the modulus, by Horner over g's digits gs
+            acc = [gs[-1] * d % p for d in ds]
+            for gk in reversed(gs[:-1]):
+                t = acc[-1]
+                acc = [(u + t * r + gk * d) % p
+                       for u, r, d in zip([0] + acc[:-1], red, ds)]
+            return acc
 
-        def code(ds):
-            c = 0
-            for d in reversed(ds):
-                c = c * p + (d % p)
-            return c
-
-        self._digits = digits
-        self.add_table = [[0] * q for _ in range(q)]
-        self.neg_table = [0] * q
-        for a in range(q):
-            da = digits(a)
-            self.neg_table[a] = code([(-d) % p for d in da])
-            for b in range(q):
-                db = digits(b)
-                self.add_table[a][b] = code([(x + y) % p for x, y in zip(da, db)])
-        # multiplication: polynomial product reduced by the modulus
-        red = [c % p for c in self.modulus[:-1]]
-        self.mul_table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits(a)
-            for b in range(q):
-                db = digits(b)
-                prod = [0] * (2 * m - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                for k in range(2 * m - 2, m - 1, -1):
-                    c = prod[k]
-                    if c:
-                        prod[k] = 0
-                        for j in range(m):
-                            prod[k - m + j] = (prod[k - m + j] - c * red[j]) % p
-                self.mul_table[a][b] = code(prod[:m])
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            x = a
-            # a^(q-2) = a^(-1)
-            acc, e, base = 1, q - 2, a
+        def power(ds, e):
+            acc = self.digits(1)
             while e:
                 if e & 1:
-                    acc = self.mul_table[acc][base]
-                base = self.mul_table[base][base]
+                    acc = times(acc, ds)
                 e >>= 1
-            self.inv_table[a] = acc
-        self.one = 1 % q if q > 1 else 0
+                if e:
+                    ds = times(ds, ds)
+            return acc
+
+        one = self.digits(1)
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        g = next(g for g in range(p, q)
+                 if all(power(self.digits(g), e) != one for e in cofactors))
+        gs = self.digits(g)
+        while not gs[-1]:
+            gs.pop()
+        exp = [1] * (q - 1)
+        ds = one
+        for i in range(1, q - 1):
+            ds = times(ds, gs)
+            exp[i] = self.from_digits(ds)
+        log = [2 * (q - 1)] * q
+        for i, c in enumerate(exp):
+            log[c] = i
+        # 1 + c steps the lowest digit of c
+        self._zech = [log[c - c % p + (c + 1) % p] for c in exp]
+        self._exp = exp + exp + [0] * (2 * q - 1)
+        self._log = log
+        self._half = (q - 1) // 2 if p > 2 else 0  # -1 = g^half
+        self._xm = self.from_digits(red)
+
+    def digits(self, c):
+        """The m base-p digits of a code, lowest first."""
+        out = []
+        for _ in range(self.m):
+            c, d = divmod(c, self.p)
+            out.append(d)
+        return out
+
+    def from_digits(self, ds):
+        """The code with base-p digits ds, lowest first, each reduced mod p."""
+        c = 0
+        for d in reversed(ds):
+            c = c * self.p + d % self.p
+        return c
 
     # element ops (codes)
     def add(self, a, b):
-        return self.add_table[a][b]
+        if self.m == 1:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def sub(self, a, b):
-        return self.add_table[a][self.neg_table[b]]
+        if self.m == 1:
+            return (a - b) % self.p
+        return self.add(a, self._exp[self._log[b] + self._half])
 
     def neg(self, a):
-        return self.neg_table[a]
+        if self.m == 1:
+            return -a % self.p
+        return self._exp[self._log[a] + self._half]
 
     def mul(self, a, b):
-        return self.mul_table[a][b]
+        if self.m == 1:
+            return a * b % self.p
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        return self.inv_table[a]
+        if self.m == 1:
+            return pow(a, -1, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        acc, base = self.one, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        if self.m == 1:
+            return pow(a, e, self.p)
+        if not a:
+            return 0 if e else self.one
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def from_int(self, n: int):
         """Image of an integer under F_p -> F_q (prime-subfield element)."""
@@ -178,22 +225,35 @@ class FieldSpec:
         with n, only the first n coefficients of the product."""
         if not xs or not ys:
             return []
-        if self.m == 1:
-            return _pack_mul(self.p, xs, ys, n)
+        p, m = self.p, self.m
+        if m == 1:
+            return _pack_mul(p, xs, ys, n)
+        w = 2 * m - 1
         size = len(xs) + len(ys) - 1
         if n is not None:
             size = min(size, n)
-        out = [0] * size
-        mt, at = self.mul_table, self.add_table
-        nz = [(j, y) for j, y in enumerate(ys) if y]
-        for i, x in enumerate(xs[:size]):
-            if x:
-                row = mt[x]
-                for j, y in nz:
-                    if i + j >= size:
-                        break
-                    out[i + j] = at[out[i + j]][row[y]]
-        return out
+        powers = [p**j for j in range(m)]
+
+        def spread(cs):
+            # digit j of coefficient i goes to slot i*w + j
+            out = [0] * (len(cs) * w)
+            for j, pj in enumerate(powers):
+                out[j::w] = [c // pj % p for c in cs]
+            return out
+
+        z = _pack_mul(p, spread(xs), spread(ys), size * w)
+
+        def fold(first, count):
+            # the codes of the digits first .. first + count - 1 of each group
+            acc = z[first::w]
+            for j in range(1, count):
+                pj = powers[j]
+                acc = [a + pj * d for a, d in zip(acc, z[first + j::w])]
+            return acc
+
+        add, mul, xm = self.add, self.mul, self._xm
+        return [add(lo, mul(xm, hi)) if hi else lo
+                for lo, hi in zip(fold(0, m), fold(m, m - 1))]
 
     def __eq__(self, other):
         return (
@@ -208,58 +268,14 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m}, modulus={self.modulus})"
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
-def _poly_mod(p, a, mod):
-    a = list(a)
-    dm = len(mod) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            for j in range(dm + 1):
-                a[k - dm + j] = (a[k - dm + j] - c * mod[j]) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _is_irreducible(p, mod):
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(mod) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = list(tail) + [1]
-            # long division remainder of mod by div
-            rem = list(mod)
-            dd = len(div) - 1
-            while len(rem) - 1 >= dd and any(rem):
-                c = rem[-1]
-                shift = len(rem) - 1 - dd
-                for j in range(dd + 1):
-                    rem[shift + j] = (rem[shift + j] - c * div[j]) % p
-                while rem and rem[-1] == 0:
-                    rem.pop()
-            if not rem:
-                return False
-    return True
-
-
 def _default_modulus(p, m):
     """Lexicographically least monic irreducible of degree m over F_p."""
     if m == 1:
         return (0, 1)
+    fp = field(p)
     for tail in itertools.product(range(p), repeat=m):
         cand = tuple(reversed(tail)) + (1,)  # lexicographic in (c_{m-1},...,c_0)
-        if _is_irreducible(p, cand):
+        if APoly(fp, cand).is_irreducible():
             return cand
     raise RuntimeError("no irreducible modulus found")
 
@@ -387,12 +403,14 @@ class APoly:
         db = other.degree()
         ilead = fs.inv(other.lead())
         quo = [0] * max(0, len(rem) - db)
+        add, mul = fs.add, fs.mul
+        neg_other = [fs.neg(b) for b in other.coeffs]
         while len(rem) - 1 >= db and rem:
-            c = fs.mul(rem[-1], ilead)
+            c = mul(rem[-1], ilead)
             shift = len(rem) - 1 - db
             quo[shift] = c
-            for j in range(db + 1):
-                rem[shift + j] = fs.sub(rem[shift + j], fs.mul(c, other.coeffs[j]))
+            for j, b in enumerate(neg_other, shift):
+                rem[j] = add(rem[j], mul(c, b))
             while rem and rem[-1] == 0:
                 rem.pop()
         return APoly(fs, quo), APoly(fs, rem)
@@ -430,19 +448,18 @@ class APoly:
     def pow(self, e, mod=None):
         if e < 0:
             raise ValueError("negative exponent")
-        acc, base = APoly.one(self.fs), self
-        if mod is not None:
-            base = base % mod
+
+        def reduce(x):
+            return x if mod is None else x % mod
+
+        acc, base = None, reduce(self)
         while e:
             if e & 1:
-                acc = acc * base
-                if mod is not None:
-                    acc = acc % mod
-            base = base * base
-            if mod is not None:
-                base = base % mod
+                acc = base if acc is None else reduce(acc * base)
             e >>= 1
-        return acc
+            if e:
+                base = reduce(base * base)
+        return APoly.one(self.fs) if acc is None else acc
 
     def frobenius(self, i: int):
         """theta -> theta^(q^i) on exponents (F_q coefficients are fixed)."""
@@ -464,13 +481,19 @@ class APoly:
                 out[j * k] = c
         return APoly(self.fs, out)
 
-    def eval_fq(self, x):
-        """Evaluate at an F_q code (Horner)."""
-        fs = self.fs
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fs.add(fs.mul(acc, x), c)
-        return acc
+    def is_irreducible(self):
+        """Rabin's test: nu of degree f >= 2 over F_q is irreducible iff nu
+        divides theta^(q^f) - theta and gcd(theta^(q^(f/r)) - theta, nu) = 1
+        for every prime r | f; degree 1 is irreducible, degree <= 0 not."""
+        f = self.degree()
+        if f < 2:
+            return f == 1
+        frob = [APoly.theta(self.fs)]  # frob[k] = theta^(q^k) mod nu
+        for _ in range(f):
+            frob.append(frob[-1].pow(self.fs.q, self))
+        return frob[f] == frob[0] and all(
+            self.gcd(frob[f // r] - frob[0]).degree() == 0
+            for r in _prime_factors(f))
 
     def laurent(self, N=None, ram=1):
         """Embed into PrecisionLaurent (exponent -deg..0, optionally ramified)."""
@@ -686,9 +709,6 @@ class PrecisionLaurent:
     def is_zero_to_prec(self):
         return self.v is None
 
-    def is_exact(self):
-        return self.N is None
-
     def valuation(self):
         """Exact valuation in exponent units; raises on zero-to-precision."""
         if self.v is None:
@@ -731,23 +751,26 @@ class PrecisionLaurent:
             if self.v is None:
                 return PrecisionLaurent.zero(fs, N=N, ram=self.ram)
             return PrecisionLaurent(fs, self.v, self.coeffs, N=N, ram=self.ram)
-        nt = fs.neg_table
+        p = fs.p
         if self.v is None:
-            ys = [nt[c] for c in other.coeffs] if negate else other.coeffs
+            ys = other.coeffs
+            if negate:
+                ys = [-c % p for c in ys] if fs.m == 1 else [fs.neg(c) for c in ys]
             return PrecisionLaurent(fs, other.v, ys, N=N, ram=self.ram)
         v = min(self.v, other.v)
         top = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
         out = [0] * (top - v)
         out[self.v - v : self.v - v + len(self.coeffs)] = self.coeffs
-        at = fs.add_table
-        if negate:
+        if fs.m == 1:
+            sign = p - 1 if negate else 1
             for i, c in enumerate(other.coeffs, other.v - v):
                 if c:
-                    out[i] = at[out[i]][nt[c]]
+                    out[i] = (out[i] + sign * c) % p
         else:
+            add = fs.sub if negate else fs.add
             for i, c in enumerate(other.coeffs, other.v - v):
                 if c:
-                    out[i] = at[out[i]][c]
+                    out[i] = add(out[i], c)
         return PrecisionLaurent(fs, v, out, N=N, ram=self.ram)
 
     def __neg__(self):
@@ -916,26 +939,6 @@ class PrecisionLaurent:
                 out[j * e] = c if n % 2 == 0 else fs.neg(c)
         return PrecisionLaurent(fs, self.v * e, out, N=N, ram=e)
 
-    def restrict(self):
-        """Inverse of embed_ram; requires support on multiples of q-1."""
-        if self.ram == 1:
-            return self
-        fs = self.fs
-        e = self.ram
-        N = None if self.N is None else -((-self.N) // e)
-        if self.v is None:
-            return PrecisionLaurent.zero(fs, N=N, ram=1)
-        if self.v % e:
-            raise ValueError("not in the base field: valuation not divisible by e")
-        out = [0] * ((len(self.coeffs) - 1) // e + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                n = self.v + j
-                if n % e:
-                    raise ValueError("not in the base field: exponent not divisible by e")
-                out[(n - self.v) // e] = c if n % 2 == 0 else fs.neg(c)
-        return PrecisionLaurent(fs, self.v // e, out, N=N, ram=1)
-
     def residual_valuation(self):
         """How far a residual is certified to vanish, in theta-units: v_inf
         when a coefficient is known, N / ram when the value is zero to
@@ -972,19 +975,14 @@ class PrecisionLaurent:
             "ram": self.ram,
             "v": self.v,
             "N": self.N,
-            "coeffs": [fs._digits(c) for c in self.coeffs],
+            "coeffs": [fs.digits(c) for c in self.coeffs],
         }
 
     @classmethod
     def from_dict(cls, d):
         f = d["field"]
         fs = field(f["p"], f["m"], tuple(f["modulus"]))
-        coeffs = []
-        for digs in d["coeffs"]:
-            c = 0
-            for x in reversed(digs):
-                c = c * fs.p + (x % fs.p)
-            coeffs.append(c)
+        coeffs = [fs.from_digits(ds) for ds in d["coeffs"]]
         return cls(fs, d["v"], coeffs, N=d["N"], ram=d["ram"])
 
     def __repr__(self):

@@ -15,25 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo, monic_enumerate
+from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo
 from .tlayer import LocalJet, TPoly, bracket
 from .tmodule import ScalarStrategy
 
 # ---------------------------------------------------------------------------
 # places and nu-adic expansions
 # ---------------------------------------------------------------------------
-
-
-def _is_irreducible_poly(nu: APoly) -> bool:
-    fs = nu.fs
-    f = nu.degree()
-    if f <= 0:
-        return False
-    for d in range(1, f // 2 + 1):
-        for b in monic_enumerate(fs, d):
-            if (nu % b).is_zero():
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -46,7 +34,7 @@ class NuPlace:
     def __post_init__(self):
         if not self.nu.is_monic():
             raise ValueError("nu must be monic")
-        if not _is_irreducible_poly(self.nu):
+        if not self.nu.is_irreducible():
             raise ValueError("nu must be irreducible")
 
     @property

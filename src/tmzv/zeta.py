@@ -64,11 +64,18 @@ def _div_bracket(x: PrecisionLaurent, e: int, N: int) -> PrecisionLaurent:
     Nout = min(N, x.N + Q, N + x.v)
     out = list(x.coeffs[:max(Nout - v, 0)])
     out.extend([0] * (Nout - v - len(out)))
-    at = fs.add_table
-    for m in range(Q - 1, len(out)):
-        c = out[m - Q + 1]
-        if c:
-            out[m] = at[out[m]][c]
+    if fs.m == 1:
+        p = fs.p
+        for m in range(Q - 1, len(out)):
+            c = out[m - Q + 1]
+            if c:
+                out[m] = (out[m] + c) % p
+    else:
+        add = fs.add
+        for m in range(Q - 1, len(out)):
+            c = out[m - Q + 1]
+            if c:
+                out[m] = add(out[m], c)
     return PrecisionLaurent(fs, v, out, N=Nout)
 
 
@@ -675,17 +682,6 @@ def deformed_row(shape, n_terms: int = 20, prec: int = 40) -> DeformedRow:
     return DeformedRow(shape, n_terms, prec, L, Ls)
 
 
-def _min_val_entries(mats) -> Fraction:
-    """Minimum residual valuation over matrix entries; None = exactly zero."""
-    best = None
-    for row in mats:
-        for x in row:
-            v = x.min_residual_valuation()
-            if v is not None and (best is None or v < best):
-                best = v
-    return best
-
-
 def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     """Residuals of the trivialization identities for the (r+1)-level system:
     the unit-triangular product (Omega-free form of Psi Upsilon = I), the
@@ -734,7 +730,8 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     FG = mat_mul(Fhat, Ghat)
     for i in range(r + 1):
         FG[i][i] = FG[i][i] - one_t
-    res_unit = _min_val_entries(FG)
+    res_unit = min_residual_valuation(
+        c for row in FG for x in row for c in x.coeffs)
 
     # ramified Psi and the twist equations
     Om = omega(fs, M, Nw)
@@ -752,9 +749,11 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     Phi1_ram = [[x.base.to_tate(M, None, ram=e) for x in row] for row in pt]
     R_lit = mat_sub([[x.twist(-1) for x in row] for row in Psi],
                     mat_mul(Phi_ram, Psi))
-    res_lit = _min_val_entries(R_lit)
+    res_lit = min_residual_valuation(
+        c for row in R_lit for x in row for c in x.coeffs)
     R_tf = mat_sub(Psi, mat_mul(Phi1_ram, [[x.twist(1) for x in row] for row in Psi]))
-    res_tf = _min_val_entries(R_tf)
+    res_tf = min_residual_valuation(
+        c for row in R_tf for x in row for c in x.coeffs)
 
     # last row of the inverse matrix at t = theta vs Gamma-scaled zeta values
     last = []

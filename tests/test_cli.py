@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ import tmzv.cli
 import tmzv.zeta
 from tmzv.cli import REPORT_VERSION, load_object, main
 from tmzv.motive import special_point, star_shape, tmodule_of
-from tmzv.scalars import field
+from tmzv.scalars import PrecisionLaurent, field
 
 
 def run(capsys, *args):
@@ -128,7 +129,7 @@ class TestGoldenReports:
     # the deformed-row suites at their defaults, against stored reports with
     # the timing fields dropped; a change that moves any residual, pass flag
     # or count must regenerate tests/data/verify_<suite>.json and say so
-    @pytest.mark.parametrize("suite", ["trivialization", "star"])
+    @pytest.mark.parametrize("suite", ["trivialization", "star", "carlitz"])
     def test_report_matches_stored(self, capsys, suite):
         rc, out = run(capsys, "verify", suite, "--format", "json")
         assert rc == 0
@@ -137,6 +138,60 @@ class TestGoldenReports:
         with open(path) as f:
             want = json.load(f)
         assert without_timing(json.loads(out)) == want
+
+
+class TestExtensionFields:
+    # stored outputs of the table-based arithmetic the present one replaced
+    @pytest.mark.parametrize("q", [4, 8, 9, 25])
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_mzv_matches_stored(self, capsys, q, star):
+        args = ["mzv", "--q", str(q), "--s", "1,2", "--prec", "200",
+                "--format", "json"] + (["--star"] if star else [])
+        rc, out = run(capsys, *args)
+        assert rc == 0
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "mzv_extension_fields.json")
+        with open(path) as f:
+            want = json.load(f)["q=%d s=1,2%s" % (q, " star" if star else "")]
+        assert without_timing(json.loads(out)) == want
+
+    @pytest.mark.parametrize("q", [9, 25])
+    def test_series_dump_round_trip(self, capsys, q):
+        rc, out = run(capsys, "dump", "series", "--q", str(q), "--s", "1,2",
+                      "--prec", "60", "--format", "json")
+        assert rc == 0
+        d = json.loads(out)
+        fs, loaded = load_object(d)
+        value = loaded["value"]
+        assert value == tmzv.zeta.mzv(fs, (1, 2), prec=60).value
+        assert dict(value.to_dict(), type="laurent") == d["value"]
+
+
+class TestLargeFields:
+    # deg l_2 = q + q^2 > 5000, so to precision 5000 zeta(1) is
+    # 1 + sum over monics of degree 1 = 1 - 1/(theta^q - theta)
+    #   = 1 - sum_{j >= 0} theta^(-q - j(q - 1))
+    @pytest.mark.parametrize("q,pm", [(4093, (4093,)), (4096, (2, 12))])
+    def test_mzv_at_the_largest_fields(self, capsys, q, pm):
+        start = time.perf_counter()
+        rc, out = run(capsys, "mzv", "--q", str(q), "--s", "1", "--prec",
+                      "5000", "--format", "json")
+        assert time.perf_counter() - start < 5
+        assert rc == 0
+        fs = field(*pm)
+        coeffs = [0] * 5000
+        coeffs[0] = fs.one
+        for n in range(q, 5000, q - 1):
+            coeffs[n] = fs.neg(fs.one)
+        want = PrecisionLaurent(fs, 0, coeffs, N=5000)
+        assert json.loads(out)["value"] == want.to_dict()
+
+    def test_field_above_the_limit_is_usage_error(self, capsys):
+        rc = main(["mzv", "--q", "8192", "--s", "1"])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.count("\n") == 1 and "4096" in cap.err
 
 
 class TestDump:

@@ -38,9 +38,10 @@ def width_edges(p, top=300):
     return sorted(n for n in out if n >= 1)
 
 
+EXTENSION_FIELDS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2)}
+
+
 class TestConv:
-    # p = 4093 goes through the kernel directly: building its 4093 x 4093
-    # tables takes about a minute and a gigabyte
     @pytest.mark.parametrize("p", [2, 3, 5, 257, 4093])
     def test_all_top_digits_at_slot_edges(self, p):
         for n in width_edges(p) + [1, 300]:
@@ -48,8 +49,7 @@ class TestConv:
                 xs, ys = [p - 1] * n, [p - 1] * m
                 want = schoolbook_mod_p(p, xs, ys)
                 assert _pack_mul(p, xs, ys) == want
-                if p < 4093:
-                    assert field(p).conv(xs, ys) == want
+                assert field(p).conv(xs, ys) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5, 257])
     @settings(max_examples=25, deadline=None)
@@ -66,24 +66,33 @@ class TestConv:
         xs, ys = data.draw(digits), data.draw(digits)
         assert _pack_mul(4093, xs, ys) == schoolbook_mod_p(4093, xs, ys)
 
-    @pytest.mark.parametrize("q", [2, 3, 257, 4])
+    @pytest.mark.parametrize("q", [2, 3, 257, 4, 8, 9, 25])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_short_product_is_prefix_of_full(self, q, data):
-        fs = field(2, 2) if q == 4 else field(q)
+        fs = field(*EXTENSION_FIELDS.get(q, (q,)))
         codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=120)
         xs, ys = data.draw(codes), data.draw(codes)
         full = fs.conv(xs, ys)
         for n in (0, 1, data.draw(st.integers(0, len(full) + 3)), len(full)):
             assert fs.conv(xs, ys, n) == full[:n]
 
+    @pytest.mark.parametrize("q", sorted(EXTENSION_FIELDS))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_q4_table_path_matches_schoolbook(self, data):
-        fs = field(2, 2)
-        codes = st.lists(st.integers(0, 3), min_size=1, max_size=300)
+    def test_extension_field_matches_schoolbook(self, q, data):
+        fs = field(*EXTENSION_FIELDS[q])
+        codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=300)
         xs, ys = data.draw(codes), data.draw(codes)
         assert fs.conv(xs, ys) == schoolbook(fs, xs, ys)
+
+    @pytest.mark.parametrize("q", sorted(EXTENSION_FIELDS))
+    def test_extension_field_top_codes(self, q):
+        # every digit of every coefficient at p - 1: the fullest slot groups
+        fs = field(*EXTENSION_FIELDS[q])
+        for n in (1, 2, 300):
+            xs = [q - 1] * n
+            assert fs.conv(xs, xs) == schoolbook(fs, xs, xs)
 
 
 def pairwise_product(a, b):
