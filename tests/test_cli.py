@@ -10,7 +10,8 @@ import tmzv.cli
 import tmzv.zeta
 from tmzv.cli import REPORT_VERSION, load_object, main
 from tmzv.motive import special_point, star_shape, tmodule_of
-from tmzv.scalars import PrecisionLaurent, field
+from tmzv.scalars import APoly, PrecisionLaurent, field
+from tmzv.vadic import NuPlace, zeta_nu
 
 
 def run(capsys, *args):
@@ -125,6 +126,11 @@ def without_timing(x):
     return x
 
 
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "golden_reports.json")) as _f:
+    GOLDEN = json.load(_f)
+
+
 class TestGoldenReports:
     # the deformed-row suites at their defaults, against stored reports with
     # the timing fields dropped; a change that moves any residual, pass flag
@@ -138,6 +144,24 @@ class TestGoldenReports:
         with open(path) as f:
             want = json.load(f)
         assert without_timing(json.loads(out)) == want
+
+    # the suites and dumps on the motive-to-logarithm path, and the nu-adic
+    # series diagnostics, stored from the separate Stark, nu-adic and
+    # motive-entry builders that the shared ones replaced
+    @pytest.mark.parametrize("case", sorted(GOLDEN["cli"]))
+    def test_cli_output_matches_stored(self, capsys, case):
+        want = GOLDEN["cli"][case]
+        rc, out = run(capsys, *want["args"])
+        assert rc == 0
+        assert without_timing(json.loads(out)) == want["output"]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN["zeta_nu"]))
+    def test_zeta_nu_matches_stored(self, case):
+        want = GOLDEN["zeta_nu"][case]
+        fs = field(want["q"])
+        value, diag = zeta_nu(fs, want["s"], NuPlace(APoly(fs, tuple(want["nu"]))))
+        assert diag == want["diagnostics"]
+        assert value.to_dict() == want["value"]
 
 
 class TestExtensionFields:
