@@ -14,11 +14,11 @@ a +1 twist on its coefficient, keeping all Frobenius twists nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
 from .tlayer import LocalJet, TPoly, TwistedPoly, _tpoly_pow, anderson_thakur
 from . import tmodule as _tmodule
+from .zeta import outside_polylog_domain
 
 # ---------------------------------------------------------------------------
 # shapes
@@ -39,18 +39,17 @@ class MotiveShape:
             raise ValueError("composition entries must be positive")
         if len(self.Q) != len(self.s):
             raise ValueError("need one twisting polynomial per entry")
-        q = self.fs.q
+        # the shape's series is Li*_{(s_r,...,s_1)}(Q_r,...,Q_1), so Q_r is
+        # the polylogarithm's first argument
         r = len(self.s)
         for i, Qi in enumerate(self.Q):
             if Qi.is_zero():
                 raise ValueError("twisting polynomials must be nonzero")
-            e = Qi.gauss_norm_exp()
-            bound = Fraction(self.s[i] * q, q - 1)
-            if i == r - 1:
-                if not e < bound:
-                    raise ValueError("norm condition fails at the last entry")
-            elif not e <= bound:
-                raise ValueError("norm condition fails at entry %d" % (i + 1,))
+            if outside_polylog_domain(self.fs.q, self.s[i],
+                                      Qi.gauss_norm_exp(), i == r - 1):
+                raise ValueError("norm condition fails at the last entry"
+                                 if i == r - 1 else
+                                 "norm condition fails at entry %d" % (i + 1,))
 
     @property
     def r(self):
@@ -133,86 +132,73 @@ def _tm_theta_pow(fs: FieldSpec, d: int, twist: int = 0) -> TPoly:
     return f.twist(twist) if twist else f
 
 
-def build_motive(shape: MotiveShape) -> DualTMotive:
-    """Phi matrix: entries X stored as TwistedPoly(base, -1) with
-    base^(−1) the true entry, so no root extraction ever happens here."""
+def _q_chain(shape: MotiveShape, i: int, j: int) -> TPoly:
+    """Q*_{i,j} = (-1)^{j-i} Q_i ... Q_{j-1} (1-based, i <= j; 1 at i = j)."""
+    out = TPoly.one(shape.fs)
+    for k in range(i, j):
+        out = out * shape.Q[k - 1]
+    return -out if (j - i) % 2 else out
+
+
+def _phi_coeff(shape: MotiveShape, model: str, ell: int, j: int):
+    """Entry (j, ell), ell <= j, of the motive matrix of `model` over
+    (t - theta)^{d_ell}: Q*_{ell,j} in the Star (and ExtGeneric) model; 1 on
+    the diagonal, Q_ell below it and zero (None) elsewhere in the AT model,
+    whose matrix is the inverse of the Star one's coefficient matrix."""
+    if model == "AT" and j > ell:
+        return shape.Q[ell - 1] if j == ell + 1 else None
+    return _q_chain(shape, ell, j)
+
+
+def _phi_rows(shape: MotiveShape, n: int) -> list:
+    """Rows 1..n of the extended motive matrix [[Phi, 0], [f, 1]] (n <= r+1,
+    with d_{r+1} = 0 so that row r+1 is the special-point row f), cut to n
+    columns.  Entries X are stored as TwistedPoly(base, -1) with base^(-1)
+    the true entry, so no root extraction ever happens here."""
     fs = shape.fs
-    r = shape.r
-    dims = shape.block_dims
+    dims = shape.block_dims + (0,)
     zero = TwistedPoly(TPoly.zero(fs), -1)
-    phi = [[zero for _ in range(r)] for _ in range(r)]
-    for j in range(1, r + 1):
-        # diagonal: (t - theta)^{d_j}, untwisted == twist of its +1 shift
-        phi[j - 1][j - 1] = TwistedPoly(_tm_theta_pow(fs, dims[j - 1], twist=1), -1)
-        if shape.model == "AT":
-            if j < r:
-                base = shape.Q[j - 1] * _tm_theta_pow(fs, dims[j - 1], twist=1)
-                phi[j][j - 1] = TwistedPoly(base, -1)
-        else:
-            for ell in range(1, j):
-                prod = TPoly.one(fs)
-                for k in range(ell, j):
-                    prod = prod * shape.Q[k - 1]
-                if (j - ell) % 2 == 1:
-                    prod = -prod
-                phi[j - 1][ell - 1] = TwistedPoly(
-                    prod * _tm_theta_pow(fs, dims[ell - 1], twist=1), -1)
-    return DualTMotive(shape, phi, special_point_pre_sigma(shape))
+    rows = []
+    for j in range(1, n + 1):
+        row = [zero] * n
+        for ell in range(1, j + 1):
+            c = _phi_coeff(shape, shape.model, ell, j)
+            if c is not None:
+                tm = _tm_theta_pow(fs, dims[ell - 1], twist=1)
+                row[ell - 1] = TwistedPoly(tm if ell == j else c * tm, -1)
+        rows.append(row)
+    return rows
+
+
+def build_motive(shape: MotiveShape) -> DualTMotive:
+    """The motive matrix Phi with the pre-sigma special point."""
+    return DualTMotive(shape, _phi_rows(shape, shape.r),
+                       special_point_pre_sigma(shape))
 
 
 def phi_tilde(shape: MotiveShape) -> list:
     """(r+1)x(r+1) extension [[Phi, 0], [f, 1]] of the motive matrix by the
-    special-point row f (the j = r+1 case of the same entry formulas)."""
-    fs = shape.fs
-    r = shape.r
-    dims = shape.block_dims
-    zero = TwistedPoly(TPoly.zero(fs), -1)
-    phi = build_motive(shape).phi
-    out = [list(row) + [zero] for row in phi]
-    last = [zero] * (r + 1)
-    if shape.model == "AT":
-        last[r - 1] = TwistedPoly(
-            shape.Q[r - 1] * _tm_theta_pow(fs, dims[r - 1], twist=1), -1)
-    elif shape.model == "Star":
-        for ell in range(1, r + 1):
-            prod = TPoly.one(fs)
-            for k in range(ell, r + 1):
-                prod = prod * shape.Q[k - 1]
-            if (r + 1 - ell) % 2 == 1:
-                prod = -prod
-            last[ell - 1] = TwistedPoly(
-                prod * _tm_theta_pow(fs, dims[ell - 1], twist=1), -1)
-    else:
+    special-point row f."""
+    if shape.model not in ("AT", "Star"):
         raise ValueError("extended matrix needs an AT or Star shape")
-    last[r] = TwistedPoly(TPoly.one(fs), -1)
-    out.append(last)
-    return out
+    return _phi_rows(shape, shape.r + 1)
 
 
 @memo
 def g_vectors(shape: MotiveShape):
     """G_ell with sigma(G_ell) = (t-theta)^{d_ell} m_ell; returned as a tuple
-    whose ell-th entry is the list of m-coordinates [g_{ell,1},...,g_{ell,ell}]."""
+    whose ell-th entry is the list of m-coordinates [g_{ell,1},...,g_{ell,ell}]:
+    G_ell = m_ell - sum_{i<ell} Phi_{ell,i} / (t-theta)^{d_i} G_i."""
     fs = shape.fs
-    r = shape.r
     out = []
-    for ell in range(1, r + 1):
+    for ell in range(1, shape.r + 1):
         coords = [TPoly.zero(fs) for _ in range(ell)]
         coords[ell - 1] = TPoly.one(fs)
-        if shape.model == "AT":
-            if ell > 1:
-                for k in range(ell - 1):
-                    coords[k] = coords[k] - shape.Q[ell - 2] * out[ell - 2][k]
-        else:
-            for i in range(1, ell):
-                prod = TPoly.one(fs)
-                for k in range(i, ell):
-                    prod = prod * shape.Q[k - 1]
-                if (ell - i) % 2 == 1:
-                    prod = -prod
+        for i in range(1, ell):
+            c = _phi_coeff(shape, shape.model, i, ell)
+            if c is not None:
                 for k in range(i):
-                    coords[k] = coords[k] - prod * out[i - 1][k]
-    # (sign folded into prod; Q*_{ell,i} = (-1)^{ell-i} prod_{i<=k<ell} Q_k)
+                    coords[k] = coords[k] - c * out[i - 1][k]
         out.append(coords)
     return tuple(tuple(c) for c in out)
 
@@ -333,8 +319,6 @@ def split_decomposition(shape: MotiveShape) -> SigmaDecomposition:
     inside the certified logarithm domain."""
     fs = shape.fs
     r = shape.r
-    dims = shape.block_dims
-    q = fs.q
 
     def unit(ell, j, c):
         u = [RatFunc.zero(fs)] * shape.dim
@@ -358,15 +342,8 @@ def split_decomposition(shape: MotiveShape) -> SigmaDecomposition:
                     triples.append((n, 1, unit(ell, 0, c)))
     else:
         raise ValueError("split decomposition needs an AT or Star shape")
-    # convergence bound |u_{(ell,j)}| < q^{(d_ell - j) + d_ell/(q-1)}
     for _, _, u in triples:
-        for (ell, j) in sigma_basis(shape):
-            c = u[shape.slot(ell, j)]
-            if c.is_zero():
-                continue
-            e = Fraction(c.num.degree() - c.den.degree())
-            if not e < (dims[ell - 1] - j) + Fraction(dims[ell - 1], q - 1):
-                raise ValueError("split term violates the convergence bound")
+        _tmodule.check_log_domain(shape, u)
     return SigmaDecomposition(triples)
 
 

@@ -609,7 +609,10 @@ class RatFunc:
         return self * other.inv()
 
     def frobenius(self, i: int):
-        return RatFunc(self.num.frobenius(i), self.den.frobenius(i))
+        """The q^i-th power: num(theta^{q^i}) = num^{q^i} and likewise for
+        den, so the twist of a reduced fraction is reduced, den still monic."""
+        return RatFunc(self.num.frobenius(i), self.den.frobenius(i),
+                       reduce=False)
 
     def laurent(self, N=None, ram=1):
         a = self.num.laurent(N=N, ram=ram)

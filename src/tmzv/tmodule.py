@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation)
-from .tlayer import LocalJet, TPoly
+from .tlayer import LocalJet
 
 # ---------------------------------------------------------------------------
 # small matrix helpers (duck-typed scalars)
@@ -95,6 +95,9 @@ class ScalarStrategy:
 
     key: tuple
 
+    def linv_jet(self, k: int, D: int) -> LocalJet:
+        return _pole_inv_jet(self, k, D)
+
     def __eq__(self, other):
         return isinstance(other, ScalarStrategy) and self.key == other.key
 
@@ -120,9 +123,6 @@ class _ExactScalars(ScalarStrategy):
 
     def inv(self, x):
         return x.inv()
-
-    def linv_jet(self, k: int, D: int) -> LocalJet:
-        return _pole_inv_jet(self, k, D)
 
 
 class _LaurentScalars(ScalarStrategy):
@@ -152,9 +152,6 @@ class _LaurentScalars(ScalarStrategy):
 
     def inv(self, x):
         return x.inv(window=self.window * self.ram)
-
-    def linv_jet(self, k: int, D: int) -> LocalJet:
-        return _pole_inv_jet(self, k, D)
 
 
 @memo
@@ -356,45 +353,29 @@ class TModule:
 def _theta_jet_matrix(shape, m: int, sc, D: int):
     """Order-D jets at t = theta of the m-th twisted transition matrix: the
     inverse-transpose of the motive matrix with numerators twisted by m - 1
-    and poles moved to t = theta^{q^m} (hence regular at theta)."""
-    fs = shape.fs
+    and poles moved to t = theta^{q^m} (hence regular at theta).  Its
+    numerators are the other model's motive coefficients, transposed: the
+    AT and Star coefficient matrices are inverse to each other."""
+    from .motive import _phi_coeff
+
+    if shape.model not in ("AT", "Star"):
+        raise ValueError("closed-form coefficients need an AT or Star shape")
+    dual = "Star" if shape.model == "AT" else "AT"
     r = shape.r
     dims = shape.block_dims
-    zjet = LocalJet.zero_jet(D, sc.zero)
-    onejet = LocalJet.const_jet(sc.one, D, sc.zero)
     linv = sc.linv_jet(m, D)
-    pows = {0: onejet}
-
-    def lpow(e):
-        while e not in pows:
-            lo = max(k for k in pows if k <= e)
-            pows[lo + 1] = pows[lo] * linv
-        return pows[e]
-
-    def numjet(f: TPoly):
-        return f.twist(m - 1).jet(D, conv=sc.conv, zero=sc.zero)
-
+    lpow = [LocalJet.const_jet(sc.one, D, sc.zero)]
+    for _ in range(dims[0]):
+        lpow.append(lpow[-1] * linv)
+    zjet = LocalJet.zero_jet(D, sc.zero)
     out = [[zjet for _ in range(r)] for _ in range(r)]
-    if shape.model == "AT":
-        for i in range(1, r + 1):
-            for j in range(i, r + 1):
-                if j == i:
-                    ent = lpow(dims[j - 1])
-                else:
-                    num = TPoly.one(fs)
-                    for k in range(i, j):
-                        num = num * shape.Q[k - 1]
-                    ent = numjet(num) * lpow(dims[j - 1])
-                    if (j - i) % 2 == 1:
-                        ent = -ent
-                out[i - 1][j - 1] = ent
-    elif shape.model == "Star":
-        for i in range(1, r + 1):
-            out[i - 1][i - 1] = lpow(dims[i - 1])
-            if i < r:
-                out[i - 1][i] = numjet(shape.Q[i - 1]) * lpow(dims[i])
-    else:
-        raise ValueError("closed-form coefficients need an AT or Star shape")
+    for i in range(1, r + 1):
+        out[i - 1][i - 1] = lpow[dims[i - 1]]
+        for j in range(i + 1, r + 1):
+            c = _phi_coeff(shape, dual, i, j)
+            if c is not None:
+                num = c.twist(m - 1).jet(D, conv=sc.conv, zero=sc.zero)
+                out[i - 1][j - 1] = num * lpow[dims[j - 1]]
     return out
 
 
@@ -476,21 +457,31 @@ def _conv_scalar(sc, x):
     return sc.conv(x)
 
 
-def _series_sum(coeff_fn, vec, prec: int, max_terms: int, start: int = 0):
-    """Sum_{n>=start} C_n vec^{(n)}, stopping after two consecutive terms
-    certified below the target valuation."""
-    acc = None
+def _certified_sum(term, first: int, prec: int, max_terms: int, what: str,
+                   val=min_residual_valuation, acc=None):
+    """acc + sum_{n >= first} term(n) over vectors, stopping after two
+    consecutive terms whose valuation val(term) is None or >= prec, and
+    raising PrecisionError(what) when term(max_terms) has not stopped it.
+    This is the stop rule of the exp/log, Stark, nu-adic and strange-formula
+    series; it rests on observed term decay, not on a proved tail bound."""
     stable = 0
-    for n in range(start, max_terms + 1):
-        mat = coeff_fn(n)
-        vn = [x.frobenius(n) for x in vec] if n else vec
-        term = mat_vec(mat, vn)
-        acc = term if acc is None else vec_add(acc, term)
-        v = min_residual_valuation(term)
+    for n in range(first, max_terms + 1):
+        t = term(n)
+        acc = t if acc is None else vec_add(acc, t)
+        v = val(t)
         stable = stable + 1 if (v is None or v >= prec) else 0
         if stable >= 2:
             return acc
-    raise PrecisionError(
+    raise PrecisionError(what)
+
+
+def _series_sum(coeff_fn, vec, prec: int, max_terms: int):
+    """Sum_{n>=0} C_n vec^{(n)} to precision prec."""
+    def term(n):
+        return mat_vec(coeff_fn(n), [x.frobenius(n) for x in vec] if n else vec)
+
+    return _certified_sum(
+        term, 0, prec, max_terms,
         f"series did not certify precision {prec} within {max_terms} terms")
 
 
@@ -520,9 +511,9 @@ def _iter_slots(block_dims):
             yield ell, d, j
 
 
-def check_log_domain(E: TModule, v):
-    """Certified convergence region of the logarithm: coordinate (ell, j)
-    must satisfy |v| < q^{(d_ell - j) + d_ell/(q-1)}."""
+def check_log_domain(E, v):
+    """Certified convergence region of the logarithm of a t-module or shape
+    E: coordinate (ell, j) must satisfy |v| < q^{(d_ell - j) + d_ell/(q-1)}."""
     q = E.fs.q
     for x, (ell, d, j) in zip(v, _iter_slots(E.block_dims)):
         e = _abs_exp(x)
@@ -563,41 +554,44 @@ def _gamma_guard(shape) -> int:
     return g
 
 
+def _twisted_term(shape, n: int, sc, D: int, jets) -> list:
+    """delta_0 of the n-fold twisted transition product applied to one
+    order-D jet per block (None for a zero block): term n of the Stark and
+    nu-adic logarithm series."""
+    from .motive import delta0
+
+    zjet = LocalJet.zero_jet(D, sc.zero)
+    blocks = []
+    for row in _theta_jet_product(shape, n, sc, D):
+        acc = zjet
+        for p, w in zip(row, jets):
+            if w is not None:
+                acc = acc + p * w
+        blocks.append(acc)
+    return delta0(blocks, shape)
+
+
 def stark_log_eval(shape, prec: int = 40, max_terms: int = 60):
     """Canonical logarithm of the special point, as the twisted-product
     series: term n is delta_0 of the n-fold transition product applied to
     the (n-1)-twisted extension row (the n = 0 term vanishes identically)."""
-    from .motive import delta0, phi_tilde
+    from .motive import phi_tilde
 
-    fs = shape.fs
-    r = shape.r
     D = max(shape.block_dims)
-    sc = _LaurentScalars(fs, _eval_window(fs, prec, ()) + _gamma_guard(shape))
-    f = phi_tilde(shape)[r][:r]
-    zjet = LocalJet.zero_jet(D, sc.zero)
-    acc = None
-    stable = 0
-    for n in range(1, max_terms + 1):
-        prod = _theta_jet_product(shape, n, sc, D)
-        fj = [None if x.is_zero() else
-              x.base.twist(n - 1).jet(D, conv=sc.conv, zero=sc.zero)
-              for x in f]
-        blocks = []
-        for b in range(r):
-            accb = zjet
-            for ell in range(r):
-                if fj[ell] is not None:
-                    accb = accb + prod[b][ell] * fj[ell]
-            blocks.append(accb)
-        term = delta0(blocks, shape)
-        acc = term if acc is None else vec_add(acc, term)
-        v = min_residual_valuation(term)
-        stable = stable + 1 if (v is None or v >= prec) else 0
-        if stable >= 2:
-            return _truncate_vec(acc, prec)
-    raise PrecisionError(
+    sc = _LaurentScalars(shape.fs,
+                         _eval_window(shape.fs, prec, ()) + _gamma_guard(shape))
+    f = phi_tilde(shape)[shape.r][:shape.r]
+
+    def term(n):
+        return _twisted_term(shape, n, sc, D, [
+            None if x.is_zero() else
+            x.base.twist(n - 1).jet(D, conv=sc.conv, zero=sc.zero) for x in f])
+
+    acc = _certified_sum(
+        term, 1, prec, max_terms,
         f"logarithm series did not certify precision {prec} within "
         f"{max_terms} terms")
+    return _truncate_vec(acc, prec)
 
 
 def split_log_check(shape, prec: int = 30) -> dict:
@@ -670,13 +664,9 @@ def period_basis(shape, prec: int = 30):
     zero_r = PrecisionLaurent.zero(fs, ram=e)
 
     oj = omega_jet(fs, D, W).inv()
-    opow = {0: LocalJet.const_jet(PrecisionLaurent.one(fs, ram=e), D, zero_r)}
-
-    def oinv_pow(k):
-        while k not in opow:
-            lo = max(m for m in opow if m <= k)
-            opow[lo + 1] = opow[lo] * oj
-        return opow[k]
+    opow = [LocalJet.const_jet(PrecisionLaurent.one(fs, ram=e), D, zero_r)]
+    for _ in range(shape.block_dims[0]):
+        opow.append(opow[-1] * oj)
 
     def embed_jet(jet: LocalJet) -> LocalJet:
         return LocalJet([c.embed_ram() for c in jet.coeffs], jet.shift,
@@ -697,7 +687,7 @@ def period_basis(shape, prec: int = 30):
     zjet = LocalJet.zero_jet(D, zero_r)
     out = []
     for j in range(1, r + 1):
-        scale = oinv_pow(shape.block_dims[j - 1])
+        scale = opow[shape.block_dims[j - 1]]
         blocks = []
         for ell in range(1, r + 1):
             if ell <= j:

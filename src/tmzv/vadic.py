@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo
+from .scalars import APoly, FieldSpec, RatFunc, memo
 from .tlayer import LocalJet, TPoly, bracket
 from .tmodule import ScalarStrategy
 
@@ -359,12 +359,11 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     """Log of a point with |Z|_nu < 1, over the factored subring: term i is
     delta_0 of the i-fold twisted transition product applied to the i-twisted
     point.  Returns (coordinate vector of FactoredScalar, diagnostics)."""
-    from .motive import _tm_theta_pow, delta0
-    from .tmodule import _theta_jet_product, vec_add
+    from .motive import _tm_theta_pow
+    from .tmodule import _certified_sum, _twisted_term
 
     fs = shape.fs
     q = fs.q
-    r = shape.r
     dims = shape.block_dims
     d1 = dims[0]
     D = max(dims)
@@ -378,13 +377,8 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     if vZ < 1:
         raise ValueError("point is not inside the nu-adic unit ball")
 
-    acc = [ring.conv(x) for x in Z]  # i = 0: identity coefficient
-    stable = 0
-    vals = []
-    bound_ok = True
-    for i in range(1, max_terms + 1):
-        prod = _theta_jet_product(shape, i, ring, D)
-        wjets = []
+    def term(i):
+        jets = []
         for ell, dl in enumerate(dims, start=1):
             w = TPoly.zero(fs)
             for j in range(dl):
@@ -392,28 +386,29 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
                 if not c.is_zero():
                     w = w + _tm_theta_pow(fs, j, twist=i).scale(
                         RatFunc.from_apoly(c.frobenius(i)))
-            wjets.append(w.jet(D, conv=ring.conv, zero=ring.zero))
-        blocks = []
-        for b in range(r):
-            accb = LocalJet.zero_jet(D, ring.zero)
-            for ell in range(r):
-                if not wjets[ell].is_zero():
-                    accb = accb + prod[b][ell] * wjets[ell]
-            blocks.append(accb)
-        term = delta0(blocks, shape)
-        v = min((x.nu_valuation(place) for x in term if not x.is_zero()),
+            jet = w.jet(D, conv=ring.conv, zero=ring.zero)
+            jets.append(None if jet.is_zero() else jet)
+        return _twisted_term(shape, i, ring, D, jets)
+
+    diag = {"terms": 0, "term_valuations": [], "bound_ok": True}
+
+    def val(t):
+        v = min((x.nu_valuation(place) for x in t if not x.is_zero()),
                 default=None)
+        vals = diag["term_valuations"]
         vals.append(v)
+        i = len(vals)
         if v is not None and v < q**i * vZ - i * (3 * d1 - 1):
-            bound_ok = False
-        acc = vec_add(acc, term)
-        stable = stable + 1 if (v is None or v >= K) else 0
-        if stable >= 2:
-            return acc, {"terms": i + 1, "term_valuations": vals,
-                         "bound_ok": bound_ok}
-    raise PrecisionError(
+            diag["bound_ok"] = False
+        return v
+
+    # i = 0: the identity coefficient
+    acc = _certified_sum(
+        term, 1, K, max_terms,
         f"nu-adic logarithm did not certify precision {K} within "
-        f"{max_terms} terms")
+        f"{max_terms} terms", val, [ring.conv(x) for x in Z])
+    diag["terms"] = len(diag["term_valuations"]) + 1
+    return acc, diag
 
 
 def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,

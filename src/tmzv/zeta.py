@@ -27,6 +27,7 @@ from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation, monic_enumerate)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, l_poly)
+from .tmodule import _certified_sum
 
 # ---------------------------------------------------------------------------
 # power sums S_d(k) = sum over monic a of degree d of a^(-k)
@@ -546,17 +547,15 @@ def _as_ratfunc(fs: FieldSpec, u):
     raise TypeError("polylogarithm arguments must be RatFunc or APoly")
 
 
-def _check_polylog_domain(fs: FieldSpec, s, u):
-    q = fs.q
-    for m, (sm, um) in enumerate(zip(s, u)):
-        if um.is_zero():
-            continue
-        e = Fraction(um.num.degree() - um.den.degree())
-        bound = Fraction(sm * q, q - 1)
-        last = m == len(s) - 1
-        if (last and not e < bound) or (not last and not e <= bound):
-            raise ValueError(
-                f"argument {m + 1} violates the convergence condition")
+def outside_polylog_domain(q: int, s: int, e, first: bool) -> bool:
+    """Whether an argument u with |u|_inf = q^e, paired with index entry s,
+    lies outside the convergence domain of the Carlitz multiple
+    polylogarithm sum_{i_1 > ... > i_k} prod_m u_m^{q^{i_m}} / L_{i_m}^{s_m}
+    (Chang, Compositio Math. 2014): the first argument, which carries the
+    largest index, needs |u| < q^{s q/(q-1)}; the others may sit on that
+    boundary."""
+    bound = Fraction(s * q, q - 1)
+    return e > bound or (first and e == bound)
 
 
 def polylog(fs: FieldSpec, s, u, star: bool = False,
@@ -570,7 +569,11 @@ def polylog(fs: FieldSpec, s, u, star: bool = False,
         raise ValueError("need one argument per index entry")
     if any(x.is_zero() for x in u):
         return PrecisionLaurent.zero(fs, N=prec)
-    _check_polylog_domain(fs, s, u)
+    for m, (sm, um) in enumerate(zip(s, u)):
+        e = um.num.degree() - um.den.degree()
+        if outside_polylog_domain(fs.q, sm, e, m == 0):
+            raise ValueError(
+                f"argument {m + 1} violates the convergence condition")
     Q = tuple(TPoly.const(fs, x) for x in u)
     return lseries_value(fs, s, Q=Q, star=star, prec=prec)
 
@@ -939,21 +942,21 @@ def strange_formula_check(fs: FieldSpec, prec: int = 40, imax: int = 30) -> dict
     il3 = l3.inv(window=W)
     th = PrecisionLaurent.theta_pow(fs, 1)
     coef = il3 + il2 + th * il2
-    acc = PrecisionLaurent.zero(fs, N=W)
     vals = []
-    stable = 0
-    for i in range(imax + 1):
+
+    def term(i):
         step = q ** (i + 2)
         li = l_poly(fs, i).laurent()
-        term = li.inv(window=W + step).pow(q**3) * PrecisionLaurent.theta_pow(fs, step)
-        acc = acc + term
-        v = term.v
-        vals.append(v)
-        stable = stable + 1 if v >= W else 0
-        if stable >= 2:
-            break
-    else:
-        raise PrecisionError("logarithm-power series did not converge")
+        return [li.inv(window=W + step).pow(q**3)
+                * PrecisionLaurent.theta_pow(fs, step)]
+
+    def val(t):
+        vals.append(t[0].v)
+        return t[0].v
+
+    acc, = _certified_sum(term, 0, W, imax,
+                          "logarithm-power series did not converge", val,
+                          [PrecisionLaurent.zero(fs, N=W)])
     monotone = all(a < b for a, b in zip(vals, vals[1:]))
     rhs = coef * z3 - il2 * acc
     diff = (lhs - rhs).truncate(prec)

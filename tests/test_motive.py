@@ -51,6 +51,22 @@ class TestShapes:
         with pytest.raises(ValueError):
             MotiveShape(fs, (1,), (bad,), "AT")
 
+    @pytest.mark.parametrize("degs,ok", [((2, -1), True), ((-1, 2), False),
+                                         ((3, -1), False), ((2, 1), True)])
+    def test_norm_condition_strict_only_at_the_last_entry(self, degs, ok):
+        # Q_r is the first argument of the shape's polylogarithm, so only it
+        # must stay off the boundary deg Q = s q/(q - 1) = 2
+        fs = field(2)
+        one = APoly.one(fs)
+        Q = tuple(TPoly.const(fs, RatFunc(APoly.monomial(fs, d), one) if d >= 0
+                              else RatFunc(one, APoly.monomial(fs, -d)))
+                  for d in degs)
+        if ok:
+            MotiveShape(fs, (1, 1), Q, "Star")
+        else:
+            with pytest.raises(ValueError, match="norm condition"):
+                MotiveShape(fs, (1, 1), Q, "Star")
+
 
 class TestStarDimension:
     def test_known_values(self):

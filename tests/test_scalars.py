@@ -120,6 +120,22 @@ class TestRatFunc:
         a = APoly(fs, (1, 0, 2))
         assert RatFunc.from_apoly(a).laurent(20) == a.laurent(20)
 
+    @pytest.mark.parametrize("make", FIELDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_frobenius_stays_reduced(self, make, data):
+        # f(theta^{q^i}) = f^{q^i}: the twist of a reduced fraction needs no
+        # gcd, and its denominator stays monic
+        fs = make()
+        den = data.draw(apolys(fs, 4))
+        if den.is_zero():
+            return
+        x = RatFunc(data.draw(apolys(fs, 4)), den)
+        i = data.draw(st.integers(min_value=1, max_value=2))
+        got = x.frobenius(i)
+        want = RatFunc(x.num.frobenius(i), x.den.frobenius(i))
+        assert (got.num, got.den) == (want.num, want.den)
+
 
 class TestPrecisionLaurent:
     def test_mul_precision_is_relative(self):

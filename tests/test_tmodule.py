@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmzv.motive import at_shape, star_shape
-from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, field,
-                          min_residual_valuation)
+from tmzv.scalars import (APoly, PrecisionError, PrecisionLaurent, RatFunc,
+                          field, min_residual_valuation)
 from tmzv.tlayer import TateTrunc, d_poly, l_poly
 from tmzv.tmodule import (TModule, _ExactScalars, _LaurentScalars,
                           _shape_module, check_log_domain,
                           depth_one_period_check, exp_eval, log_coeff_matrix,
                           log_eval, log_oracle_check, mat_add, mat_map,
                           mat_mul, mat_sub, mat_vec, period_check,
-                          split_log_check, vec_sub)
+                          split_log_check, stark_log_eval, vec_sub)
+from tmzv.vadic import NuPlace, zeta_nu
+from tmzv.zeta import strange_formula_check
 
 
 def small_apolys(fs, max_deg=3):
@@ -263,6 +265,37 @@ class TestExpLog:
         big = [RatFunc.from_apoly(APoly.theta(fs).pow(9)), RatFunc.zero(fs)]
         with pytest.raises(ValueError):
             check_log_domain(E, big)
+
+
+class TestCertifiedSum:
+    # the shared two-small-terms stop: when the terms run out first, each
+    # series raises PrecisionError in its own words
+    @pytest.mark.parametrize("series", ["exp", "log", "stark", "zeta_nu",
+                                        "strange"])
+    def test_exhausted_terms_raise(self, series):
+        fs = field(2)
+        E = TModule.carlitz_tensor(fs, 2)
+        z = [RatFunc.zero(fs), RatFunc.one(fs)]
+        fs3 = field(3)
+        calls = {
+            "exp": (lambda: exp_eval(E, z, prec=20, max_terms=1),
+                    "series did not certify precision 20 within 1 terms"),
+            "log": (lambda: log_eval(E, z, prec=20, max_terms=1),
+                    "series did not certify precision 20 within 1 terms"),
+            "stark": (lambda: stark_log_eval(at_shape(fs, (1, 2)), prec=20,
+                                             max_terms=1),
+                      "logarithm series did not certify precision 20 "
+                      "within 1 terms"),
+            "zeta_nu": (lambda: zeta_nu(fs3, (1,), NuPlace(APoly.theta(fs3)),
+                                        K=8, max_terms=1),
+                        r"nu-adic logarithm did not certify precision \d+ "
+                        "within 1 terms"),
+            "strange": (lambda: strange_formula_check(fs, prec=10, imax=1),
+                        "logarithm-power series did not converge"),
+        }
+        call, msg = calls[series]
+        with pytest.raises(PrecisionError, match="^%s$" % msg):
+            call()
 
 
 class TestLogCoefficients:

@@ -219,6 +219,39 @@ class TestPolylog:
         got = polylog(fs, (2,), [u], prec=prec)
         assert got.N == prec and got.eq_to_prec(acc.laurent(N=prec), prec)
 
+    def test_later_argument_on_the_boundary_converges(self):
+        # |u_2| = q^{s_2 q/(q-1)} sits on the boundary, which only the first
+        # argument (paired with the largest index i_1) must stay off
+        fs = field(2)
+        th = RatFunc.theta(fs)
+        u1, u2 = RatFunc.one(fs) / th, th * th
+        acc = RatFunc.zero(fs)
+        # term (i_1, i_2) has degree 4 - 3 q^{i_1}, below -30 from i_1 = 5 on
+        for i1 in range(6):
+            for i2 in range(i1):
+                k1, k2 = fs.q**i1, fs.q**i2
+                acc = acc + RatFunc(
+                    u1.num.pow(k1) * u2.num.pow(k2),
+                    u1.den.pow(k1) * u2.den.pow(k2)
+                    * l_poly(fs, i1) * l_poly(fs, i2))
+        got = polylog(fs, (1, 1), [u1, u2], prec=30)
+        assert got.N == 30 and got.eq_to_prec(acc.laurent(N=30), 30)
+
+    @pytest.mark.parametrize("s,num,den,arg", [
+        # u_1 on its boundary: deg(u_1^{q^i} / L_i) = 2 for every i
+        ((1, 2), (1, 0, 0, 1, 1), (1, 0, 1), 1),
+        # u_2 past its boundary
+        ((1, 1), (0, 0, 0, 1), (1,), 2),
+    ])
+    def test_outside_the_domain_is_rejected(self, s, num, den, arg):
+        fs = field(2)
+        u = [RatFunc(APoly(fs, num), APoly(fs, den)),
+             RatFunc.one(fs) / RatFunc.theta(fs)]
+        if arg == 2:
+            u.reverse()
+        with pytest.raises(ValueError, match="argument %d" % arg):
+            polylog(fs, s, u, prec=2)
+
 
 def linv_dense(fs, j, M):
     """1/(t - theta^{q^j}) = -sum_k theta^{-q^j (k+1)} t^k, exactly."""
