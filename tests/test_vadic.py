@@ -82,6 +82,39 @@ class TestNuAdic:
         assert a.eq_to_prec(b, 4)
         assert not a.eq_to_prec(b, 6)
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_digits_recompose(self, data):
+        # x = nu^k u / w with u, w prime to nu and k of either sign: the
+        # digits recompose x nu^(-v) mod nu^(N - v), and v = min(k, N)
+        fs = data.draw(st.sampled_from([field(2), field(3), field(2, 2)]))
+        places = []
+        for deg in (1, 2):
+            for nu in monic_enumerate(fs, deg):
+                try:
+                    places.append(NuPlace(nu))
+                except ValueError:
+                    pass
+        pl = data.draw(st.sampled_from(places))
+
+        def unit():
+            a = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
+                                for _ in range(data.draw(st.integers(1, 5)))))
+            return a if not nu_mod(a, pl, 1).is_zero() else a + APoly.one(fs)
+
+        u, w = unit(), unit()
+        k = data.draw(st.integers(-3, 3))
+        N = data.draw(st.integers(-2, 6))
+        num, den = u * pl.nu.pow(max(k, 0)), w * pl.nu.pow(max(-k, 0))
+        d = nu_reduce(RatFunc(num, den), pl, N).to_dict()
+        v = d["v"]
+        assert v == min(k, N) and d["prec"] == N
+        y = APoly.zero(fs)
+        for i, dg in enumerate(d["digits"]):
+            assert len(dg) <= pl.f
+            y = y + APoly(fs, tuple(dg)) * pl.nu.pow(i)
+        assert nu_mod(y * w - u * pl.nu.pow(k - v), pl, N - v).is_zero()
+
     def test_serialization_keys(self):
         pl = q2_place()
         d = nu_reduce(RatFunc.one(pl.fs), pl, 5).to_dict()
