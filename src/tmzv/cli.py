@@ -292,8 +292,11 @@ def _suite_items(suite: str, args):
                      prec=prec or 40)))
     elif suite == "vadic":
         fs = _field_for_q(args.q or 2, args.modulus)
-        nu = APoly(fs, tuple(c % fs.q for c in (args.nu or (1, 1, 1))))
-        place = NuPlace(nu)
+        nu = args.nu or (1, 1, 1)
+        if not all(0 <= c < fs.q for c in nu):
+            raise ValueError("--nu: coefficients must be field codes in "
+                             "[0, %d), got %s" % (fs.q, ",".join(map(str, nu))))
+        place = NuPlace(APoly(fs, nu))
         indices = [args.s] if args.s else [(1,), (1, 3)]
         for idx in indices:
             items.append(

@@ -115,7 +115,7 @@ class FieldSpec:
         _exp[i] = g^(i mod (q - 1)) for i < Z and _exp[i] = 0 from Z to 2Z,
         so a sum of logarithms that involves the log of 0 reads 0;
         _zech[k] = log(1 + g^k)."""
-        p, m, q = self.p, self.m, self.q
+        p, q = self.p, self.q
         red = [(-c) % p for c in self.modulus[:-1]]  # x^m mod the modulus
 
         def times(ds, gs):

@@ -142,7 +142,13 @@ class _LaurentScalars(ScalarStrategy):
     def const(self, c):
         return PrecisionLaurent.const(self.fs, c, ram=self.ram)
 
-    def conv(self, c: RatFunc):
+    def conv(self, c):
+        """A RatFunc or APoly as a windowed Laurent series; a
+        PrecisionLaurent passes through unchanged."""
+        if isinstance(c, PrecisionLaurent):
+            return c
+        if isinstance(c, APoly):
+            c = RatFunc.from_apoly(c)
         if c.is_zero():
             return PrecisionLaurent.zero(self.fs, ram=self.ram)
         a = c.num.laurent(ram=self.ram)
@@ -237,59 +243,37 @@ class TModule:
 
     # -- F_q[t]-action -----------------------------------------------------
 
-    def d_act_matrix(self, a: APoly):
-        """d[a] = a(d[theta])."""
-        sc = self.scalars
-        z = sc.zero
-        acc = mat_identity(self.d, z, z)
-        for c in reversed(a.coeffs):
-            acc = mat_mul(acc, self.dtheta)
-            if c:
-                acc = mat_add(acc, mat_identity(self.d, sc.const(c), z))
-        return acc
-
-    def tau_matrices(self, a: APoly):
-        """E_a as a tau-polynomial: list of matrices [d[a], E_{a,1}, ...],
-        built by composing E_theta F_q-linearly."""
-        sc = self.scalars
-        z, one = sc.zero, sc.one
-        # E_theta as tau-polynomial
-        Eth = [self.dtheta] + self.taus
-        # powers E_{theta^k} by tau-composition
-        acc = [mat_identity(self.d, one, z)]  # E_1
-        out = None
-        for k, c in enumerate(a.coeffs):
-            if c:
-                const = sc.const(c)
-                scaled = [mat_map(M, lambda x: x * const) for M in acc]
-                if out is None:
-                    out = scaled
-                else:
-                    while len(out) < len(scaled):
-                        out.append([[z] * self.d for _ in range(self.d)])
-                    for i, M in enumerate(scaled):
-                        out[i] = mat_add(out[i], M)
-            if k + 1 < len(a.coeffs):
-                acc = _tau_compose(Eth, acc)
-        if out is None:
-            out = [[[z] * self.d for _ in range(self.d)]]
-        return out
-
-    def act(self, a: APoly, v, conv=None):
-        """E_a(v) for a module point v (list of scalars)."""
-        mats = self.tau_matrices(a)
-        out = None
-        for k, M in enumerate(mats):
-            Mk = mat_map(M, conv) if conv else M
-            term = mat_vec(Mk, [x.frobenius(k) for x in v] if k else v)
-            out = term if out is None else vec_add(out, term)
-        return out
+    def act(self, a: APoly, v, conv=None, red=None):
+        """E_a(v) for a module point v (list of scalars), by Horner's rule in
+        E_theta: acc <- E_theta(acc) + c v over the coefficients c of a, from
+        the top down.  `conv` maps the matrix entries and the F_q constants
+        into the point's scalars; `red` reduces every coordinate after each
+        step (reduction mod nu^m commutes with the Frobenius twists)."""
+        return self._horner(a, v, [self.dtheta] + self.taus, conv, red)
 
     def lie_act(self, a: APoly, z, conv=None):
-        M = self.d_act_matrix(a)
-        if conv:
-            M = mat_map(M, conv)
-        return mat_vec(M, z)
+        """d[a](z): the Horner loop of `act` with d[theta] alone."""
+        return self._horner(a, z, [self.dtheta], conv, None)
+
+    def _horner(self, a: APoly, v, mats, conv, red):
+        sc = self.scalars
+        if conv is None:
+            conv = lambda x: x
+        mats = [mat_map(M, conv) for M in mats]
+        acc = None
+        for c in reversed(a.coeffs):
+            if acc is not None:
+                w = acc
+                acc = mat_vec(mats[0], w)
+                for k, M in enumerate(mats[1:], start=1):
+                    acc = vec_add(acc, mat_vec(M, [x.frobenius(k) for x in w]))
+            if c:
+                u = conv(sc.const(c))
+                cv = [u * x for x in v]
+                acc = cv if acc is None else vec_add(acc, cv)
+            if red is not None:
+                acc = [red(x) for x in acc]
+        return acc if acc is not None else [conv(sc.zero)] * self.d
 
     # -- exponential / logarithm coefficients ------------------------------
 
@@ -449,14 +433,6 @@ def _eval_window(fs: FieldSpec, prec: int, vals) -> int:
     return w + math.ceil(emax)
 
 
-def _conv_scalar(sc, x):
-    if isinstance(x, PrecisionLaurent):
-        return x
-    if isinstance(x, APoly):
-        x = RatFunc.from_apoly(x)
-    return sc.conv(x)
-
-
 def _certified_sum(term, first: int, prec: int, max_terms: int, what: str,
                    val=min_residual_valuation, acc=None):
     """acc + sum_{n >= first} term(n) over vectors, stopping after two
@@ -499,7 +475,7 @@ def exp_eval(E: TModule, z, prec: int = 40, max_terms: int = 60, scalars=None):
     else:
         sc = _LaurentScalars(E.fs, _eval_window(E.fs, prec, z))
     EL = E.with_scalars(sc)
-    zz = [_conv_scalar(sc, x) for x in z]
+    zz = [sc.conv(x) for x in z]
     acc = _series_sum(EL.exp_coeff, zz, prec, max_terms)
     return _truncate_vec(acc, prec)
 
@@ -536,7 +512,7 @@ def log_eval(E: TModule, v, prec: int = 40, max_terms: int = 60):
         coeff_fn = lambda n: log_coeff_matrix(shape, n, scalars=sc)
     else:
         coeff_fn = E.with_scalars(sc).log_coeff_recursive
-    vv = [_conv_scalar(sc, x) for x in v]
+    vv = [sc.conv(x) for x in v]
     acc = _series_sum(coeff_fn, vv, prec, max_terms)
     return _truncate_vec(acc, prec)
 
@@ -782,18 +758,3 @@ def log_oracle_check(shape, nmax: int = 8, window: int = 80) -> dict:
 def _shape_module(shape) -> TModule:
     from .motive import tmodule_of
     return tmodule_of(shape)
-
-
-def _tau_compose(E, F):
-    """Compose two tau-polynomials of matrices: (sum E_i tau^i)(sum F_j tau^j)."""
-    z = None
-    d = len(E[0])
-    out = []
-    for i, Ei in enumerate(E):
-        for j, Fj in enumerate(F):
-            Fj_tw = mat_map(Fj, lambda x: x.frobenius(i)) if i else Fj
-            term = mat_mul(Ei, Fj_tw)
-            while len(out) <= i + j:
-                out.append(None)
-            out[i + j] = term if out[i + j] is None else mat_add(out[i + j], term)
-    return out

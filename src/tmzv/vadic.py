@@ -88,31 +88,32 @@ def nu_inv(a: APoly, place: NuPlace, m: int) -> APoly:
 
 @dataclass(frozen=True)
 class NuAdic:
-    """x = sum_i digits[i] nu^(v+i) + O(nu^N), digits reduced mod nu
-    (APoly of degree < f); digits[0] nonzero unless x = O(nu^N)."""
+    """x = nu^v * unit + O(nu^N), the unit prime to nu and reduced mod
+    nu^(N-v); x = O(nu^N) has v = N and a zero unit."""
 
     place: NuPlace
     v: int
-    digits: tuple
+    unit: APoly
     N: int
 
     @classmethod
     def from_unit(cls, place: NuPlace, v: int, unit: APoly, N: int) -> "NuAdic":
-        """nu^v * unit + O(nu^N) with unit given mod nu^(N-v)."""
-        digits = []
-        u = nu_mod(unit, place, max(N - v, 0))
-        while not u.is_zero():
-            u, rem = divmod(u, place.nu)
-            digits.append(rem)
-        while digits and digits[0].is_zero():
-            digits.pop(0)
-            v += 1
-        if not digits:
-            return cls(place, N, (), N)
-        return cls(place, v, tuple(digits), N)
+        """nu^v * unit + O(nu^N) for a unit of any valuation: reduced mod
+        nu^(N-v) first, then split (the quotient is then reduced too)."""
+        k, u = nu_split(nu_mod(unit, place, max(N - v, 0)), place)
+        return cls(place, N if k is None else v + k, u, N)
 
     def is_zero_to_prec(self) -> bool:
-        return not self.digits
+        return self.unit.is_zero()
+
+    @property
+    def digits(self) -> tuple:
+        """Base-nu digits of the unit (each of degree < f), for reports."""
+        out, u = [], self.unit
+        while not u.is_zero():
+            u, rem = divmod(u, self.place.nu)
+            out.append(rem)
+        return tuple(out)
 
     def abs_exp(self):
         """log_q |x|_nu = -f * v, or None when zero to precision."""
@@ -124,26 +125,18 @@ class NuAdic:
         """A polynomial representative modulo nu^N (requires v >= 0)."""
         if self.v < 0:
             raise ValueError("negative valuation has no polynomial lift")
-        acc = APoly.zero(self.place.fs)
-        for i, dgt in enumerate(self.digits):
-            acc = acc + dgt * _nu_pow(self.place, self.v + i)
-        return acc
+        return self.unit * _nu_pow(self.place, self.v)
 
     def __sub__(self, other: "NuAdic") -> "NuAdic":
         if self.place.nu != other.place.nu:
             raise ValueError("mismatched places")
         N = min(self.N, other.N)
-        vmin = min(self.v if self.digits else N,
-                   other.v if other.digits else N)
+        vmin = min(self.v, other.v, N)
 
         def lift(x):
-            acc = APoly.zero(self.place.fs)
-            for i, dgt in enumerate(x.digits):
-                acc = acc + dgt * _nu_pow(self.place, x.v + i - vmin)
-            return acc
+            return x.unit * _nu_pow(self.place, x.v - vmin)
 
-        diff = lift(self) - lift(other)
-        return NuAdic.from_unit(self.place, vmin, diff, N)
+        return NuAdic.from_unit(self.place, vmin, lift(self) - lift(other), N)
 
     def eq_to_prec(self, other: "NuAdic", K: int) -> bool:
         d = self - other
@@ -173,14 +166,9 @@ def nu_reduce(x, place: NuPlace, prec: int) -> NuAdic:
         x = RatFunc.from_apoly(x)
     if not isinstance(x, RatFunc):
         raise TypeError("nu_reduce expects APoly or RatFunc")
-    if x.is_zero():
-        return NuAdic(place, prec, (), prec)
-    vn, num = nu_split(x.num, place)
     vd, den = nu_split(x.den, place)
-    v = vn - vd
-    m = max(prec - v, 1)
-    unit = nu_mod(num * nu_inv(den, place, m), place, m)
-    return NuAdic.from_unit(place, v, unit, prec)
+    m = max(prec + vd, 1)
+    return NuAdic.from_unit(place, -vd, x.num * nu_inv(den, place, m), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +231,16 @@ class FactoredScalar:
         return nu_valuation(self.num, place) - self.den_valuation(place)
 
     def to_nuadic(self, place: NuPlace, prec: int) -> NuAdic:
-        if self.is_zero():
-            return NuAdic(place, prec, (), prec)
         vd = self.den_valuation(place)
-        vn, num = nu_split(self.num, place)
-        v = vn - vd
-        m = max(prec - v, 1)
-        unit = nu_mod(num, place, m)
+        m = max(prec + vd, 1)
+        unit = nu_mod(self.num, place, m)
         for k, e in sorted(self.den.items()):
             b = bracket(self.fs, k)
             if k % place.f == 0:
                 b = b // place.nu
             unit = nu_mod(unit * nu_inv(b, place, m).pow(e, _nu_pow(place, m)),
                           place, m)
-        return NuAdic.from_unit(place, v, unit, prec)
+        return NuAdic.from_unit(place, -vd, unit, prec)
 
     def __repr__(self):
         if not self.den:
@@ -313,46 +297,13 @@ def a_nu(shape, place: NuPlace) -> APoly:
     return out
 
 
-def nu_act(E, a: APoly, v, place: NuPlace, m: int):
-    """E_a(v) for polynomial coordinates, reduced mod nu^m at every Horner
-    step (valid: Frobenius twisting is a q-power, so reduction commutes)."""
-    fs = E.fs
-
-    def as_apoly(x):
-        if isinstance(x, APoly):
-            return x
-        if not x.is_poly():
-            raise ValueError("nu_act needs integral coordinates")
-        return x.num
-
-    dtheta = [[as_apoly(x) for x in row] for row in E.dtheta]
-    taus = [[[as_apoly(x) for x in row] for row in M] for M in E.taus]
-    red = lambda x: nu_mod(x, place, m)
-
-    def e_theta(w):
-        out = [APoly.zero(fs)] * E.d
-        for i in range(E.d):
-            acc = APoly.zero(fs)
-            for j in range(E.d):
-                acc = acc + dtheta[i][j] * w[j]
-            out[i] = acc
-        for k, M in enumerate(E.taus, start=1):
-            wk = [x.frobenius(k) for x in w]
-            for i in range(E.d):
-                acc = out[i]
-                for j in range(E.d):
-                    acc = acc + taus[k - 1][i][j] * wk[j]
-                out[i] = acc
-        return [red(x) for x in out]
-
-    vv = [red(as_apoly(x)) for x in v]
-    acc = None
-    for c in reversed(a.coeffs):
-        acc = e_theta(acc) if acc is not None else [APoly.zero(fs)] * E.d
-        if c:
-            cc = APoly.const(fs, c)
-            acc = [red(x + cc * y) for x, y in zip(acc, vv)]
-    return acc if acc is not None else [APoly.zero(fs)] * E.d
+def _as_apoly(x) -> APoly:
+    """An integral element of K as a polynomial."""
+    if isinstance(x, APoly):
+        return x
+    if not x.is_poly():
+        raise ValueError("the nu-adic action needs integral coordinates")
+    return x.num
 
 
 def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
@@ -369,7 +320,7 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     D = max(dims)
     ring = FactoredRing(fs)
 
-    Z = [x if isinstance(x, APoly) else x.num for x in Z]
+    Z = [_as_apoly(x) for x in Z]
     vZ = min((nu_valuation(x, place) for x in Z if not x.is_zero()),
              default=None)
     if vZ is None:
@@ -427,20 +378,15 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     d1 = shape.block_dims[0]
     # working modulus: survives the denominator valuations of every term
     m = K + va + 2 + 12 * (3 * d1 - 1) + 5
-    Z = nu_act(E, a, special_point(shape), place, m)
+    point = [_as_apoly(x) for x in special_point(shape)]
+    Z = E.act(a, point, conv=_as_apoly, red=lambda x: nu_mod(x, place, m))
     coords, diag = nu_log_eval(shape, place, Z, K + va + 2,
                                max_terms=max_terms)
     val = (-coords[shape.slot(1, 0)]).to_nuadic(place, K + va + 1)
     # divide by a: shift the valuation and multiply by the unit inverse
-    if val.is_zero_to_prec():
-        return NuAdic(place, K, (), K), diag
     mm = max(K - (val.v - va), 1)
-    lift = APoly.zero(fs)
-    for i, dgt in enumerate(val.digits):
-        lift = lift + dgt * _nu_pow(place, i)
-    unit = nu_mod(lift * nu_inv(au, place, mm), place, mm)
-    out = NuAdic.from_unit(place, val.v - va, unit, K)
-    return out, diag
+    return NuAdic.from_unit(place, val.v - va,
+                            val.unit * nu_inv(au, place, mm), K), diag
 
 
 def zeta_nu_check(fs: FieldSpec, index, place: NuPlace, K: int = 8) -> dict:

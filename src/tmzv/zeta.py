@@ -838,8 +838,8 @@ def stark_unit_check(shape, prec: int = 40, split: bool = True) -> dict:
     coordinates match the (Gamma-scaled) zeta values from the independent
     power-sum DP, and the split decomposition recomposes and reproduces z."""
     from .motive import special_point, tmodule_of
-    from .tmodule import (_LaurentScalars, _conv_scalar, exp_eval,
-                          split_log_check, stark_log_eval, vec_sub)
+    from .tmodule import (_LaurentScalars, exp_eval, split_log_check,
+                          stark_log_eval, vec_sub)
 
     fs = shape.fs
     r = shape.r
@@ -848,7 +848,7 @@ def stark_unit_check(shape, prec: int = 40, split: bool = True) -> dict:
     E = tmodule_of(shape)
     Z = exp_eval(E, z, prec=prec)
     sc = _LaurentScalars(fs, prec + 10)
-    v = [_conv_scalar(sc, x) for x in special_point(shape)]
+    v = [sc.conv(x) for x in special_point(shape)]
     res_exp = min_residual_valuation(vec_sub(Z, v))
 
     coord_res = []
@@ -882,8 +882,8 @@ def depth_one_check(fs: FieldSpec, n: int, prec: int = 40) -> dict:
     coordinates of the interpolation polynomial and the last coordinate of
     z_n equal to Gamma_n zeta_A(n)."""
     from .motive import special_point, star_shape, tmodule_of
-    from .tmodule import (TModule, _LaurentScalars, _conv_scalar, exp_eval,
-                          stark_log_eval, vec_sub)
+    from .tmodule import (TModule, _LaurentScalars, exp_eval, stark_log_eval,
+                          vec_sub)
 
     shape = star_shape(fs, (n,))
     E = tmodule_of(shape)
@@ -901,7 +901,7 @@ def depth_one_check(fs: FieldSpec, n: int, prec: int = 40) -> dict:
     Z = exp_eval(C, z, prec=prec)
     sc = _LaurentScalars(fs, prec + 10)
     res_exp = min_residual_valuation(
-        vec_sub(Z, [_conv_scalar(sc, x) for x in Zn]))
+        vec_sub(Z, [sc.conv(x) for x in Zn]))
 
     gam = gamma_factorial(fs, n)
     ref = mzv(fs, (n,), prec=prec + gam.degree() + 2).value
@@ -983,8 +983,7 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
     to (-1)^(r-ell) Li*_{(s_r,...,s_ell)}(u_r,...,u_ell), checked against the
     independent chain-sum series; Exp inverts the logarithm back to v_u."""
     from .motive import MotiveShape, special_point, tmodule_of
-    from .tmodule import (_LaurentScalars, _conv_scalar, exp_eval, log_eval,
-                          vec_sub)
+    from .tmodule import _LaurentScalars, exp_eval, log_eval, vec_sub
 
     s = tuple(s)
     r = len(s)
@@ -999,7 +998,7 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
     Z = exp_eval(E, z, prec=prec)
     sc = _LaurentScalars(fs, prec + 10)
     res_exp = min_residual_valuation(
-        vec_sub(Z, [_conv_scalar(sc, x) for x in v]))
+        vec_sub(Z, [sc.conv(x) for x in v]))
 
     coord_res = []
     for ell in range(1, r + 1):

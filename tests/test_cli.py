@@ -77,6 +77,25 @@ class TestExitCodes:
         assert cap.err.splitlines()[-1].endswith(
             "%s: expected a positive integer, got %r" % (flag, value))
 
+    # a coefficient outside [0, q) is no field element; reducing it mod q
+    # ran a different place (nu = theta for --q 4 --nu 4,1)
+    @pytest.mark.parametrize("q,nu", [("4", "4,1"), ("2", "3,1"), ("3", "-1,1")])
+    def test_nu_coefficient_outside_the_field_is_usage_error(self, capsys, q,
+                                                             nu):
+        assert main(["verify", "vadic", "--q", q, "--nu=" + nu, "--s", "1"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == ("--nu: coefficients must be field codes in [0, %s), "
+                           "got %s\n" % (q, nu))
+
+    def test_nu_at_an_extension_field_answers(self, capsys):
+        rc, out = run(capsys, "verify", "vadic", "--q", "4", "--nu", "3,1",
+                      "--s", "1", "--format", "json")
+        assert rc == 0
+        d = json.loads(out)
+        assert d["config"]["nu"] == [3, 1]
+        assert d["reports"][0]["nu"] == [3, 1]
+
     @pytest.mark.parametrize("error", [
         tmzv.cli.PrecisionError("shells did not certify precision 20"),
         MemoryError(), RecursionError("maximum recursion depth exceeded")])

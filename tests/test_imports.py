@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every local a function of the package assigns is read."""
 
 import ast
 import pathlib
@@ -22,6 +23,25 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_locals(tree):
+    """(line, name) of every name a function assigns and never reads in its
+    body, nested functions included; names that start with an underscore
+    are exempt.  An augmented assignment reads its target."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        names = [n for n in nodes if isinstance(n, ast.Name)]
+        read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        read |= {n.target.id for n in nodes if isinstance(n, ast.AugAssign)
+                 and isinstance(n.target, ast.Name)}
+        found |= {(n.lineno, n.id) for n in names
+                  if isinstance(n.ctx, ast.Store) and n.id not in read
+                  and not n.id.startswith("_")}
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -30,3 +50,21 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     tree = ast.parse("import os\nfrom fractions import Fraction\nos.sep\n")
     assert unused_imports(tree) == [(2, "Fraction")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(ast.parse(path.read_text())) == []
+
+
+def test_scan_finds_an_unused_local():
+    tree = ast.parse("def f(xs):\n"
+                     "    n, m = len(xs), 0\n"
+                     "    _skip = k = 1\n"
+                     "    k += 1\n"
+                     "    def g():\n"
+                     "        return n\n"
+                     "    for i in xs:\n"
+                     "        pass\n"
+                     "    return g\n")
+    assert unused_locals(tree) == [(2, "m"), (7, "i")]

@@ -14,10 +14,10 @@ from tmzv.tlayer import TateTrunc, d_poly, l_poly
 from tmzv.tmodule import (TModule, _ExactScalars, _LaurentScalars,
                           _shape_module, check_log_domain,
                           depth_one_period_check, exp_eval, log_coeff_matrix,
-                          log_eval, log_oracle_check, mat_add, mat_map,
-                          mat_mul, mat_sub, mat_vec, period_check,
-                          split_log_check, stark_log_eval, vec_sub)
-from tmzv.vadic import NuPlace, zeta_nu
+                          log_eval, log_oracle_check, mat_add, mat_identity,
+                          mat_map, mat_mul, mat_sub, mat_vec, period_check,
+                          split_log_check, stark_log_eval, vec_add, vec_sub)
+from tmzv.vadic import NuPlace, _as_apoly, nu_mod, zeta_nu
 from tmzv.zeta import strange_formula_check
 
 
@@ -207,6 +207,119 @@ class TestCarlitz:
         C = TModule.carlitz(fs)
         T = TModule.carlitz_tensor(fs, 1)
         assert C.dtheta == T.dtheta and C.taus == T.taus
+
+
+def tau_compose(E, F):
+    """(sum E_i tau^i)(sum F_j tau^j) for tau-polynomials of matrices."""
+    out = []
+    for i, Ei in enumerate(E):
+        for j, Fj in enumerate(F):
+            Fj_tw = mat_map(Fj, lambda x: x.frobenius(i)) if i else Fj
+            term = mat_mul(Ei, Fj_tw)
+            while len(out) <= i + j:
+                out.append(None)
+            out[i + j] = term if out[i + j] is None else mat_add(out[i + j], term)
+    return out
+
+
+def tau_polynomial(E, a):
+    """E_a as a tau-polynomial [d[a], E_{a,1}, ...]: the reference for the
+    Horner action, built by composing E_theta F_q-linearly."""
+    sc = E.scalars
+    z = sc.zero
+    eth = [E.dtheta] + E.taus
+    power = [mat_identity(E.d, sc.one, z)]  # E_{theta^k}, from k = 0
+    out = [[[z] * E.d for _ in range(E.d)]]
+    for k, c in enumerate(a.coeffs):
+        if c:
+            const = sc.const(c)
+            while len(out) < len(power):
+                out.append([[z] * E.d for _ in range(E.d)])
+            for i, M in enumerate(power):
+                out[i] = mat_add(out[i], mat_map(M, lambda x: x * const))
+        if k + 1 < len(a.coeffs):
+            power = tau_compose(eth, power)
+    return out
+
+
+def reference_act(E, a, v):
+    """sum_k E_{a,k} v^{(k)}."""
+    out = None
+    for k, M in enumerate(tau_polynomial(E, a)):
+        term = mat_vec(M, [x.frobenius(k) for x in v])
+        out = term if out is None else vec_add(out, term)
+    return out
+
+
+def reference_lie_act(E, a, z):
+    return mat_vec(tau_polynomial(E, a)[0], z)
+
+
+@st.composite
+def modules_and_elements(draw, integral=False):
+    """A Carlitz tensor power (n <= 3) or a shape module at q = 2, 3, an
+    element a of degree <= 4, and a point (polynomial when integral)."""
+    fs = field(draw(st.sampled_from([2, 3])))
+    kind = draw(st.sampled_from(["tensor", "star", "at"]))
+    if kind == "tensor":
+        E = TModule.carlitz_tensor(fs, draw(st.integers(1, 3)))
+    else:
+        s = draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1)]))
+        E = _shape_module((star_shape if kind == "star" else at_shape)(fs, s))
+    a = draw(small_apolys(fs, 4))
+    poly = small_apolys(fs, 2)
+    if integral:
+        v = [draw(poly) for _ in range(E.d)]
+    else:
+        v = [RatFunc(draw(poly), draw(poly) + APoly.monomial(fs, 3))
+             for _ in range(E.d)]
+    return E, a, v
+
+
+class TestActionReference:
+    # the Horner action against the tau-polynomial of E_a applied term by
+    # term, exactly, mod nu^m, and over windowed Laurent series
+    @given(case=modules_and_elements())
+    @settings(max_examples=40, deadline=None)
+    def test_act_and_lie_act_match_the_tau_polynomial(self, case):
+        E, a, v = case
+        assert E.act(a, v) == reference_act(E, a, v)
+        assert E.lie_act(a, v) == reference_lie_act(E, a, v)
+
+    @given(case=modules_and_elements(integral=True), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reduced_act_is_the_reduced_exact_act(self, case, data):
+        E, a, v = case
+        fs = E.fs
+        quad = (1, 0, 1) if fs.q == 3 else (1, 1, 1)
+        pl = NuPlace(APoly(fs, data.draw(st.sampled_from([(0, 1), (1, 1),
+                                                           quad]))))
+        m = data.draw(st.integers(1, 4))
+        got = E.act(a, v, conv=_as_apoly, red=lambda x: nu_mod(x, pl, m))
+        want = reference_act(E, a, [RatFunc.from_apoly(x) for x in v])
+        assert all(w.is_poly() for w in want)
+        assert got == [nu_mod(w.num, pl, m) for w in want]
+
+    @given(case=modules_and_elements(), prec=st.integers(10, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_laurent_act_holds_to_its_precision(self, case, prec):
+        # a point known below theta^-prec: Frobenius twists only sharpen
+        # that, and each Horner step multiplies by entries of degree <= e,
+        # so E_a(v) and d[a](v) are right, and claim to be, below
+        # theta^-(prec - e deg a)
+        E, a, v = case
+        sc = _LaurentScalars(E.fs, prec + 60)
+        vl = [sc.conv(x).truncate(prec) for x in v]
+        for got, want, mats in (
+                (E.act(a, vl, conv=sc.conv), reference_act(E, a, v),
+                 [E.dtheta] + E.taus),
+                (E.lie_act(a, vl, conv=sc.conv), reference_lie_act(E, a, v),
+                 [E.dtheta])):
+            e = max(x.num.degree() - x.den.degree()
+                    for M in mats for row in M for x in row)
+            for g, w in zip(got, want):
+                assert (g - sc.conv(w)).is_zero_to_prec()
+                assert g.N is None or g.N >= prec - max(e, 0) * a.degree()
 
 
 class TestAction:
