@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import (APoly, PrecisionError, PrecisionLaurent, RatFunc,
                           field, min_residual_valuation)
-from tmzv.tlayer import TateTrunc, d_poly, l_poly
+from tmzv.tlayer import TateTrunc, bracket, d_poly, l_poly
 from tmzv.tmodule import (TModule, _ExactScalars, _LaurentScalars,
                           _shape_module, check_log_domain,
                           depth_one_period_check, exp_eval, log_coeff_matrix,
                           log_eval, log_oracle_check, mat_add, mat_identity,
                           mat_map, mat_mul, mat_sub, mat_vec, period_check,
                           split_log_check, stark_log_eval, vec_add, vec_sub)
-from tmzv.vadic import NuPlace, _as_apoly, nu_mod, zeta_nu
-from tmzv.zeta import strange_formula_check
+from tmzv.vadic import FactoredRing, NuPlace, _as_apoly, nu_mod, zeta_nu
+from tmzv.zeta import inv_bracket, strange_formula_check
 
 
 def small_apolys(fs, max_deg=3):
@@ -189,6 +189,76 @@ class TestSylvesterSolve:
             TModule(fs, 2, [[th + one, one], [z, th]], [tau])
         E = TModule(fs, 2, [[th, one], [z, th]], [tau])
         assert E.with_laurent(20).nilpotent[0][1] == PrecisionLaurent.one(fs)
+
+
+BRACKET_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
+def schoolbook_inv(fs, x, window, ram):
+    """The series inverse of an exact element of A, the way a windowed
+    Laurent strategy once inverted it."""
+    return x.laurent(ram=ram).inv(window=window * ram)
+
+
+class TestBracketInverse:
+    # the closed form 1/[k] = sum_j theta^(-q^k - j(q^k - 1)) against the
+    # schoolbook inverse of the bracket polynomial, in v, coefficients and N
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_schoolbook_inverse(self, data):
+        q = data.draw(st.sampled_from(sorted(BRACKET_FIELDS)))
+        fs = field(*BRACKET_FIELDS[q])
+        ram = data.draw(st.sampled_from([1, q - 1]))
+        k = data.draw(st.integers(1, 4))
+        window = data.draw(st.integers(1, 100))
+        got = inv_bracket(fs, k, q**k + window)
+        if ram > 1:
+            got = got.embed_ram()
+        want = schoolbook_inv(fs, bracket(fs, k), window, ram)
+        assert (got.v, got.coeffs, got.N, got.ram) == \
+            (want.v, want.coeffs, want.N, want.ram)
+
+
+def pole_jet(sc, k, D):
+    return sc.linv_jet(k, D)
+
+
+class TestPoleJet:
+    # the jet at t = theta of 1/(t - theta^(q^k)) from each scalar strategy
+    # against the explicit formula: the coefficient of u^m is
+    # (-1)^m c^(m+1) with c = 1/(theta - theta^(q^k))
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_factored(self, q):
+        fs = field(*BRACKET_FIELDS[q])
+        ring = FactoredRing(fs)
+        for k in (1, 2, 3):
+            for D in (1, 2, 4):
+                jet = pole_jet(ring, k, D)
+                assert (jet.shift, jet.D) == (0, D)
+                # (-1)^m (-1/[k])^(m+1) = -1/[k]^(m+1)
+                assert [(c.num, c.den) for c in jet.coeffs] == \
+                    [(-APoly.one(fs), {k: m + 1}) for m in range(D)]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_exact_and_laurent(self, q):
+        fs = field(*BRACKET_FIELDS[q])
+        th = APoly.theta(fs)
+        for k in (1, 2):
+            x = th - th.frobenius(k)
+            cases = [(_ExactScalars(fs), RatFunc(x).inv())]
+            for ram in sorted({1, q - 1}):
+                for window in (1, 17, 60):
+                    cases.append((_LaurentScalars(fs, window, ram=ram),
+                                  schoolbook_inv(fs, x, window, ram)))
+            for sc, c in cases:
+                for D in (1, 3):
+                    want, p = [], c
+                    for m in range(D):
+                        want.append(p if m % 2 == 0 else -p)
+                        p = p * c
+                    jet = pole_jet(sc, k, D)
+                    assert (jet.shift, jet.D) == (0, D)
+                    assert jet.coeffs == want
 
 
 class TestCarlitz:
