@@ -118,7 +118,7 @@ def _emit_text(payload: dict):
 
 
 # ---------------------------------------------------------------------------
-# serialization (dump/load round trip)
+# serialization
 # ---------------------------------------------------------------------------
 
 
@@ -141,21 +141,6 @@ def _ser(x):
         d["type"] = "laurent"
         return d
     raise TypeError("cannot serialize %r" % type(x).__name__)
-
-
-def _deser(fs: FieldSpec, d):
-    kind = d["type"]
-    if kind == "apoly":
-        return APoly(fs, tuple(fs.from_digits(ds) for ds in d["coeffs"]))
-    if kind == "ratfunc":
-        return RatFunc(_deser(fs, d["num"]), _deser(fs, d["den"]))
-    if kind == "tpoly":
-        return TPoly(fs, [_deser(fs, c) for c in d["coeffs"]])
-    if kind == "twisted":
-        return TwistedPoly(_deser(fs, d["base"]), d["twist"])
-    if kind == "laurent":
-        return PrecisionLaurent.from_dict(dict(d, field=_ser_field(fs)))
-    raise ValueError("unknown serialized type %r" % kind)
 
 
 def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
@@ -191,25 +176,6 @@ def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
     else:
         raise ValueError("unknown dump object %r" % obj)
     return out
-
-
-def load_object(d: dict):
-    """Rebuild the serialized payload of dump_object (round-trip support)."""
-    f = d["field"]
-    fs = field(f["p"], f["m"], tuple(f["modulus"]))
-    out = dict(d)
-    for key in ("phi", "dtheta"):
-        if key in d:
-            out[key] = [[_deser(fs, e) for e in row] for row in d[key]]
-    if "taus" in d:
-        out["taus"] = [[[_deser(fs, e) for e in row] for row in M]
-                       for M in d["taus"]]
-    for key in ("point", "negated_point"):
-        if key in d:
-            out[key] = [_deser(fs, x) for x in d[key]]
-    if "value" in d:
-        out["value"] = _deser(fs, d["value"])
-    return fs, out
 
 
 # ---------------------------------------------------------------------------
