@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .scalars import APoly, FieldSpec, PrecisionError, PrecisionLaurent, \
     RatFunc, field
-from .tlayer import TPoly, TwistedPoly
+from .tlayer import TPoly
 
 REPORT_VERSION = 2
 
@@ -134,8 +134,6 @@ def _ser(x):
         return {"type": "ratfunc", "num": _ser(x.num), "den": _ser(x.den)}
     if isinstance(x, TPoly):
         return {"type": "tpoly", "coeffs": [_ser(c) for c in x.coeffs]}
-    if isinstance(x, TwistedPoly):
-        return {"type": "twisted", "twist": x.e, "base": _ser(x.base)}
     if isinstance(x, PrecisionLaurent):
         d = x.to_dict()
         d["type"] = "laurent"
@@ -160,8 +158,9 @@ def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
     out["s"] = list(s)
     out["model"] = shape.model
     if obj == "motive":
-        out["phi"] = [[_ser(e) for e in row]
-                      for row in build_motive(shape).phi]
+        # each entry X is stored as X^(1) and written as its -1 twist
+        out["phi"] = [[{"type": "twisted", "twist": -1, "base": _ser(e)}
+                       for e in row] for row in build_motive(shape).phi]
     elif obj == "tmodule":
         E = tmodule_of(shape)
         out["dtheta"] = [[_ser(e) for e in row] for row in E.dtheta]

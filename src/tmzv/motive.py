@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
-from .tlayer import LocalJet, TPoly, TwistedPoly, _tpoly_pow, anderson_thakur
+from .tlayer import LocalJet, TPoly, _tpoly_pow, anderson_thakur
 from . import tmodule as _tmodule
 from .zeta import outside_polylog_domain
 
@@ -123,7 +123,7 @@ def sigma_basis(shape: MotiveShape):
 @dataclass
 class DualTMotive:
     shape: MotiveShape
-    phi: list  # r x r matrix of TwistedPoly
+    phi: list  # r x r matrix of TPoly: the +1 twist of each entry
     alpha_pre_sigma: list = None  # X with alpha = sigma(X); list of r TPoly
 
 
@@ -153,11 +153,12 @@ def _phi_coeff(shape: MotiveShape, model: str, ell: int, j: int):
 def _phi_rows(shape: MotiveShape, n: int) -> list:
     """Rows 1..n of the extended motive matrix [[Phi, 0], [f, 1]] (n <= r+1,
     with d_{r+1} = 0 so that row r+1 is the special-point row f), cut to n
-    columns.  Entries X are stored as TwistedPoly(base, -1) with base^(-1)
-    the true entry, so no root extraction ever happens here."""
+    columns.  Each entry X is stored as its +1 twist X^(1), which lies in
+    A[t]; X itself is X^(1).twist(-1), which needs q-th roots, so callers
+    twist by n - 1 >= 0 or use X^(1) as it stands."""
     fs = shape.fs
     dims = shape.block_dims + (0,)
-    zero = TwistedPoly(TPoly.zero(fs), -1)
+    zero = TPoly.zero(fs)
     rows = []
     for j in range(1, n + 1):
         row = [zero] * n
@@ -165,7 +166,7 @@ def _phi_rows(shape: MotiveShape, n: int) -> list:
             c = _phi_coeff(shape, shape.model, ell, j)
             if c is not None:
                 tm = _tm_theta_pow(fs, dims[ell - 1], twist=1)
-                row[ell - 1] = TwistedPoly(tm if ell == j else c * tm, -1)
+                row[ell - 1] = tm if ell == j else c * tm
         rows.append(row)
     return rows
 

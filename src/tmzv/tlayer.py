@@ -1,15 +1,14 @@
 """Polynomials and truncated series in t over the scalar tower.
 
-TPoly is an exact polynomial in t with RatFunc coefficients; TwistedPoly
-carries a lazy Frobenius-twist exponent so q-th roots never materialize;
+TPoly is an exact polynomial in t with RatFunc coefficients;
 TateTrunc is a t-truncated series with PrecisionLaurent coefficients, whose
 product is one F_q polynomial product of the two series laid out flat and
 clipped to what the product certifies;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
 (RatFunc, PrecisionLaurent, or the factored/nu-adic scalars).
 
-Also provides the classical quantities [k], D_k, L_i, gamma_j, Gamma_n,
-the Anderson-Thakur polynomials H_n, and the Omega series.
+Also provides the classical quantities [k], 1/[k], D_k, L_i, gamma_j,
+Gamma_n, the Anderson-Thakur polynomials H_n, and the Omega series.
 """
 
 from __future__ import annotations
@@ -29,9 +28,14 @@ from .scalars import (
 
 
 def _is_exact_zero(x):
-    """Zero with no attached uncertainty (safe to drop structurally)."""
-    if isinstance(x, PrecisionLaurent):
-        return x.is_zero_to_prec() and x.N is None
+    """Zero with no attached uncertainty: an exact-zero PrecisionLaurent, or
+    a zero of A, K or the factored ring.  Its product with anything is an
+    exact zero, and adding that to a sum changes nothing.  Jet and t-series
+    zeros are not: their order or truncation enters the sum."""
+    if type(x) is PrecisionLaurent:
+        return x.v is None and x.N is None
+    if isinstance(x, (LocalJet, TateTrunc)):
+        return False
     return x.is_zero()
 
 
@@ -210,54 +214,6 @@ class TPoly:
             else:
                 parts.append(f"({c!r})·t^{i}" if i > 1 else f"({c!r})·t")
         return " + ".join(parts)
-
-
-class TwistedPoly:
-    """A TPoly together with a lazy twist exponent: represents base^(e)."""
-
-    __slots__ = ("base", "e")
-
-    def __init__(self, base: TPoly, e: int = 0):
-        self.base = base
-        self.e = e
-
-    def twist(self, i: int):
-        return TwistedPoly(self.base, self.e + i)
-
-    def __mul__(self, other):
-        if isinstance(other, TwistedPoly):
-            if self.e != other.e:
-                raise ValueError("cannot multiply mismatched lazy twists exactly")
-            return TwistedPoly(self.base * other.base, self.e)
-        return TwistedPoly(self.base * other, self.e)
-
-    def __add__(self, other):
-        if self.e != other.e:
-            raise ValueError("cannot add mismatched lazy twists")
-        return TwistedPoly(self.base + other.base, self.e)
-
-    def __neg__(self):
-        return TwistedPoly(-self.base, self.e)
-
-    def is_zero(self):
-        return self.base.is_zero()
-
-    def materialize(self) -> TPoly:
-        """Apply the stored twist; negative twists require representable
-        q-th roots (hard error otherwise — the twist ledger)."""
-        return self.base.twist(self.e)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedPoly):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.e == other.e and self.base == other.base
-
-    def __repr__(self):
-        if self.e == 0:
-            return repr(self.base)
-        return f"({self.base!r})^({self.e})"
 
 
 def _clipped_rows(a, b, Ns):
@@ -638,6 +594,24 @@ def bracket(fs: FieldSpec, k: int) -> APoly:
     out[1] = fs.neg(fs.one)
     out[fs.q**k] = fs.add(out[fs.q**k], fs.one)
     return APoly(fs, out)
+
+
+def inv_bracket(fs: FieldSpec, k: int, N: int) -> PrecisionLaurent:
+    """Expansion of 1/[k] = 1/(theta^{q^k} - theta) to guaranteed precision
+    N, sum_j theta^{-q^k - j(q^k - 1)}, built directly (the bracket
+    polynomial itself may be astronomically large and is never
+    materialized)."""
+    if k <= 0:
+        raise ValueError("bracket index must be positive")
+    Q = fs.q**k
+    if Q >= N:
+        return PrecisionLaurent.zero(fs, N=N)
+    coeffs = [0] * (N - Q)
+    j = 0
+    while Q + j * (Q - 1) < N:
+        coeffs[j * (Q - 1)] = fs.one
+        j += 1
+    return PrecisionLaurent(fs, Q, coeffs, N=N)
 
 
 @memo

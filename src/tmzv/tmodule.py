@@ -15,32 +15,22 @@ from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation)
-from .tlayer import LocalJet
+from .tlayer import LocalJet, _is_exact_zero, bracket, inv_bracket
 
 # ---------------------------------------------------------------------------
 # small matrix helpers (duck-typed scalars)
 # ---------------------------------------------------------------------------
 
 
-def _exact_zero(x):
-    """An exact-zero PrecisionLaurent or a zero RatFunc: its product with
-    anything is an exact zero, and adding that to a sum changes nothing.
-    Jet and t-series zeros are not: their order or truncation enters the
-    sum."""
-    if type(x) is PrecisionLaurent:
-        return x.v is None and x.N is None
-    return type(x) is RatFunc and not x.num.coeffs
-
-
 def mat_mul(A, B):
-    """A B over duck-typed scalars.  Terms with an exact-zero factor are
-    skipped, which leaves every entry as it was; an entry whose terms are
-    all skipped is one of those zeros."""
-    live = [[not _exact_zero(b) for b in row] for row in B]
+    """A B over duck-typed scalars.  Terms with an exact-zero factor
+    (tlayer._is_exact_zero) are skipped, which leaves every entry as it
+    was; an entry whose terms are all skipped is one of those zeros."""
+    live = [[not _is_exact_zero(b) for b in row] for row in B]
     out = []
     for row in A:
         terms = [(a, Bk, lk) for a, Bk, lk in zip(row, B, live)
-                 if not _exact_zero(a)]
+                 if not _is_exact_zero(a)]
         out_row = []
         for j in range(len(B[0])):
             acc = None
@@ -89,14 +79,14 @@ def vec_sub(u, v):
 
 
 class ScalarStrategy:
-    """Base of the scalar strategies.  `key` names the strategy and its
+    """Base of the scalar strategies.  A strategy has `zero`, `one` and
+    `theta`, `const(c)` for an F_q element, `conv(x)` for an element of A or
+    K, and `inv_bracket(k)` for 1/[k] = 1/(theta^{q^k} - theta), the only
+    inverse the t-module recursions take.  `key` names the strategy and its
     parameters; strategies with equal keys compute the same values, so they
     compare and hash by key and share memo entries."""
 
     key: tuple
-
-    def linv_jet(self, k: int, D: int) -> LocalJet:
-        return _pole_inv_jet(self, k, D)
 
     def __eq__(self, other):
         return isinstance(other, ScalarStrategy) and self.key == other.key
@@ -121,13 +111,13 @@ class _ExactScalars(ScalarStrategy):
     def conv(self, c: RatFunc):
         return c
 
-    def inv(self, x):
-        return x.inv()
+    def inv_bracket(self, k: int):
+        return RatFunc(APoly.one(self.fs), bracket(self.fs, k))
 
 
 class _LaurentScalars(ScalarStrategy):
     """Truncated Laurent series carrying a relative window (in theta-digits):
-    every inversion keeps `window` digits past the leading exponent, so
+    every inverse keeps `window` digits past its leading exponent, so
     products of factors with opposite huge valuations do not collapse."""
 
     def __init__(self, fs: FieldSpec, window: int, ram: int = 1):
@@ -154,17 +144,19 @@ class _LaurentScalars(ScalarStrategy):
         a = c.num.laurent(ram=self.ram)
         if c.is_poly():
             return a
-        return a * self.inv(c.den.laurent(ram=self.ram))
+        return a * c.den.laurent(ram=self.ram).inv(
+            window=self.window * self.ram)
 
-    def inv(self, x):
-        return x.inv(window=self.window * self.ram)
+    def inv_bracket(self, k: int):
+        x = inv_bracket(self.fs, k, self.fs.q**k + self.window)
+        return x.embed_ram() if self.ram > 1 else x
 
 
 @memo
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
-    """Jet at t = theta of 1/(t - theta^{q^k}), order D."""
-    th = sc.theta
-    return LocalJet.pole_inv(sc.inv(th - th.frobenius(k)), D, sc.zero)
+    """Jet at t = theta of 1/(t - theta^{q^k}), order D, in the scalars of
+    any strategy: LocalJet.pole_inv of 1/(theta - theta^{q^k}) = -1/[k]."""
+    return LocalJet.pole_inv(-sc.inv_bracket(k), D, sc.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +181,7 @@ class TModule:
         self.nilpotent = [[(a - sc.theta if i == j else a)
                            for j, a in enumerate(row)]
                           for i, row in enumerate(dtheta)]
-        if not all(_exact_zero(x) for i, row in enumerate(self.nilpotent)
+        if not all(_is_exact_zero(x) for i, row in enumerate(self.nilpotent)
                    for x in row[:i + 1]):
             raise ValueError("d[theta] - theta I must be strictly upper "
                              "triangular")
@@ -302,14 +294,14 @@ class TModule:
         reach entries below or to the left, so rows go bottom-up and
         columns left to right."""
         sc = self.scalars
-        ilam = sc.inv(sc.theta.frobenius(n) - sc.theta)
+        ilam = sc.inv_bracket(n)
         d = self.d
         N = self.nilpotent
         # the entries that can be nonzero: N_ik with k > i, N'_kj with k < j
         N_right = [[(k, N[i][k]) for k in range(i + 1, d)
-                    if not _exact_zero(N[i][k])] for i in range(d)]
+                    if not _is_exact_zero(N[i][k])] for i in range(d)]
         Np_above = [[(k, N[k][j].frobenius(n)) for k in range(j)
-                     if not _exact_zero(N[k][j])] for j in range(d)]
+                     if not _is_exact_zero(N[k][j])] for j in range(d)]
         X = [[None] * d for _ in range(d)]
         for i in range(d - 1, -1, -1):
             for j in range(d):
@@ -347,7 +339,7 @@ def _theta_jet_matrix(shape, m: int, sc, D: int):
     dual = "Star" if shape.model == "AT" else "AT"
     r = shape.r
     dims = shape.block_dims
-    linv = sc.linv_jet(m, D)
+    linv = _pole_inv_jet(sc, m, D)
     lpow = [LocalJet.const_jet(sc.one, D, sc.zero)]
     for _ in range(dims[0]):
         lpow.append(lpow[-1] * linv)
@@ -561,7 +553,7 @@ def stark_log_eval(shape, prec: int = 40, max_terms: int = 60):
     def term(n):
         return _twisted_term(shape, n, sc, D, [
             None if x.is_zero() else
-            x.base.twist(n - 1).jet(D, conv=sc.conv, zero=sc.zero) for x in f])
+            x.twist(n - 1).jet(D, conv=sc.conv, zero=sc.zero) for x in f])
 
     acc = _certified_sum(
         term, 1, prec, max_terms,

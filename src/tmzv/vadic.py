@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
-from .tlayer import LocalJet, TPoly, bracket
+from .tlayer import TPoly, bracket
 from .tmodule import ScalarStrategy
 
 # ---------------------------------------------------------------------------
@@ -251,13 +251,14 @@ class FactoredScalar:
 
 class FactoredRing(ScalarStrategy):
     """Scalar strategy over FactoredScalar, for the closed-form logarithm
-    coefficients: conversion accepts polynomial elements only, and the pole
-    factors invert into pure denominator bookkeeping."""
+    coefficients: conversion accepts polynomial elements only, and 1/[k]
+    is pure denominator bookkeeping."""
 
     def __init__(self, fs: FieldSpec):
         self.fs = fs
         self.zero = FactoredScalar(fs, APoly.zero(fs))
         self.one = FactoredScalar(fs, APoly.one(fs))
+        self.theta = FactoredScalar(fs, APoly.theta(fs))
         self.key = ("factored", fs)
 
     def const(self, c):
@@ -270,16 +271,8 @@ class FactoredRing(ScalarStrategy):
             raise ValueError("factored scalars only embed polynomials")
         return FactoredScalar(self.fs, c.num)
 
-    def linv_jet(self, k: int, D: int) -> LocalJet:
-        """Jet of 1/(t - theta^{q^k}): coefficient of u^m is
-        (-1)^m / (theta - theta^{q^k})^{m+1} = 1/(-[k])^{m+1} up to sign."""
-        fs = self.fs
-        neg_one = -APoly.one(fs)
-        cs = []
-        for m in range(D):
-            # (-1)^m * (-1)^(m+1) = -1: every coefficient is -1/[k]^{m+1}
-            cs.append(FactoredScalar(fs, neg_one, {k: m + 1}))
-        return LocalJet(cs, 0, D, self.zero)
+    def inv_bracket(self, k: int) -> FactoredScalar:
+        return FactoredScalar(self.fs, APoly.one(self.fs), {k: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -26,29 +26,12 @@ from fractions import Fraction
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation, monic_enumerate)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
-                     gamma_factorial, l_poly)
+                     gamma_factorial, inv_bracket, l_poly)
 from .tmodule import _certified_sum
 
 # ---------------------------------------------------------------------------
 # power sums S_d(k) = sum over monic a of degree d of a^(-k)
 # ---------------------------------------------------------------------------
-
-
-def inv_bracket(fs: FieldSpec, k: int, N: int) -> PrecisionLaurent:
-    """Expansion of 1/(theta^{q^k} - theta) to guaranteed precision N,
-    built directly (the bracket polynomial itself may be astronomically
-    large and is never materialized)."""
-    if k <= 0:
-        raise ValueError("bracket index must be positive")
-    Q = fs.q**k
-    if Q >= N:
-        return PrecisionLaurent.zero(fs, N=N)
-    coeffs = [0] * (N - Q)
-    j = 0
-    while Q + j * (Q - 1) < N:
-        coeffs[j * (Q - 1)] = fs.one
-        j += 1
-    return PrecisionLaurent(fs, Q, coeffs, N=N)
 
 
 def _div_bracket(x: PrecisionLaurent, e: int, N: int) -> PrecisionLaurent:
@@ -299,20 +282,15 @@ def _frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
 
 
 @memo
-def _linv_jet(fs: FieldSpec, j: int, D: int, rel: int) -> LocalJet:
-    """Jet at t = theta of 1/(t - theta^{q^j}), order D."""
-    c0 = -inv_bracket(fs, j, fs.q**j + rel)
-    return LocalJet.pole_inv(c0, D, PrecisionLaurent.zero(fs))
-
-
-@memo
 def _ll_inv_jet(fs: FieldSpec, i: int, s: int, D: int, rel: int) -> LocalJet:
-    """Jet at t = theta of LL_i^{-s}."""
+    """Jet at t = theta of LL_i^{-s}, a product of pole jets
+    1/(t - theta^{q^i})."""
     if i == 0:
         return LocalJet.const_jet(
             PrecisionLaurent.one(fs), D, PrecisionLaurent.zero(fs))
     got = _ll_inv_jet(fs, i - 1, s, D, rel)
-    f = _linv_jet(fs, i, D, rel)
+    f = LocalJet.pole_inv(-inv_bracket(fs, i, fs.q**i + rel), D,
+                          PrecisionLaurent.zero(fs))
     for _ in range(s):
         got = got * f
     return got
@@ -748,8 +726,8 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
         for ell in range(j + 1):
             Psi[j][ell] = Fhat[j][ell].embed_ram() * Ompow[dims[ell]]
     pt = phi_tilde(shape)
-    Phi_ram = [[x.materialize().to_tate(M, None, ram=e) for x in row] for row in pt]
-    Phi1_ram = [[x.base.to_tate(M, None, ram=e) for x in row] for row in pt]
+    Phi_ram = [[x.twist(-1).to_tate(M, None, ram=e) for x in row] for row in pt]
+    Phi1_ram = [[x.to_tate(M, None, ram=e) for x in row] for row in pt]
     R_lit = mat_sub([[x.twist(-1) for x in row] for row in Psi],
                     mat_mul(Phi_ram, Psi))
     res_lit = min_residual_valuation(

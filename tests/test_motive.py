@@ -10,7 +10,7 @@ from tmzv.motive import (MotiveShape, at_shape, build_motive, delta0, delta1,
                          split_recomposes, star_dimension, star_shape,
                          tmodule_of)
 from tmzv.scalars import APoly, RatFunc, field
-from tmzv.tlayer import TPoly, TwistedPoly
+from tmzv.tlayer import TPoly
 
 
 def _ap(fs, *coeffs):
@@ -124,8 +124,7 @@ class TestDelta:
             for k in range(shape.r):
                 ent = M.phi[k][ell]
                 if not ent.is_zero():
-                    acc = acc + TwistedPoly(ent.base, -1).materialize() \
-                        * coords[k]
+                    acc = acc + ent.twist(-1) * coords[k]
             sig.append(acc)
         diff = [a - b for a, b in zip(sig, coords_q)]
         out = delta1(diff, shape)
@@ -280,4 +279,4 @@ class TestDepthOneCollapse:
         one_q = (TPoly.one(fs),)
         at_ = MotiveShape(fs, (3,), one_q, "AT")
         st_ = MotiveShape(fs, (3,), one_q, "Star")
-        assert build_motive(at_).phi[0][0].base == build_motive(st_).phi[0][0].base
+        assert build_motive(at_).phi[0][0] == build_motive(st_).phi[0][0]

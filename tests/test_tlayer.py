@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
-from tmzv.tlayer import (LocalJet, TPoly, TateTrunc, TwistedPoly,
+from tmzv.tlayer import (LocalJet, TPoly, TateTrunc,
                          anderson_thakur, anderson_thakur_closed, bracket,
                          d_poly, gamma_factorial, l_poly, omega, omega_jet)
 
@@ -81,18 +81,16 @@ class TestTPoly:
         for a, b in zip(lst, tay):
             assert a == b
 
-
-class TestTwistedPoly:
-    def test_lazy_twist_composes(self):
+    def test_negative_twist_undoes_positive(self):
+        # a motive entry X is stored as X^(1) and recovered by a -1 twist
         fs = field(2)
         H = anderson_thakur(fs, 3)
-        x = TwistedPoly(H, -1)
-        assert x.twist(1).materialize() == H
+        assert H.twist(1).twist(-1) == H
 
-    def test_materialize_negative_twist_requires_roots(self):
+    def test_negative_twist_requires_roots(self):
         fs = field(2)
         with pytest.raises(ValueError):
-            TwistedPoly(TPoly.t_minus_theta(fs), -1).materialize()
+            TPoly.t_minus_theta(fs).twist(-1)
 
 
 class TestTateTrunc:
