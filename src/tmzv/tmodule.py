@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation)
-from .tlayer import LocalJet, _is_exact_zero, bracket, inv_bracket
+from .tlayer import (LocalJet, _is_exact_zero, bracket, gamma_factorial,
+                     inv_bracket, omega, omega_jet)
 
 # ---------------------------------------------------------------------------
 # small matrix helpers (duck-typed scalars)
@@ -515,7 +516,6 @@ def log_eval(E: TModule, v, prec: int = 40, max_terms: int = 60):
 
 
 def _gamma_guard(shape) -> int:
-    from .tlayer import gamma_factorial
     g = 0
     for si in shape.s:
         g += gamma_factorial(shape.fs, si).degree()
@@ -619,7 +619,6 @@ def period_basis(shape, prec: int = 30):
     unit-triangular inverse system, scaled by the inverse (q-1)-st-root
     series to the power d_j.  All entries live in the ramified tower."""
     from .motive import delta0
-    from .tlayer import omega_jet
     from .zeta import lseries_jet
 
     fs = shape.fs
@@ -694,7 +693,6 @@ def depth_one_period_check(fs, n: int, prec: int = 30) -> dict:
     the n-th power of the reciprocal omega value (the Carlitz period for
     n = 1), and the exponential kills the whole vector."""
     from .motive import star_shape
-    from .tlayer import omega
 
     shape = star_shape(fs, (n,))
     lam = period_basis(shape, prec=prec)[0]

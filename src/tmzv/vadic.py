@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
 from .tlayer import TPoly, bracket
-from .tmodule import ScalarStrategy
+from .tmodule import ScalarStrategy, _certified_sum, _twisted_term
 
 # ---------------------------------------------------------------------------
 # places and nu-adic expansions
@@ -304,7 +304,6 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     delta_0 of the i-fold twisted transition product applied to the i-twisted
     point.  Returns (coordinate vector of FactoredScalar, diagnostics)."""
     from .motive import _tm_theta_pow
-    from .tmodule import _certified_sum, _twisted_term
 
     fs = shape.fs
     q = fs.q

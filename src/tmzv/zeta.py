@@ -26,8 +26,10 @@ from fractions import Fraction
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation, monic_enumerate)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
-                     gamma_factorial, inv_bracket, l_poly)
-from .tmodule import _certified_sum
+                     gamma_factorial, inv_bracket, l_poly, omega)
+from .tmodule import (TModule, _certified_sum, _LaurentScalars, exp_eval,
+                      log_eval, mat_mul, mat_sub, split_log_check,
+                      stark_log_eval, vec_sub)
 
 # ---------------------------------------------------------------------------
 # power sums S_d(k) = sum over monic a of degree d of a^(-k)
@@ -670,8 +672,6 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     twist-free form Psi = Phi^(1) Psi^(1), and the last row of the inverse
     matrix evaluated at t = theta against the Gamma-scaled zeta values."""
     from .motive import phi_tilde
-    from .tlayer import omega
-    from .tmodule import mat_mul, mat_sub
 
     fs = shape.fs
     q = fs.q
@@ -816,8 +816,6 @@ def stark_unit_check(shape, prec: int = 40, split: bool = True) -> dict:
     coordinates match the (Gamma-scaled) zeta values from the independent
     power-sum DP, and the split decomposition recomposes and reproduces z."""
     from .motive import special_point, tmodule_of
-    from .tmodule import (_LaurentScalars, exp_eval, split_log_check,
-                          stark_log_eval, vec_sub)
 
     fs = shape.fs
     r = shape.r
@@ -860,8 +858,6 @@ def depth_one_check(fs: FieldSpec, n: int, prec: int = 40) -> dict:
     coordinates of the interpolation polynomial and the last coordinate of
     z_n equal to Gamma_n zeta_A(n)."""
     from .motive import special_point, star_shape, tmodule_of
-    from .tmodule import (TModule, _LaurentScalars, exp_eval, stark_log_eval,
-                          vec_sub)
 
     shape = star_shape(fs, (n,))
     E = tmodule_of(shape)
@@ -961,7 +957,6 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
     to (-1)^(r-ell) Li*_{(s_r,...,s_ell)}(u_r,...,u_ell), checked against the
     independent chain-sum series; Exp inverts the logarithm back to v_u."""
     from .motive import MotiveShape, special_point, tmodule_of
-    from .tmodule import _LaurentScalars, exp_eval, log_eval, vec_sub
 
     s = tuple(s)
     r = len(s)
@@ -1004,8 +999,6 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
 def carlitz_check(fs: FieldSpec, prec: int = 60) -> dict:
     """exp_C(zeta_A(1)) = 1: the zeta value from the power-sum DP feeds the
     Carlitz exponential and lands back on 1."""
-    from .tmodule import TModule, exp_eval
-
     z1 = mzv(fs, (1,), prec=prec + 6).value
     C = TModule.carlitz(fs)
     Z = exp_eval(C, [z1], prec=prec)

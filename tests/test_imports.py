@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every local a function of the package assigns is read."""
+"""Every name a module of the package imports is used in that module, every
+local a function of the package assigns is read, and no function imports
+again from a sibling module that its file imports from at the top."""
 
 import ast
 import pathlib
@@ -42,6 +43,24 @@ def unused_locals(tree):
     return sorted(found)
 
 
+def redundant_local_imports(tree):
+    """(line, module) of every function-level `from .X import` in a file
+    that already imports from .X at module level: the names belong in the
+    module-level import.  A name that perfbench/spans.py wraps (such as
+    log_coeff_matrix or tmodule_of) must still be looked up at call time,
+    so it is reached through the module attribute, never bound at import."""
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level == 1
+           and node.module}
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(node.lineno, node.module) for node in ast.walk(fn)
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      and node.module in top}
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -68,3 +87,20 @@ def test_scan_finds_an_unused_local():
                      "        pass\n"
                      "    return g\n")
     assert unused_locals(tree) == [(2, "m"), (7, "i")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    assert redundant_local_imports(ast.parse(path.read_text())) == []
+
+
+def test_scan_finds_a_redundant_local_import():
+    tree = ast.parse("from .tlayer import TPoly\n"
+                     "from . import motive\n"
+                     "def f():\n"
+                     "    from .tlayer import omega\n"
+                     "    from .zeta import mzv\n"
+                     "    from .motive import tmodule_of\n"
+                     "    from tmzv.tlayer import bracket\n"
+                     "    return omega, mzv, tmodule_of, bracket, TPoly\n")
+    assert redundant_local_imports(tree) == [(4, "tlayer")]
