@@ -257,7 +257,7 @@ def _suite_items(suite: str, args):
                      prec=prec or 40)))
     elif suite == "vadic":
         fs = _field_for_q(args.q or 2, args.modulus)
-        nu = args.nu or (1, 1, 1)
+        nu = args.nu or (1, 1)
         if not all(0 <= c < fs.q for c in nu):
             raise ValueError("--nu: coefficients must be field codes in "
                              "[0, %d), got %s" % (fs.q, ",".join(map(str, nu))))
@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=20,
                    help="t-truncation order for series identities")
     p.add_argument("--nu", type=_parse_coeffs, default=None,
-                   help="coefficients of the finite place, low to high")
+                   help="coefficients of the finite place, low to high "
+                        "(default 1,1: theta + 1)")
     p.add_argument("--nu-prec", dest="nu_prec", type=_positive_int,
                    default=8)
     p.add_argument("--nmax", type=_positive_int, default=8,

@@ -96,6 +96,15 @@ class TestExitCodes:
         assert d["config"]["nu"] == [3, 1]
         assert d["reports"][0]["nu"] == [3, 1]
 
+    def test_default_vadic_reports_run_the_series(self, capsys):
+        # the default place must not kill the special points outright: at
+        # nu = theta^2 + theta + 1 over F_2 both read "terms": [0, 0]
+        rc, out = run(capsys, "verify", "vadic", "--format", "json")
+        assert rc == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 2
+        assert all(r["nu"] == [1, 1] and r["terms"][0] > 0 for r in reports)
+
     @pytest.mark.parametrize("error", [
         tmzv.cli.PrecisionError("shells did not certify precision 20"),
         MemoryError(), RecursionError("maximum recursion depth exceeded")])
