@@ -80,12 +80,13 @@ def vec_sub(u, v):
 
 
 class ScalarStrategy:
-    """Base of the scalar strategies.  A strategy has `zero`, `one` and
-    `theta`, `const(c)` for an F_q element, `conv(x)` for an element of A or
-    K, and `inv_bracket(k)` for 1/[k] = 1/(theta^{q^k} - theta), the only
-    inverse the t-module recursions take.  `key` names the strategy and its
-    parameters; strategies with equal keys compute the same values, so they
-    compare and hash by key and share memo entries."""
+    """Base of the scalar strategies.  A strategy has `zero`, `one`,
+    `theta` (needed only by a TModule), `const(c)` for an F_q element,
+    `conv(x)` for an element of A or K, and `inv_bracket(k)` for
+    1/[k] = 1/(theta^{q^k} - theta), the only inverse the t-module
+    recursions take.  `key` names the strategy and its parameters;
+    strategies with equal keys compute the same values, so they compare and
+    hash by key and share memo entries."""
 
     key: tuple
 

@@ -258,7 +258,6 @@ class FactoredRing(ScalarStrategy):
         self.fs = fs
         self.zero = FactoredScalar(fs, APoly.zero(fs))
         self.one = FactoredScalar(fs, APoly.one(fs))
-        self.theta = FactoredScalar(fs, APoly.theta(fs))
         self.key = ("factored", fs)
 
     def const(self, c):
