@@ -1,5 +1,6 @@
 """Multiple zeta values, polylogarithms, and the identity check reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -537,6 +538,7 @@ def assert_agrees_with_uncapped(fs, shape, M, prec, star):
 # a deformed row, as JSON, computed here after other calls and cold in a
 # fresh interpreter
 ROW_JSON = """
+import hashlib
 import json
 from tmzv.motive import at_shape
 from tmzv.scalars import field
@@ -614,6 +616,48 @@ class TestCeiling:
         for x, want in zip(got.coeffs, exact_depth_one(fs, 5, Q, 1, N)):
             assert x.N >= 1
             assert (x - want.laurent(N=x.N)).is_zero_to_prec()
+
+
+ROWS_PATH = os.path.join(os.path.dirname(__file__), "data", "deformed_rows.json")
+
+
+def stored_row_shapes():
+    """(name, q, s) of every pinned deformed row: weight <= 6 and depth <= 3
+    at q = 2 and 3, weight <= 4 and depth <= 3 at q = 4."""
+    return [("q=%d s=%s" % (q, ",".join(map(str, s))), q, s)
+            for q, w in ((2, 6), (3, 6), (4, 4)) for s in compositions(w, 3)]
+
+
+def deformed_row_digest(fs, s):
+    """sha256 of the canonical JSON of deformed_row(at_shape(fs, s), 6, 22):
+    every L and Lstar series through to_dict, keyed "a,b"."""
+    row = deformed_row(at_shape(fs, s), n_terms=6, prec=22)
+    doc = {name: {"%d,%d" % k: x.to_dict() for k, x in sorted(series.items())}
+           for name, series in (("L", row.L), ("Lstar", row.Lstar))}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def write_stored_rows():
+    """Regenerate tests/data/deformed_rows.json from the present code."""
+    digests = {name: deformed_row_digest(fq(q), s)
+               for name, q, s in stored_row_shapes()}
+    with open(ROWS_PATH, "w") as f:
+        json.dump(digests, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+class TestStoredRows:
+    # every deformed row of the inclusion-exclusion range, hashed, against
+    # the stored digests; a change of storage or arithmetic in the Tate
+    # layer must leave each series as it was, v, N and digits alike
+    def test_rows_match_stored_digests(self):
+        with open(ROWS_PATH) as f:
+            want = json.load(f)
+        got = {name: deformed_row_digest(fq(q), s)
+               for name, q, s in stored_row_shapes()}
+        assert len(got) == 96
+        assert got == want
 
 
 class TestCompositions:
