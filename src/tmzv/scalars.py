@@ -641,22 +641,15 @@ class PrecisionLaurent:
         self.fs = fs
         self.ram = ram
         c = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
-        hi = len(c)
-        if v is not None and N is not None:
-            # drop stored coefficients at exponents >= N
-            hi = max(min(hi, N - v), 0)
-        lo = 0
-        while lo < hi and not c[lo]:
-            lo += 1
-        while hi > lo and not c[hi - 1]:
-            hi -= 1
-        if lo == hi:
-            self.v = None
-            self.coeffs = ()
-        else:
-            self.v = v + lo
-            self.coeffs = tuple(c[lo:hi])
+        self.v, self.coeffs = _norm(v, c, N)
         self.N = N
+
+    @classmethod
+    def _row(cls, fs, v, coeffs, N, ram):
+        """The series of a row in _norm form, not normalised again."""
+        x = cls.__new__(cls)
+        x.fs, x.ram, x.v, x.coeffs, x.N = fs, ram, v, coeffs, N
+        return x
 
     # constructors
     @classmethod
@@ -748,38 +741,13 @@ class PrecisionLaurent:
     def _add(self, other, negate):
         """self + other, or self - other in the same single pass."""
         self._check(other)
-        fs = self.fs
-        N = _minN(self.N, other.N)
-        if other.v is None:
-            if self.v is None:
-                return PrecisionLaurent.zero(fs, N=N, ram=self.ram)
-            return PrecisionLaurent(fs, self.v, self.coeffs, N=N, ram=self.ram)
-        p = fs.p
-        if self.v is None:
-            ys = other.coeffs
-            if negate:
-                ys = [-c % p for c in ys] if fs.m == 1 else [fs.neg(c) for c in ys]
-            return PrecisionLaurent(fs, other.v, ys, N=N, ram=self.ram)
-        v = min(self.v, other.v)
-        top = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
-        out = [0] * (top - v)
-        out[self.v - v : self.v - v + len(self.coeffs)] = self.coeffs
-        if fs.m == 1:
-            sign = p - 1 if negate else 1
-            for i, c in enumerate(other.coeffs, other.v - v):
-                if c:
-                    out[i] = (out[i] + sign * c) % p
-        else:
-            add = fs.sub if negate else fs.add
-            for i, c in enumerate(other.coeffs, other.v - v):
-                if c:
-                    out[i] = add(out[i], c)
-        return PrecisionLaurent(fs, v, out, N=N, ram=self.ram)
+        v, N, c = _row_add(self.fs, self.v, self.N, self.coeffs,
+                           other.v, other.N, other.coeffs, negate)
+        return PrecisionLaurent._row(self.fs, v, c, N, self.ram)
 
     def __neg__(self):
-        fs = self.fs
-        return PrecisionLaurent(
-            fs, self.v, [fs.neg(c) for c in self.coeffs], N=self.N, ram=self.ram
+        return PrecisionLaurent._row(
+            self.fs, self.v, _row_neg(self.fs, self.coeffs), self.N, self.ram
         )
 
     def __mul__(self, other):
@@ -1013,12 +981,66 @@ class _PrecisionError(ArithmeticError):
 PrecisionError = _PrecisionError
 
 
-def _minN(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+# A row is the (v, N, coefficients) of a PrecisionLaurent without the object;
+# TateTrunc stores one per t-degree, and both classes do row arithmetic here.
+
+
+def _norm(v, c, N):
+    """(v, coefficients) of the row v, c cut below N, with the zeros at both
+    ends stripped; (None, ()) when no nonzero coefficient is left."""
+    if v is None:
+        return None, ()
+    hi = len(c)
+    if N is not None and N - v < hi:
+        # drop stored coefficients at exponents >= N
+        hi = max(N - v, 0)
+    lo = 0
+    while lo < hi and not c[lo]:
+        lo += 1
+    while hi > lo and not c[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        return None, ()
+    return v + lo, tuple(c[lo:hi])
+
+
+def _row_add(fs, va, Na, ca, vb, Nb, cb, negate):
+    """(v, N, coefficients) of the row a + b, or a - b when negate."""
+    N = Na if Nb is None else Nb if Na is None or Nb < Na else Na
+    if va is None or vb is None:
+        v, n, c = (va, Na, ca) if vb is None else (vb, Nb, _row_neg(fs, cb) if negate else cb)
+        if n == N:
+            # a row kept at its own N is already in _norm form
+            return v, N, c
+    else:
+        v = min(va, vb)
+        c = [0] * (max(va + len(ca), vb + len(cb)) - v)
+        c[va - v : va - v + len(ca)] = ca
+        if fs.m == 1:
+            p = fs.p
+            sign = p - 1 if negate else 1
+            for i, x in enumerate(cb, vb - v):
+                if x:
+                    c[i] = (c[i] + sign * x) % p
+        else:
+            add = fs.sub if negate else fs.add
+            for i, x in enumerate(cb, vb - v):
+                if x:
+                    c[i] = add(c[i], x)
+    v, c = _norm(v, c, N)
+    return v, N, c
+
+
+def _row_neg(fs, cs):
+    """The coefficients of the row -x (same v and N): as they are in
+    characteristic 2, else one pass mod p, or one over the nonzero codes."""
+    if fs.p == 2:
+        return cs
+    if fs.m == 1:
+        p = fs.p
+        return tuple([-c % p for c in cs])
+    neg = fs.neg
+    return tuple([neg(c) if c else 0 for c in cs])
 
 
 def min_residual_valuation(values):

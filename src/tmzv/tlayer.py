@@ -1,9 +1,9 @@
 """Polynomials and truncated series in t over the scalar tower.
 
 TPoly is an exact polynomial in t with RatFunc coefficients;
-TateTrunc is a t-truncated series with PrecisionLaurent coefficients, whose
-product is one F_q polynomial product of the two series laid out flat and
-clipped to what the product certifies;
+TateTrunc is a t-truncated series stored as one flat (v, N, coefficients)
+row per t-degree, whose product is one F_q polynomial product of the two
+series laid out flat and clipped to what the product certifies;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
 (RatFunc, PrecisionLaurent, or the factored/nu-adic scalars).
 
@@ -22,8 +22,10 @@ from .scalars import (
     PrecisionLaurent,
     PrecisionError,
     RatFunc,
+    _norm,
+    _row_add,
+    _row_neg,
     memo,
-    min_residual_valuation,
 )
 
 
@@ -216,33 +218,33 @@ class TPoly:
         return " + ".join(parts)
 
 
-def _clipped_rows(a, b, Ns):
-    """The rows of a that reach a kept coefficient of sum a_i b_j, as
-    (i, v_i, coefficients).  A coefficient of a_i at exponent e meets b_j
-    (from v(b_j) on) in row i + j, and lands below N_{i+j} only if
-    e < N_{i+j} - v(b_j); so a_i is cut below the largest of these bounds
-    over the live b_j with i + j <= M, kept whole if it feeds an exact row,
-    and left out if the bound does not pass v(a_i)."""
+def _clipped_rows(va, ca, vb, Ns):
+    """The rows of a (v in va, coefficients in ca) that reach a kept
+    coefficient of sum a_i b_j, as (i, v_i, coefficients).  One at exponent
+    e meets b_j (from vb_j on) in row i + j, below N_{i+j} only if
+    e < N_{i+j} - vb_j; so a_i is cut below the largest of these bounds over
+    the live b_j with i + j <= M, kept whole if it feeds an exact row, and
+    left out if the bound does not pass v(a_i)."""
     M = len(Ns) - 1
-    live = [(j, c.v) for j, c in enumerate(b) if c.v is not None]
+    live = [(j, v) for j, v in enumerate(vb) if v is not None]
     rows = []
-    for i, c in enumerate(a):
-        if c.v is None:
+    for i, (v, c) in enumerate(zip(va, ca)):
+        if v is None:
             continue
-        top = c.v
-        for j, vb in live:
+        top = v
+        for j, w in live:
             if i + j > M:
                 break
             n = Ns[i + j]
             if n is None:
                 top = None
                 break
-            if n - vb > top:
-                top = n - vb
+            if n - w > top:
+                top = n - w
         if top is None:
-            rows.append((i, c.v, c.coeffs))
-        elif top > c.v:
-            rows.append((i, c.v, c.coeffs[: top - c.v]))
+            rows.append((i, v, c))
+        elif top > v:
+            rows.append((i, v, c[: top - v]))
     return rows
 
 
@@ -269,29 +271,25 @@ def _lay_out(rows, beta, lo, S):
     return flat
 
 
-def _product_precisions(a, b):
-    """Precision N of each t-degree k of sum a_i b_j: the least, over
-    i + j = k, of the precision PrecisionLaurent.__mul__ gives a_i * b_j,
-    min(N(a_i) + v(b_j), N(b_j) + v(a_i)), where a zero-to-precision factor
-    counts its N as its valuation.  None means exact."""
+def _product_precisions(va, Na, vb, Nb):
+    """Precision N of each t-degree k of sum a_i b_j (rows v, N in va, Na
+    and vb, Nb): the least, over i + j = k, of the precision
+    PrecisionLaurent.__mul__ gives a_i * b_j, min(N(a_i) + v(b_j),
+    N(b_j) + v(a_i)), where a zero-to-precision factor counts its N as its
+    valuation.  None means exact."""
     inf = float("inf")
 
-    def bounds(cs):
+    def bounds(vs, Ns):
         # (N, lower bound on the valuation); both infinite for an exact zero
-        return [
-            (
-                inf if c.N is None else c.N,
-                c.v if c.v is not None else (inf if c.N is None else c.N),
-            )
-            for c in cs
-        ]
+        return [(n, n if v is None else v)
+                for v, n in zip(vs, (inf if n is None else n for n in Ns))]
 
-    A, B = bounds(a), bounds(b)
-    Ns = [inf] * len(a)
+    A, B = bounds(va, Na), bounds(vb, Nb)
+    Ns = [inf] * len(A)
     for i, (na, la) in enumerate(A):
         if la == inf:
             continue
-        for j in range(len(a) - i):
+        for j in range(len(A) - i):
             nb, lb = B[j]
             n = min(na + lb, nb + la)
             if n < Ns[i + j]:
@@ -300,7 +298,10 @@ def _product_precisions(a, b):
 
 
 class TateTrunc:
-    """t-truncated series: PrecisionLaurent coefficients for t^0..t^M.
+    """t-truncated series: K_inf coefficients for t^0..t^M, row i stored
+    flat as vs[i], Ns[i], cs[i], the v, N and coeffs of a PrecisionLaurent.
+    Sums and cuts are the row arithmetic PrecisionLaurent uses (scalars
+    _row_add, _row_neg, _norm); coeffs builds PrecisionLaurent views anew.
 
     A product is one polynomial product over F_q (2-D Kronecker
     substitution) that computes only what its rows certify.  Row k of the
@@ -322,68 +323,76 @@ class TateTrunc:
     - short unpack: conv returns only the first (M+1)*S product
       coefficients, so the rows above M are never unpacked."""
 
-    __slots__ = ("fs", "coeffs", "M", "ram")
+    __slots__ = ("fs", "vs", "Ns", "cs", "M", "ram")
 
     def __init__(self, fs, coeffs, M, ram=1):
-        self.fs = fs
-        self.M = M
-        cs = tuple(coeffs)[: M + 1]
-        if len(cs) <= M:
-            cs += (PrecisionLaurent.zero(fs, ram=ram),) * (M + 1 - len(cs))
-        self.coeffs = cs
-        self.ram = ram
+        rows = [(c.v, c.N, c.coeffs) for c in tuple(coeffs)[: M + 1]]
+        rows += [(None, None, ())] * (M + 1 - len(rows))
+        self.fs, self.M, self.ram = fs, M, ram
+        self.vs, self.Ns, self.cs = zip(*rows)
+
+    @classmethod
+    def _of_rows(cls, fs, M, ram, vs, Ns, cs):
+        """The series with rows (vs[i], Ns[i], cs[i]), each in _norm form."""
+        x = cls.__new__(cls)
+        x.fs, x.M, x.ram, x.vs, x.Ns, x.cs = fs, M, ram, tuple(vs), tuple(Ns), tuple(cs)
+        return x
 
     @classmethod
     def zero(cls, fs, M, ram=1, N=None):
-        z = PrecisionLaurent.zero(fs, N=N, ram=ram)
-        return cls(fs, [z] * (M + 1), M, ram=ram)
+        return cls._of_rows(fs, M, ram, (None,) * (M + 1), (N,) * (M + 1), ((),) * (M + 1))
 
     @classmethod
     def one(cls, fs, M, ram=1, N=None):
-        out = [PrecisionLaurent.one(fs, N=N, ram=ram)] + [
-            PrecisionLaurent.zero(fs, N=N, ram=ram)
-        ] * M
-        return cls(fs, out, M, ram=ram)
+        v, c = _norm(0, (fs.one,), N)
+        return cls._of_rows(fs, M, ram, (v,) + (None,) * M, (N,) * (M + 1), (c,) + ((),) * M)
+
+    @property
+    def coeffs(self):
+        """The rows as a tuple of PrecisionLaurent, built afresh."""
+        fs, ram, row = self.fs, self.ram, PrecisionLaurent._row
+        return tuple(row(fs, v, c, N, ram)
+                     for v, N, c in zip(self.vs, self.Ns, self.cs))
 
     def __getitem__(self, i):
-        return (
-            self.coeffs[i]
-            if 0 <= i <= self.M
-            else PrecisionLaurent.zero(self.fs, ram=self.ram)
-        )
+        if not 0 <= i <= self.M:
+            return PrecisionLaurent.zero(self.fs, ram=self.ram)
+        return PrecisionLaurent._row(self.fs, self.vs[i], self.cs[i], self.Ns[i], self.ram)
 
     def _align(self, other):
         if self.fs != other.fs or self.ram != other.ram:
             raise ValueError("mismatched TateTrunc bases")
         return min(self.M, other.M)
 
-    def __add__(self, other):
+    def _add(self, other, negate):
         M = self._align(other)
-        return TateTrunc(
-            self.fs, [self[i] + other[i] for i in range(M + 1)], M, ram=self.ram
-        )
+        fs = self.fs
+        return TateTrunc._of_rows(fs, M, self.ram, *zip(*[
+            _row_add(fs, va, Na, ca, vb, Nb, cb, negate)
+            for va, Na, ca, vb, Nb, cb in zip(
+                self.vs, self.Ns, self.cs, other.vs, other.Ns, other.cs)]))
 
-    def __neg__(self):
-        return TateTrunc(self.fs, [-c for c in self.coeffs], self.M, ram=self.ram)
+    def __add__(self, other):
+        return self._add(other, False)
 
     def __sub__(self, other):
-        M = self._align(other)
-        return TateTrunc(
-            self.fs, [self[i] - other[i] for i in range(M + 1)], M, ram=self.ram
-        )
+        return self._add(other, True)
+
+    def __neg__(self):
+        return TateTrunc._of_rows(self.fs, self.M, self.ram, self.vs, self.Ns,
+                                  [_row_neg(self.fs, c) for c in self.cs])
 
     def __mul__(self, other):
         if isinstance(other, PrecisionLaurent):
             return self.scale(other)
         M = self._align(other)
         fs, ram = self.fs, self.ram
-        a, b = self.coeffs[: M + 1], other.coeffs[: M + 1]
-        Ns = _product_precisions(a, b)
-        ra, rb = _clipped_rows(a, b, Ns), _clipped_rows(b, a, Ns)
+        va, vb = self.vs[: M + 1], other.vs[: M + 1]
+        Ns = _product_precisions(va, self.Ns[: M + 1], vb, other.Ns[: M + 1])
+        ra = _clipped_rows(va, self.cs[: M + 1], vb, Ns)
+        rb = _clipped_rows(vb, other.cs[: M + 1], va, Ns)
         if not ra or not rb:
-            return TateTrunc(
-                fs, [PrecisionLaurent.zero(fs, N=n, ram=ram) for n in Ns], M, ram=ram
-            )
+            return TateTrunc._of_rows(fs, M, ram, (None,) * (M + 1), Ns, ((),) * (M + 1))
 
         def packing(beta):
             (lo_a, span_a), (lo_b, span_b) = _extent(ra, beta), _extent(rb, beta)
@@ -394,22 +403,26 @@ class TateTrunc:
         prod = fs.conv(
             _lay_out(ra, beta, lo_a, S), _lay_out(rb, beta, lo_b, S), (M + 1) * S
         )
-        out = [
-            PrecisionLaurent(
-                fs, lo_a + lo_b + beta * k, prod[k * S : (k + 1) * S], N=Ns[k], ram=ram
-            )
-            for k in range(M + 1)
-        ]
-        return TateTrunc(fs, out, M, ram=ram)
+        vs, cs = zip(*[_norm(lo_a + lo_b + beta * k, prod[k * S : (k + 1) * S], n)
+                       for k, n in enumerate(Ns)])
+        return TateTrunc._of_rows(fs, M, ram, vs, Ns, cs)
 
     def scale(self, c: PrecisionLaurent):
         return TateTrunc(self.fs, [x * c for x in self.coeffs], self.M, ram=self.ram)
 
+    def _cut(self, Ns):
+        """The rows cut to the precisions Ns, each at most the row's own."""
+        vs, cs = zip(*[(v, c) if n == old else _norm(v, c, n)
+                       for v, c, old, n in zip(self.vs, self.cs, self.Ns, Ns)])
+        return TateTrunc._of_rows(self.fs, self.M, self.ram, vs, Ns, cs)
+
     def truncate(self, N):
         """Every row's precision lowered to at most N."""
-        return TateTrunc(
-            self.fs, [c.truncate(N) for c in self.coeffs], self.M, ram=self.ram
-        )
+        return self._cut([N if n is None or n > N else n for n in self.Ns])
+
+    def lower_precision(self, d):
+        """Every row's precision N lowered by d; exact rows stay exact."""
+        return self._cut([None if n is None else n - d for n in self.Ns])
 
     def twist(self, i: int):
         return TateTrunc(
@@ -428,9 +441,11 @@ class TateTrunc:
         return best
 
     def min_residual_valuation(self):
-        """Least residual valuation over the coefficients, in theta-units;
-        None if every coefficient is an exact zero."""
-        return min_residual_valuation(self.coeffs)
+        """Least residual valuation over the rows, in theta-units: v, or N
+        for a row zero to precision N; None if every row is an exact zero."""
+        vals = [n if v is None else v for v, n in zip(self.vs, self.Ns)]
+        best = min((x for x in vals if x is not None), default=None)
+        return None if best is None else Fraction(best, self.ram)
 
     def eval_theta(self):
         """Evaluate the stored truncation at t = theta."""
@@ -763,7 +778,7 @@ def omega(fs: FieldSpec, M: int, N_theta: int) -> TateTrunc:
         fac = TateTrunc(fs, [one, c1], M, ram=e)
         acc = acc * fac
     out = acc.scale(lead)
-    return TateTrunc(fs, [c.truncate(Nram) for c in out.coeffs], M, ram=e)
+    return out.truncate(Nram)
 
 
 def omega_jet(fs: FieldSpec, D: int, N_theta: int) -> LocalJet:

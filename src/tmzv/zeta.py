@@ -357,7 +357,7 @@ def _shell_term(s: int, Q: TPoly, i: int, M: int, C: int) -> TateTrunc:
         return qt
     fs, q = Q.fs, Q.fs.q
     # a row zero to precision N has valuation >= N
-    vq = min(c.N if c.v is None else c.v for c in qt.coeffs)
+    vq = min(n if v is None else v for v, n in zip(qt.vs, qt.Ns))
     if vq + s * (q ** (i + 1) - q) // (q - 1) >= C:
         return TateTrunc.zero(fs, M, N=C)
     ll = _ll_inv_tate(fs, i, s, M).truncate(C - vq)
@@ -412,7 +412,7 @@ class _TateBackend:
         cut = self.W - self.rel
         if cut == 0:
             return got
-        return TateTrunc(self.fs, [c.truncate(c.N - cut) for c in got.coeffs], self.M)
+        return got.lower_precision(cut)
 
     @staticmethod
     def min_val(x):
@@ -424,8 +424,8 @@ class _TateBackend:
         each row of G is zero to its precision or starts at or past the
         sum's N.  The rows are known to about rel, well past prec, so a
         shell below theta^-prec can still reach them."""
-        return all(g.v is None or (t.N is not None and g.v >= t.N)
-                   for g, t in zip(G.coeffs, total.coeffs))
+        return all(v is None or (n is not None and v >= n)
+                   for v, n in zip(G.vs, total.Ns))
 
 
 def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64):

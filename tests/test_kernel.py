@@ -214,9 +214,9 @@ class TestTateProduct:
                            PrecisionLaurent(fs, 10, [1, 2] * 20, ram=ram)], 1, ram=ram)
         b = TateTrunc(fs, [PrecisionLaurent.one(fs, ram=ram),
                            PrecisionLaurent.one(fs, ram=ram)], 1, ram=ram)
-        Ns = _product_precisions(a.coeffs, b.coeffs)
+        Ns = _product_precisions(a.vs, a.Ns, b.vs, b.Ns)
         assert Ns == [2, 2]
-        assert [i for i, _, _ in _clipped_rows(a.coeffs, b.coeffs, Ns)] == [0]
+        assert [i for i, _, _ in _clipped_rows(a.vs, a.cs, b.vs, Ns)] == [0]
         assert [(x.v, x.coeffs, x.N) for x in (a * b).coeffs] == [(0, (1,), 2)] * 2
         assert_matches_pairwise(a, b)
 
@@ -229,9 +229,9 @@ class TestTateProduct:
         a = TateTrunc(fs, [long_row, PrecisionLaurent.zero(fs, ram=ram)], 1, ram=ram)
         b = TateTrunc(fs, [PrecisionLaurent.one(fs, ram=ram),
                            PrecisionLaurent(fs, 1, [1, 1], N=3, ram=ram)], 1, ram=ram)
-        Ns = _product_precisions(a.coeffs, b.coeffs)
+        Ns = _product_precisions(a.vs, a.Ns, b.vs, b.Ns)
         assert Ns == [None, 3]
-        rows = _clipped_rows(a.coeffs, b.coeffs, Ns)
+        rows = _clipped_rows(a.vs, a.cs, b.vs, Ns)
         assert rows == [(0, 0, long_row.coeffs)]
         assert (a * b).coeffs[0] == long_row
         assert_matches_pairwise(a, b)

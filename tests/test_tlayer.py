@@ -1,15 +1,18 @@
 """t-polynomials, Tate truncations, jets, and the classical quantities."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
+from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, field,
+                          min_residual_valuation)
 from tmzv.tlayer import (LocalJet, TPoly, TateTrunc,
                          anderson_thakur, anderson_thakur_closed, bracket,
                          d_poly, gamma_factorial, l_poly, omega, omega_jet)
+from tmzv.zeta import _ll_inv_tate
 
 
 class TestClassicalQuantities:
@@ -124,6 +127,136 @@ class TestTateTrunc:
         v = Om.eval_theta()
         d = oj.order(0) - v
         assert d.is_zero_to_prec()
+
+
+@st.composite
+def laurent_rows(draw, fs, ram):
+    """A row of each kind: exact, truncated, zero to precision N, exact zero."""
+    kind = draw(st.sampled_from(["exact", "truncated", "zero_N", "zero"]))
+    if kind == "zero":
+        return PrecisionLaurent.zero(fs, ram=ram)
+    if kind == "zero_N":
+        return PrecisionLaurent.zero(fs, N=draw(st.integers(-8, 24)), ram=ram)
+    v = draw(st.integers(-8, 16))
+    coeffs = draw(st.lists(st.integers(0, fs.q - 1), min_size=1, max_size=12))
+    N = None if kind == "exact" else v + draw(st.integers(0, 16))
+    return PrecisionLaurent(fs, v, coeffs, N=N, ram=ram)
+
+
+@st.composite
+def row_lists(draw):
+    """Two lists of rows over one field and tower, of independent lengths
+    M + 1: q in {2, 3, 4, 9}, ram in {1, q - 1}."""
+    fs = field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    ram = draw(st.sampled_from([1, fs.q - 1]))
+    rows = laurent_rows(fs, ram)
+    return fs, ram, [draw(st.lists(rows, min_size=M + 1, max_size=M + 1))
+                     for M in (draw(st.integers(0, 6)), draw(st.integers(0, 6)))]
+
+
+def row(x):
+    return (x.v, x.coeffs, x.N)
+
+
+def rows_of(t):
+    return [row(x) for x in t.coeffs]
+
+
+def reference_sum(x, y, sign):
+    """Row of x + sign * y, coefficient by coefficient below the least N."""
+    fs = x.fs
+    N = min((n for n in (x.N, y.N) if n is not None), default=None)
+    acc = {}
+    for z, neg in ((x, False), (y, sign < 0)):
+        for j, c in enumerate(z.coeffs):
+            acc[z.v + j] = fs.add(acc.get(z.v + j, 0), fs.neg(c) if neg else c)
+    live = sorted(e for e, c in acc.items() if c and (N is None or e < N))
+    if not live:
+        return (None, (), N)
+    return (live[0], tuple(acc.get(e, 0) for e in range(live[0], live[-1] + 1)), N)
+
+
+class TestFlatRows:
+    # every TateTrunc operation on its flat rows against the same operation
+    # on the PrecisionLaurent rows one by one, in v, coefficients and N
+    @settings(max_examples=200, deadline=None)
+    @given(ops=row_lists())
+    def test_sum_difference_negation(self, ops):
+        fs, ram, (ra, rb) = ops
+        a = TateTrunc(fs, ra, len(ra) - 1, ram=ram)
+        b = TateTrunc(fs, rb, len(rb) - 1, ram=ram)
+        M = min(a.M, b.M)
+        assert (a + b).M == (a - b).M == M
+        assert rows_of(a + b) == [row(x + y) for x, y in zip(ra, rb)]
+        assert rows_of(a - b) == [row(x - y) for x, y in zip(ra, rb)]
+        assert rows_of(-a) == [row(-x) for x in ra]
+        for x, y in zip(ra, rb):
+            assert row(x + y) == reference_sum(x, y, 1)
+            assert row(x - y) == reference_sum(x, y, -1)
+        for x in ra:
+            assert row(-x) == reference_sum(PrecisionLaurent.zero(fs, ram=ram), x, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=row_lists(), N=st.integers(-10, 30), d=st.integers(0, 12))
+    def test_cuts_and_valuation(self, ops, N, d):
+        fs, ram, (ra, _) = ops
+        a = TateTrunc(fs, ra, len(ra) - 1, ram=ram)
+        assert rows_of(a.truncate(N)) == [row(x.truncate(N)) for x in ra]
+        # the shell-term cut: every finite N lowered by d
+        assert rows_of(a.lower_precision(d)) == [
+            row(x if x.N is None else x.truncate(x.N - d)) for x in ra]
+        assert a.min_residual_valuation() == min_residual_valuation(ra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=row_lists(), extra=st.integers(-3, 3))
+    def test_view_round_trip(self, ops, extra):
+        fs, ram, (ra, _) = ops
+        M = len(ra) - 1
+        a = TateTrunc(fs, ra, M, ram=ram)
+        assert a.coeffs == tuple(ra)
+        assert [a[i] for i in range(-1, M + 2)] == (
+            [PrecisionLaurent.zero(fs, ram=ram)] + list(ra)
+            + [PrecisionLaurent.zero(fs, ram=ram)])
+        d = a.to_dict()
+        assert d == {"tdeg": M, "ram": ram, "coeffs": [x.to_dict() for x in ra]}
+        back = TateTrunc(fs, [PrecisionLaurent.from_dict(x) for x in d["coeffs"]],
+                         M, ram=ram)
+        assert back.coeffs == a.coeffs
+        # fewer rows than M + 1 are padded with exact zeros, more are cut
+        M2 = max(M + extra, 0)
+        short = TateTrunc(fs, ra, M2, ram=ram)
+        want = (list(ra) + [PrecisionLaurent.zero(fs, ram=ram)] * 3)[: M2 + 1]
+        assert short.coeffs == tuple(want)
+
+    @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("N", [None, -1, 0, 1, 5])
+    def test_zero_and_one(self, q, m, N):
+        fs = field(q, m)
+        for ram in {1, fs.q - 1}:
+            z = PrecisionLaurent.zero(fs, N=N, ram=ram)
+            assert TateTrunc.zero(fs, 3, ram=ram, N=N).coeffs == (z,) * 4
+            assert TateTrunc.one(fs, 3, ram=ram, N=N).coeffs == (
+                PrecisionLaurent.one(fs, N=N, ram=ram), z, z, z)
+
+    def test_tate_series_hold_no_laurent_objects(self):
+        # the memoised LL_i^(-s) series and products keep their rows as
+        # tuples only: a cached PrecisionLaurent view would double what a
+        # memo table retains
+        assert set(TateTrunc.__slots__) == {"fs", "vs", "Ns", "cs", "M", "ram"}
+        fs = field(2)
+        x = _ll_inv_tate(fs, 3, 2, 6)
+        for t in (x, x * x, x + x, -x, x.truncate(40)):
+            assert not hasattr(t, "__dict__")
+            seen, todo = set(), [t]
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, PrecisionLaurent)
+                if obj is t or isinstance(obj, (tuple, list)):
+                    todo.extend(gc.get_referents(obj))
+            assert all(id(c) in seen for c in t.cs)
 
 
 class TestLocalJet:
