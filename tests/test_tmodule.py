@@ -1,5 +1,8 @@
 """t-modules: F_q[t]-action, exponential/logarithm, periods."""
 
+import hashlib
+import json
+import os
 from functools import reduce
 from operator import add
 
@@ -494,6 +497,69 @@ class TestLogCoefficients:
         fs = field(2)
         rep = log_oracle_check(at_shape(fs, (1, 2)), nmax=4, window=60)
         assert rep["pass"]
+
+
+LOG_COEFFS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                               "log_coeffs.json")
+
+# the oracle-log suite's shapes at the sizes the log-oracle benchmark runs:
+# (q, s, model, nmax), windowed Laurent scalars of window 60
+STORED_LAURENT_SHAPES = (
+    (2, (1,), "star", 6), (2, (4,), "star", 6), (2, (3, 1), "star", 6),
+    (2, (2, 1, 1), "star", 6), (2, (1, 2), "at", 6), (3, (2, 4), "at", 3))
+# exact scalars, n <= 3
+STORED_EXACT_SHAPES = ((2, (1, 2), "at"), (3, (2, 1), "star"))
+
+
+def _make_shape(q, s, model):
+    return (at_shape if model == "at" else star_shape)(field(q), s)
+
+
+def _matrix_digest(P, entry):
+    blob = json.dumps([[entry(x) for x in row] for row in P],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def stored_log_coeffs():
+    """sha256 of the canonical JSON of every pinned closed-form logarithm
+    coefficient P_n: Laurent entries through to_dict (v, N and digits),
+    exact entries as numerator and denominator coefficient lists."""
+    out = {}
+    for q, s, model, nmax in STORED_LAURENT_SHAPES:
+        shape = _make_shape(q, s, model)
+        sc = _LaurentScalars(shape.fs, 60)
+        for n in range(nmax + 1):
+            out["laurent q=%d s=%s %s n=%d" % (
+                q, ",".join(map(str, s)), model, n)] = _matrix_digest(
+                log_coeff_matrix(shape, n, sc), lambda x: x.to_dict())
+    for q, s, model in STORED_EXACT_SHAPES:
+        shape = _make_shape(q, s, model)
+        for n in range(4):
+            out["exact q=%d s=%s %s n=%d" % (
+                q, ",".join(map(str, s)), model, n)] = _matrix_digest(
+                log_coeff_matrix(shape, n),
+                lambda x: [list(x.num.coeffs), list(x.den.coeffs)])
+    return out
+
+
+def write_stored_log_coeffs():
+    """Regenerate tests/data/log_coeffs.json from the present code."""
+    with open(LOG_COEFFS_PATH, "w") as f:
+        json.dump(stored_log_coeffs(), f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+class TestStoredLogCoefficients:
+    # the closed-form logarithm coefficients, hashed, against the stored
+    # digests: a change of route to the same values must leave every entry
+    # as it was, v, N and digits alike
+    def test_coefficients_match_stored_digests(self):
+        with open(LOG_COEFFS_PATH) as f:
+            want = json.load(f)
+        got = stored_log_coeffs()
+        assert len(got) == 47
+        assert got == want
 
 
 class TestStarkAndPeriods:
