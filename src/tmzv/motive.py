@@ -14,9 +14,10 @@ a +1 twist on its coefficient, keeping all Frobenius twists nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
-from .tlayer import LocalJet, TPoly, _tpoly_pow, anderson_thakur
+from .tlayer import LocalJet, TPoly, anderson_thakur
 from . import tmodule as _tmodule
 from .zeta import outside_polylog_domain
 
@@ -128,8 +129,11 @@ class DualTMotive:
 
 
 def _tm_theta_pow(fs: FieldSpec, d: int, twist: int = 0) -> TPoly:
-    f = _tpoly_pow(TPoly.t_minus_theta(fs), d)
-    return f.twist(twist) if twist else f
+    """(t - theta^{q^twist})^d in closed form: its t^k coefficient is
+    binom(d, k) (-theta^{q^twist})^{d-k}."""
+    return TPoly(fs, [RatFunc(APoly.monomial(
+        fs, fs.q**twist * (d - k), fs.from_int((-1)**(d - k) * comb(d, k))),
+        reduce=False) for k in range(d + 1)])
 
 
 def _q_chain(shape: MotiveShape, i: int, j: int) -> TPoly:

@@ -161,6 +161,25 @@ def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
     return LocalJet.pole_inv(-sc.inv_bracket(k), D, sc.zero)
 
 
+def _bracket_pow_jets(sc, n: int, D: int) -> list:
+    """Jets at t = theta of (t - theta^{q^n})^j for j < D, order D, in the
+    scalars of any strategy: with u = t - theta and [n] = theta^{q^n} -
+    theta this is (u - [n])^j, whose u^k coefficient is
+    binom(j, k) (-[n])^{j-k}; the powers of -[n] are formed once."""
+    fs = sc.fs
+    neg = -bracket(fs, n)
+    pows = [APoly.one(fs)]
+    for _ in range(1, D):
+        pows.append(pows[-1] * neg)
+    jets = []
+    for j in range(D):
+        cs = [pows[j - k].scale(fs.from_int(math.comb(j, k)))
+              for k in range(j + 1)]
+        jets.append(LocalJet([sc.conv(RatFunc(c, reduce=False)) for c in cs],
+                             0, D, sc.zero))
+    return jets
+
+
 # ---------------------------------------------------------------------------
 # t-modules
 # ---------------------------------------------------------------------------
@@ -378,20 +397,19 @@ def log_coeff_matrix(shape, n: int, scalars=None):
     """Closed-form logarithm coefficient P_n of the t-module induced by a
     shape: column (ell, j) is delta_0 of the n-fold twisted transition
     product applied to (t - theta^{q^n})^j in block ell."""
-    from .motive import _tm_theta_pow, delta0, sigma_basis
+    from .motive import delta0, sigma_basis
 
-    fs = shape.fs
-    sc = scalars if scalars is not None else _ExactScalars(fs)
+    sc = scalars if scalars is not None else _ExactScalars(shape.fs)
     d = shape.dim
     if n == 0:
         return mat_identity(d, sc.one, sc.zero)
     D = max(shape.block_dims)
     prod = _theta_jet_product(shape, n, sc, D)
+    jets = _bracket_pow_jets(sc, n, D)
     P = [[sc.zero] * d for _ in range(d)]
     for col, (ell, j) in enumerate(sigma_basis(shape)):
         if j:
-            w = _tm_theta_pow(fs, j, twist=n).jet(D, conv=sc.conv, zero=sc.zero)
-            blocks = [prod[b][ell - 1] * w for b in range(shape.r)]
+            blocks = [prod[b][ell - 1] * jets[j] for b in range(shape.r)]
         else:
             blocks = [prod[b][ell - 1] for b in range(shape.r)]
         for row, x in enumerate(delta0(blocks, shape)):

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
-from .tlayer import TPoly, bracket
-from .tmodule import ScalarStrategy, _certified_sum, _twisted_term
+from .tlayer import LocalJet, bracket
+from .tmodule import (ScalarStrategy, _bracket_pow_jets, _certified_sum,
+                      _twisted_term)
 
 # ---------------------------------------------------------------------------
 # places and nu-adic expansions
@@ -302,8 +303,6 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     """Log of a point with |Z|_nu < 1, over the factored subring: term i is
     delta_0 of the i-fold twisted transition product applied to the i-twisted
     point.  Returns (coordinate vector of FactoredScalar, diagnostics)."""
-    from .motive import _tm_theta_pow
-
     fs = shape.fs
     q = fs.q
     dims = shape.block_dims
@@ -320,15 +319,14 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
         raise ValueError("point is not inside the nu-adic unit ball")
 
     def term(i):
+        pows = _bracket_pow_jets(ring, i, D)
         jets = []
         for ell, dl in enumerate(dims, start=1):
-            w = TPoly.zero(fs)
+            jet = LocalJet.zero_jet(D, ring.zero)
             for j in range(dl):
                 c = Z[shape.slot(ell, j)]
                 if not c.is_zero():
-                    w = w + _tm_theta_pow(fs, j, twist=i).scale(
-                        RatFunc.from_apoly(c.frobenius(i)))
-            jet = w.jet(D, conv=ring.conv, zero=ring.zero)
+                    jet = jet + pows[j].scale(ring.conv(c.frobenius(i)))
             jets.append(None if jet.is_zero() else jet)
         return _twisted_term(shape, i, ring, D, jets)
 

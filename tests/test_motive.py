@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmzv.motive import (MotiveShape, at_shape, build_motive, delta0, delta1,
-                         ext_combine, sigma_basis, special_point,
-                         special_point_pre_sigma, split_decomposition,
-                         split_recomposes, star_dimension, star_shape,
-                         tmodule_of)
+from tmzv.motive import (MotiveShape, _tm_theta_pow, at_shape, build_motive,
+                         delta0, delta1, ext_combine, sigma_basis,
+                         special_point, special_point_pre_sigma,
+                         split_decomposition, split_recomposes, star_dimension,
+                         star_shape, tmodule_of)
 from tmzv.scalars import APoly, RatFunc, field
-from tmzv.tlayer import TPoly
+from tmzv.tlayer import TPoly, _tpoly_pow
 
 
 def _ap(fs, *coeffs):
@@ -139,6 +139,21 @@ class TestDelta:
             f = f * TPoly.t_minus_theta(fs)
         col = delta0([f, TPoly.zero(fs)], shape)
         assert all(x.is_zero() for x in col)
+
+
+class TestThetaPower:
+    # the closed form of (t - theta^(q^w))^d against the power multiplied
+    # out in TPoly arithmetic and then twisted
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_closed_form_matches_power_and_twist(self, p, m):
+        fs = field(p, m)
+        for w in range(3):
+            for d in range(13):
+                got = _tm_theta_pow(fs, d, w)
+                want = _tpoly_pow(TPoly.t_minus_theta(fs), d).twist(w)
+                assert [(c.num.coeffs, c.den.coeffs) for c in got.coeffs] == \
+                    [(c.num.coeffs, c.den.coeffs) for c in want.coeffs]
+                assert hash(got) == hash(want)
 
 
 class TestGoldenAT:

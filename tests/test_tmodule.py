@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import (APoly, PrecisionError, PrecisionLaurent, RatFunc,
                           field, min_residual_valuation)
-from tmzv.tlayer import TateTrunc, bracket, d_poly, inv_bracket, l_poly
-from tmzv.tmodule import (TModule, _ExactScalars, _LaurentScalars,
-                          _pole_inv_jet, _shape_module, check_log_domain,
+from tmzv.tlayer import (TateTrunc, TPoly, _tpoly_pow, bracket, d_poly,
+                         inv_bracket, l_poly)
+from tmzv.tmodule import (TModule, _bracket_pow_jets, _ExactScalars,
+                          _LaurentScalars, _pole_inv_jet, _shape_module,
+                          check_log_domain,
                           depth_one_period_check, exp_eval, log_coeff_matrix,
                           log_eval, log_oracle_check, mat_add, mat_identity,
                           mat_map, mat_mul, mat_sub, mat_vec, period_check,
@@ -261,6 +263,39 @@ class TestPoleJet:
                     jet = _pole_inv_jet(sc, k, D)
                     assert (jet.shift, jet.D) == (0, D)
                     assert jet.coeffs == want
+
+
+def scalar_key(x):
+    """Everything a scalar of any strategy holds: v, coefficients, N and
+    ram of a series, numerator and denominator of an exact or factored
+    element."""
+    if isinstance(x, PrecisionLaurent):
+        return x.v, x.coeffs, x.N, x.ram
+    if isinstance(x, RatFunc):
+        return x.num.coeffs, x.den.coeffs
+    return x.num.coeffs, sorted(x.den.items())
+
+
+class TestBracketPowerJet:
+    # the closed-form jets of (t - theta^(q^n))^j from each scalar strategy
+    # against the Taylor expansion of the power multiplied out in TPoly
+    # arithmetic and twisted, entry for entry
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_matches_taylor_expansion_of_twisted_power(self, q):
+        fs = field(*BRACKET_FIELDS[q])
+        strategies = [_ExactScalars(fs), FactoredRing(fs)] + [
+            _LaurentScalars(fs, 17, ram=ram) for ram in sorted({1, q - 1})]
+        for n in range(1, 4):
+            for D in range(1, 8):
+                for sc in strategies:
+                    jets = _bracket_pow_jets(sc, n, D)
+                    assert len(jets) == D
+                    for j, got in enumerate(jets):
+                        want = _tpoly_pow(TPoly.t_minus_theta(fs), j).twist(
+                            n).jet(D, conv=sc.conv, zero=sc.zero)
+                        assert (got.shift, got.D) == (want.shift, want.D)
+                        assert [scalar_key(x) for x in got.coeffs] == \
+                            [scalar_key(x) for x in want.coeffs]
 
 
 class TestCarlitz:
