@@ -1,8 +1,8 @@
 """Anderson t-modules as computational objects: the exponential and
-logarithm coefficient streams (recursive solve and, for shape-backed
-modules, the twisted-product closed form), certified series evaluation,
-the Stark logarithm route, split-logarithm verification, and the period
-basis.
+logarithm coefficient streams (one Sylvester recursion and, for
+shape-backed modules, the twisted-product closed form), certified
+series evaluation, the Stark logarithm route, split-logarithm
+verification, and the period basis.
 
 Matrices are plain lists of lists over duck-typed scalars (RatFunc for
 exact work, PrecisionLaurent/LocalJet backends elsewhere).
@@ -291,20 +291,36 @@ class TModule:
     # -- exponential / logarithm coefficients ------------------------------
 
     def exp_coeff(self, n: int):
-        """Q_n solving Q_n (theta^{q^n} I + N^{(n)}) - d[theta] Q_n =
-        sum_{k>=1} E_{theta,k} Q_{n-k}^{(k)} (see _sylvester_solve)."""
-        while len(self._exp_cache) <= n:
-            m = len(self._exp_cache)
-            R = self._conv_rhs(self._exp_cache, m)
-            self._exp_cache.append(self._sylvester_solve(R, m))
-        return self._exp_cache[n]
+        """Q_n from exp_E(d[theta] z) = E_theta(exp_E(z)): Q_n (theta^{q^n} I
+        + N^{(n)}) - d[theta] Q_n = sum_{k>=1} E_{theta,k} Q_{n-k}^{(k)}."""
+        return self._solve(self._exp_cache, n, False)
 
-    def _conv_rhs(self, cache, m):
+    def log_coeff_recursive(self, n: int):
+        """P_n from log_E(E_theta(x)) = d[theta] log_E(x): P_n (theta^{q^n} I
+        + N^{(n)}) - d[theta] P_n = -sum_{k>=1} P_{n-k} E_{theta,k}^{(n-k)}."""
+        return self._solve(self._log_cache, n, True)
+
+    def _solve(self, cache, n, log):
+        """cache[n], growing the cache by one Sylvester solve per step."""
+        while len(cache) <= n:
+            m = len(cache)
+            cache.append(self._sylvester_solve(self._conv_rhs(cache, m, log), m))
+        return cache[n]
+
+    def _conv_rhs(self, cache, m, log=False):
+        """The right side of step m from the coefficients C_0..C_{m-1} in
+        cache: sum_k E_k C_{m-k}^{(k)}, or -sum_k C_{m-k} E_k^{(m-k)} for
+        the logarithm."""
         z = self.scalars.zero
         R = [[z] * self.d for _ in range(self.d)]
         for k in range(1, min(m, len(self.taus)) + 1):
-            Qk = mat_map(cache[m - k], lambda x: x.frobenius(k))
-            R = mat_add(R, mat_mul(self.taus[k - 1], Qk))
+            C, Ek = cache[m - k], self.taus[k - 1]
+            if log:
+                Ek = mat_map(Ek, lambda x: x.frobenius(m - k))
+                R = mat_sub(R, mat_mul(C, Ek))
+            else:
+                C = mat_map(C, lambda x: x.frobenius(k))
+                R = mat_add(R, mat_mul(Ek, C))
         return R
 
     def _sylvester_solve(self, R, n):
@@ -333,18 +349,6 @@ class TModule:
                     acc = acc + c * X[k][j]
                 X[i][j] = acc * ilam
         return X
-
-    def log_coeff_recursive(self, n: int):
-        """P_n from sum_{i+j=n} P_i Q_j^{(i)} = [n=0] I."""
-        z = self.scalars.zero
-        while len(self._log_cache) <= n:
-            m = len(self._log_cache)
-            acc = [[z] * self.d for _ in range(self.d)]
-            for i in range(m):
-                Qj = mat_map(self.exp_coeff(m - i), lambda x: x.frobenius(i))
-                acc = mat_add(acc, mat_mul(self._log_cache[i], Qj))
-            self._log_cache.append(mat_map(acc, lambda x: -x))
-        return self._log_cache[n]
 
 
 def _theta_jet_matrix(shape, m: int, sc, D: int):
@@ -395,26 +399,19 @@ def _theta_jet_product(shape, n: int, sc, D: int):
 
 def log_coeff_matrix(shape, n: int, scalars=None):
     """Closed-form logarithm coefficient P_n of the t-module induced by a
-    shape: column (ell, j) is delta_0 of the n-fold twisted transition
-    product applied to (t - theta^{q^n})^j in block ell."""
-    from .motive import delta0, sigma_basis
+    shape: column (ell, j) is the twisted term (_twisted_term) of
+    (t - theta^{q^n})^j in block ell."""
+    from .motive import sigma_basis
 
     sc = scalars if scalars is not None else _ExactScalars(shape.fs)
-    d = shape.dim
     if n == 0:
-        return mat_identity(d, sc.one, sc.zero)
+        return mat_identity(shape.dim, sc.one, sc.zero)
     D = max(shape.block_dims)
-    prod = _theta_jet_product(shape, n, sc, D)
     jets = _bracket_pow_jets(sc, n, D)
-    P = [[sc.zero] * d for _ in range(d)]
-    for col, (ell, j) in enumerate(sigma_basis(shape)):
-        if j:
-            blocks = [prod[b][ell - 1] * jets[j] for b in range(shape.r)]
-        else:
-            blocks = [prod[b][ell - 1] for b in range(shape.r)]
-        for row, x in enumerate(delta0(blocks, shape)):
-            P[row][col] = x
-    return P
+    cols = [_twisted_term(shape, n, sc, D, [jets[j] if b == ell else None
+                                             for b in range(1, shape.r + 1)])
+            for ell, j in sigma_basis(shape)]
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +737,8 @@ def depth_one_period_check(fs, n: int, prec: int = 30) -> dict:
 
 def log_oracle_check(shape, nmax: int = 8, window: int = 80) -> dict:
     """The two logarithm-coefficient routes (closed-form twisted-product
-    jets vs the recursive inverse of the exponential) agree entrywise
-    inside a shared truncation window."""
+    jets vs the functional-equation recursion) agree entrywise inside a
+    shared truncation window."""
     fs = shape.fs
     sc = _LaurentScalars(fs, window)
     E = _shape_module(shape).with_scalars(sc)

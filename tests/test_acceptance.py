@@ -80,7 +80,8 @@ def test_05_log_coefficient_oracle():
         E = _shape_module(shape)
         for n in range(4):
             ok = ok and log_coeff_matrix(shape, n) == E.log_coeff_recursive(n)
-    report(5, "closed-form log coefficients = recursive inverse, n <= 8", ok)
+    report(5, "closed-form log coefficients = functional-equation recursion, "
+              "n <= 8", ok)
 
 
 def test_06_inclusion_exclusion():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from functools import reduce
 from operator import add
 
@@ -518,15 +519,85 @@ class TestCertifiedSum:
             call()
 
 
+def log_by_inverting_exp(E, n):
+    """P_0..P_n from sum_{i+j=m} P_i Q_j^{(i)} = [m = 0] I: the logarithm as
+    the inverse of the exponential, with m products and m twists of the
+    exponential coefficients at step m."""
+    sc = E.scalars
+    P = [mat_identity(E.d, sc.one, sc.zero)]
+    for m in range(1, n + 1):
+        acc = [[sc.zero] * E.d for _ in range(E.d)]
+        for i in range(m):
+            Qj = mat_map(E.exp_coeff(m - i), lambda x: x.frobenius(i))
+            acc = mat_add(acc, mat_mul(P[i], Qj))
+        P.append(mat_map(acc, lambda x: -x))
+    return P
+
+
+def matrix_key(P):
+    return [[scalar_key(x) for x in row] for row in P]
+
+
+# the default oracle-log shapes, star (2, 1) at q = 3 and AT (1, 2, 3) at q = 2
+ROUTE_SHAPES = ((2, (1,), "star"), (2, (4,), "star"), (2, (3, 1), "star"),
+                (2, (2, 1, 1), "star"), (2, (1, 2), "at"), (3, (2, 4), "at"),
+                (3, (2, 1), "star"), (2, (1, 2, 3), "at"))
+
+
 class TestLogCoefficients:
     @pytest.mark.parametrize("q,s,model", [
         (2, (1,), "at"), (2, (2,), "at"), (3, (2,), "at"), (2, (1, 1), "star")])
     def test_closed_form_matches_recursive_exactly(self, q, s, model):
+        # the closed-form twisted product against the functional-equation
+        # recursion, over exact scalars
         fs = field(q)
         shape = at_shape(fs, s) if model == "at" else star_shape(fs, s)
         E = _shape_module(shape)
         for n in range(4):
             assert log_coeff_matrix(shape, n) == E.log_coeff_recursive(n)
+
+    @pytest.mark.parametrize("q,s,model", ROUTE_SHAPES, ids=str)
+    def test_three_routes_agree_entrywise(self, q, s, model):
+        # closed form, functional equation and inversion of the exponential:
+        # equal in v, coefficients and N at window 60
+        shape = _make_shape(q, s, model)
+        sc = _LaurentScalars(shape.fs, 60)
+        E = _shape_module(shape).with_scalars(sc)
+        inverted = log_by_inverting_exp(E, 8)
+        for n in range(9):
+            want = matrix_key(inverted[n])
+            assert matrix_key(E.log_coeff_recursive(n)) == want
+            assert matrix_key(log_coeff_matrix(shape, n, sc)) == want
+
+    @pytest.mark.parametrize("pm", [(2,), (3,), (2, 2)], ids=str)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tensor_power_recursion_matches_inversion(self, pm, dim):
+        fs = field(*pm)
+        for window, nmax in ((None, 3), (50, 7)):
+            E = TModule.carlitz_tensor(fs, dim)
+            if window is not None:
+                E = E.with_laurent(window)
+            inverted = log_by_inverting_exp(E, nmax)
+            for n in range(nmax + 1):
+                assert matrix_key(E.log_coeff_recursive(n)) == \
+                    matrix_key(inverted[n])
+
+    def test_recursion_leaves_the_exponential_alone(self):
+        E = _shape_module(at_shape(field(3), (2, 4))).with_laurent(60)
+        E.log_coeff_recursive(8)
+        assert len(E._exp_cache) == 1
+
+    def test_recursion_memory_is_bounded(self):
+        # r products and twists of the small E_k per step; inverting the
+        # exponential instead peaked near 700 MB here
+        E = _shape_module(at_shape(field(3), (2, 4))).with_laurent(60)
+        tracemalloc.start()
+        try:
+            E.log_coeff_recursive(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
     def test_oracle_check_windowed(self):
         fs = field(2)
