@@ -751,7 +751,8 @@ def log_oracle_check(shape, nmax: int = 8, window: int = 80) -> dict:
             for x, y in zip(row_a, row_b)))
     passed = all(v is None or v >= window for v in residuals)
     return {
-        "identity": "closed-form log coefficients = recursive inverse",
+        "identity": "closed-form log coefficients = functional-equation "
+                    "recursion",
         "model": shape.model,
         "s": list(shape.s),
         "nmax": nmax,
