@@ -262,7 +262,7 @@ def _suite_items(suite: str, args):
             raise ValueError("--nu: coefficients must be field codes in "
                              "[0, %d), got %s" % (fs.q, ",".join(map(str, nu))))
         place = NuPlace(APoly(fs, nu))
-        indices = [args.s] if args.s else [(1,), (1, 3)]
+        indices = [args.s] if args.s else [(2, 1), (3, 1)]
         for idx in indices:
             items.append(
                 ("vadic q=%d s=%s" % (fs.q, ",".join(map(str, idx))),

@@ -105,6 +105,14 @@ class TestExitCodes:
         assert len(reports) == 2
         assert all(r["nu"] == [1, 1] and r["terms"][0] > 0 for r in reports)
 
+    def test_default_vadic_reports_compare_nonzero_values(self, capsys):
+        # at nu = theta + 1 over F_2, s = (1) and (1, 3) are both O(nu^8),
+        # so a suite of them would compare zero with zero
+        rc, out = run(capsys, "verify", "vadic", "--format", "json")
+        assert rc == 0
+        for r in json.loads(out)["reports"]:
+            assert any(r["value"]["digits"]), r["name"]
+
     @pytest.mark.parametrize("error", [
         tmzv.cli.PrecisionError("shells did not certify precision 20"),
         MemoryError(), RecursionError("maximum recursion depth exceeded")])
