@@ -27,8 +27,7 @@ def resolve(module, cls, attr):
     return getattr(owner, cls).__dict__[attr]
 
 
-@pytest.mark.parametrize("module,cls,attr", _entry_points(),
-                         ids=str)
+@pytest.mark.parametrize("module,cls,attr", _entry_points(), ids=str)
 def test_entry_point_resolves(module, cls, attr):
     assert callable(resolve(module, cls, attr))
 
