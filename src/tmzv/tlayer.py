@@ -174,17 +174,12 @@ class TPoly:
         _, cs = self.split_at_pole(D)
         return cs
 
-    def jet(self, D: int, conv=None, zero=None):
-        """LocalJet of order D; conv maps RatFunc scalars to the backend."""
-        cs = self.taylor_coeffs(min(D, self.degree() + 1) if not self.is_zero() else 0)
-        if conv is not None:
-            cs = [conv(c) for c in cs]
-            z = zero
-        else:
-            z = RatFunc.zero(self.fs)
-        while len(cs) < D:
-            cs.append(z)
-        return LocalJet(cs, 0, D, z)
+    def jet(self, D: int, sc, twist: int = 0):
+        """LocalJet of order D of self^(twist) in the scalars of strategy
+        sc: the exact Taylor coefficients, each passed through sc.conv."""
+        f = self.twist(twist) if twist else self
+        cs = f.taylor_coeffs(min(D, f.degree() + 1))
+        return LocalJet([sc.conv(c) for c in cs], 0, D, sc.zero)
 
     def gauss_norm_exp(self) -> Fraction:
         """Exponent e with ||f|| = q^e (max coefficient |.|_inf)."""

@@ -1,8 +1,10 @@
 """Anderson t-modules as computational objects: the exponential and
-logarithm coefficient streams (one Sylvester recursion and, for
-shape-backed modules, the twisted-product closed form), certified
-series evaluation, the Stark logarithm route, split-logarithm
-verification, and the period basis.
+logarithm coefficient streams (one Sylvester recursion, which log_eval
+sums for every module, and for shape-backed modules the twisted-product
+closed form that log_oracle_check compares with it), the one pole jet
+1/(t - theta^{q^k}) of every scalar strategy and of the deformed
+L-series, certified series evaluation, the Stark logarithm route,
+split-logarithm verification, and the period basis.
 
 Matrices are plain lists of lists over duck-typed scalars (RatFunc for
 exact work, PrecisionLaurent/LocalJet backends elsewhere).
@@ -154,10 +156,10 @@ class _LaurentScalars(ScalarStrategy):
         return x.embed_ram() if self.ram > 1 else x
 
 
-@memo
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
     """Jet at t = theta of 1/(t - theta^{q^k}), order D, in the scalars of
-    any strategy: LocalJet.pole_inv of 1/(theta - theta^{q^k}) = -1/[k]."""
+    any strategy: LocalJet.pole_inv of 1/(theta - theta^{q^k}) = -1/[k].
+    Not memoised: its callers keep what they build from it."""
     return LocalJet.pole_inv(-sc.inv_bracket(k), D, sc.zero)
 
 
@@ -375,7 +377,7 @@ def _theta_jet_matrix(shape, m: int, sc, D: int):
         for j in range(i + 1, r + 1):
             c = _phi_coeff(shape, dual, i, j)
             if c is not None:
-                num = c.twist(m - 1).jet(D, conv=sc.conv, zero=sc.zero)
+                num = c.jet(D, sc, twist=m - 1)
                 out[i - 1][j - 1] = num * lpow[dims[j - 1]]
     return out
 
@@ -511,18 +513,13 @@ def check_log_domain(E, v):
 
 
 def log_eval(E: TModule, v, prec: int = 40, max_terms: int = 60):
-    """Log_E(v) inside the certified domain; shape-backed modules use the
-    closed-form coefficients, others the recursive solve."""
+    """Log_E(v) inside the certified domain, with the coefficients of the
+    functional-equation recursion over windowed Laurent scalars."""
     check_log_domain(E, v)
-    fs = E.fs
-    sc = _LaurentScalars(fs, _eval_window(fs, prec, v))
-    shape = E.provenance
-    if shape is not None and hasattr(shape, "block_dims"):
-        coeff_fn = lambda n: log_coeff_matrix(shape, n, scalars=sc)
-    else:
-        coeff_fn = E.with_scalars(sc).log_coeff_recursive
+    sc = _LaurentScalars(E.fs, _eval_window(E.fs, prec, v))
     vv = [sc.conv(x) for x in v]
-    acc = _series_sum(coeff_fn, vv, prec, max_terms)
+    acc = _series_sum(E.with_scalars(sc).log_coeff_recursive, vv, prec,
+                      max_terms)
     return _truncate_vec(acc, prec)
 
 
@@ -568,8 +565,7 @@ def stark_log_eval(shape, prec: int = 40, max_terms: int = 60):
 
     def term(n):
         return _twisted_term(shape, n, sc, D, [
-            None if x.is_zero() else
-            x.twist(n - 1).jet(D, conv=sc.conv, zero=sc.zero) for x in f])
+            None if x.is_zero() else x.jet(D, sc, twist=n - 1) for x in f])
 
     acc = _certified_sum(
         term, 1, prec, max_terms,

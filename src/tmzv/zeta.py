@@ -27,9 +27,9 @@ from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
                       RatFunc, memo, min_residual_valuation, monic_enumerate)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, inv_bracket, l_poly, omega)
-from .tmodule import (TModule, _certified_sum, _LaurentScalars, exp_eval,
-                      log_eval, mat_mul, mat_sub, split_log_check,
-                      stark_log_eval, vec_sub)
+from .tmodule import (TModule, _certified_sum, _LaurentScalars,
+                      _pole_inv_jet, exp_eval, log_eval, mat_mul, mat_sub,
+                      split_log_check, stark_log_eval, vec_sub)
 
 # ---------------------------------------------------------------------------
 # power sums S_d(k) = sum over monic a of degree d of a^(-k)
@@ -245,30 +245,16 @@ def _rel_guard(fs: FieldSpec, s) -> int:
     return sum((si * q) // (q - 1) + 1 for si in s) + 10
 
 
-def _laurent_rel(c: RatFunc, rel: int) -> PrecisionLaurent:
-    """Laurent expansion keeping `rel` digits past the leading exponent.
-    Numerator and denominator are each expanded to `rel` digits past their
-    own leading exponents, so the quotient is known to v + rel however far
-    the numerator's degree outgrows the denominator's (an absolute cut at
-    v + rel would leave a twisted denominator zero to that precision)."""
-    if c.is_zero():
-        return PrecisionLaurent.zero(c.fs)
-    num = c.num.laurent(N=rel - c.num.degree())
-    if c.is_poly():
-        return num
-    return num / c.den.laurent(N=rel - c.den.degree())
-
-
 def _frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
-    """c^{q^i} to relative precision rel, exploiting sparsity: a polynomial's
-    q^i-th power has support on multiples of q^i, so only the top few
-    monomials land inside the window."""
+    """c^{q^i} to relative precision rel.  A polynomial's q^i-th power has
+    support on multiples of q^i, so only its top few monomials land inside
+    the window; any other c^{q^i} is converted by the windowed Laurent
+    strategy (exact numerator times the denominator's inverse to rel digits
+    past its leading exponent)."""
     if c.is_zero():
         return PrecisionLaurent.zero(c.fs)
-    if i == 0:
-        return _laurent_rel(c, rel)
     if not c.is_poly():
-        return _laurent_rel(c.frobenius(i), rel)
+        return _LaurentScalars(c.fs, rel).conv(c.frobenius(i))
     fs = c.fs
     a = c.num
     d = a.degree()
@@ -291,8 +277,7 @@ def _ll_inv_jet(fs: FieldSpec, i: int, s: int, D: int, rel: int) -> LocalJet:
         return LocalJet.const_jet(
             PrecisionLaurent.one(fs), D, PrecisionLaurent.zero(fs))
     got = _ll_inv_jet(fs, i - 1, s, D, rel)
-    f = LocalJet.pole_inv(-inv_bracket(fs, i, fs.q**i + rel), D,
-                          PrecisionLaurent.zero(fs))
+    f = _pole_inv_jet(_LaurentScalars(fs, rel), i, D)
     for _ in range(s):
         got = got * f
     return got

@@ -293,7 +293,7 @@ class TestBracketPowerJet:
                     assert len(jets) == D
                     for j, got in enumerate(jets):
                         want = _tpoly_pow(TPoly.t_minus_theta(fs), j).twist(
-                            n).jet(D, conv=sc.conv, zero=sc.zero)
+                            n).jet(D, sc)
                         assert (got.shift, got.D) == (want.shift, want.D)
                         assert [scalar_key(x) for x in got.coeffs] == \
                             [scalar_key(x) for x in want.coeffs]
