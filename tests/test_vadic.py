@@ -1,4 +1,11 @@
-"""nu-adic places, factored scalars, and nu-adic zeta values."""
+"""nu-adic places, factored scalars, and nu-adic zeta values.
+
+Regenerate tests/data/zeta_nu.json with write_stored_zeta_nu().
+"""
+
+import hashlib
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +197,52 @@ class TestZetaNu:
         fs = field(3)
         rep = zeta_nu_check(fs, (1,), NuPlace(APoly.theta(fs)), K=6)
         assert rep["pass"]
+
+
+ZETA_NU_PATH = os.path.join(os.path.dirname(__file__), "data", "zeta_nu.json")
+
+# the places of the benchmark's session stream (perfbench/inputs.py
+# SESSION_PLACES), as (q, coefficients of nu)
+PINNED_PLACES = (
+    (2, (0, 1)), (2, (1, 1)), (2, (1, 1, 1)), (2, (1, 1, 0, 1)),
+    (3, (0, 1)), (3, (1, 1)), (3, (2, 1)), (3, (1, 0, 1)),
+)
+
+
+def _zeta_nu_digest(fs, s, nu, K):
+    v, diag = zeta_nu(fs, s, NuPlace(APoly(fs, nu)), K=K)
+    blob = json.dumps({"value": v.to_dict(), "diagnostics": diag},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def stored_zeta_nu():
+    """sha256 of the canonical JSON of each pinned zeta_nu value and its
+    diagnostics (terms, term valuations, bound test)."""
+    out = {}
+    cases = [(q, (1,), nu) for q, nu in PINNED_PLACES]
+    cases.append((2, (2, 1), (1, 1, 1)))
+    for q, s, nu in cases:
+        fs = field(q)
+        for K in (4, 8):
+            out["q=%d s=%s nu=%s K=%d" % (
+                q, ",".join(map(str, s)), ",".join(map(str, nu)), K)] = \
+                _zeta_nu_digest(fs, s, nu, K)
+    return out
+
+
+def write_stored_zeta_nu():
+    """Regenerate tests/data/zeta_nu.json from the present code."""
+    with open(ZETA_NU_PATH, "w") as f:
+        json.dump(stored_zeta_nu(), f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+class TestStoredZetaNu:
+    # a faster route to the same valuations and inverses must leave every
+    # value, term count and term valuation as it was
+    def test_values_match_stored_digests(self):
+        got = stored_zeta_nu()
+        assert len(got) == 18
+        with open(ZETA_NU_PATH) as f:
+            assert got == json.load(f)
