@@ -403,14 +403,21 @@ class APoly:
         db = other.degree()
         ilead = fs.inv(other.lead())
         quo = [0] * max(0, len(rem) - db)
-        add, mul = fs.add, fs.mul
-        neg_other = [fs.neg(b) for b in other.coeffs]
+        p, add, mul = fs.p, fs.add, fs.mul
+        # over a prime field the codes are integers mod p, and c * b is
+        # subtracted directly; otherwise -b is added through fs
+        bs = other.coeffs if fs.m == 1 else [fs.neg(b) for b in other.coeffs]
         while len(rem) - 1 >= db and rem:
-            c = mul(rem[-1], ilead)
             shift = len(rem) - 1 - db
+            if fs.m == 1:
+                c = rem[-1] * ilead % p
+                rem[shift:] = [(r - c * b) % p
+                               for r, b in zip(rem[shift:], bs)]
+            else:
+                c = mul(rem[-1], ilead)
+                for j, b in enumerate(bs, shift):
+                    rem[j] = add(rem[j], mul(c, b))
             quo[shift] = c
-            for j, b in enumerate(neg_other, shift):
-                rem[j] = add(rem[j], mul(c, b))
             while rem and rem[-1] == 0:
                 rem.pop()
         return APoly(fs, quo), APoly(fs, rem)

@@ -274,18 +274,19 @@ def _product_precisions(va, Na, vb, Nb):
     valuation.  None means exact."""
     inf = float("inf")
 
-    def bounds(vs, Ns):
-        # (N, lower bound on the valuation); both infinite for an exact zero
-        return [(n, n if v is None else v)
-                for v, n in zip(vs, (inf if n is None else n for n in Ns))]
+    def live(vs, Ns):
+        # (index, N, lower bound on the valuation) of each row that is not
+        # an exact zero, which bounds no product row
+        return [(i, inf if n is None else n, n if v is None else v)
+                for i, (v, n) in enumerate(zip(vs, Ns))
+                if v is not None or n is not None]
 
-    A, B = bounds(va, Na), bounds(vb, Nb)
-    Ns = [inf] * len(A)
-    for i, (na, la) in enumerate(A):
-        if la == inf:
-            continue
-        for j in range(len(A) - i):
-            nb, lb = B[j]
+    A, B = live(va, Na), live(vb, Nb)
+    Ns = [inf] * len(va)
+    for i, na, la in A:
+        for j, nb, lb in B:
+            if i + j >= len(Ns):
+                break
             n = min(na + lb, nb + la)
             if n < Ns[i + j]:
                 Ns[i + j] = n

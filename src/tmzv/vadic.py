@@ -56,17 +56,21 @@ def _nu_pow(place: NuPlace, m: int) -> APoly:
 
 
 def nu_split(a: APoly, place: NuPlace):
-    """(v_nu(a), a / nu^v), from one division by nu per power; (None, a)
-    for the zero polynomial."""
+    """(v_nu(a), a / nu^v) by galloping division: k doubles while nu^k
+    divides, then halves to 1, O(log v) divisions; (None, a) for zero."""
     if a.is_zero():
         return None, a
-    v = 0
-    while True:
-        quo, rem = divmod(a, place.nu)
-        if not rem.is_zero():
-            return v, a
-        a = quo
-        v += 1
+    v, k, grow = 0, 1, True
+    while k:
+        divides = False
+        if a.degree() >= k * place.f:
+            quo, rem = divmod(a, _nu_pow(place, k))
+            divides = rem.is_zero()
+            if divides:
+                a, v = quo, v + k
+        grow = grow and divides
+        k = 2 * k if grow else k // 2
+    return v, a
 
 
 def nu_valuation(a: APoly, place: NuPlace):
@@ -232,15 +236,17 @@ class FactoredScalar:
         return nu_valuation(self.num, place) - self.den_valuation(place)
 
     def to_nuadic(self, place: NuPlace, prec: int) -> NuAdic:
+        """One inverse mod nu^m, of the product of the bracket factors."""
         vd = self.den_valuation(place)
         m = max(prec + vd, 1)
-        unit = nu_mod(self.num, place, m)
+        mod = _nu_pow(place, m)
+        den = APoly.one(self.fs)
         for k, e in sorted(self.den.items()):
             b = bracket(self.fs, k)
             if k % place.f == 0:
                 b = b // place.nu
-            unit = nu_mod(unit * nu_inv(b, place, m).pow(e, _nu_pow(place, m)),
-                          place, m)
+            den = den * b.pow(e, mod) % mod
+        unit = nu_mod(self.num, place, m) * nu_inv(den, place, m)
         return NuAdic.from_unit(place, -vd, unit, prec)
 
     def __repr__(self):

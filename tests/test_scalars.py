@@ -31,6 +31,24 @@ def apolys(fs, max_deg=5):
         lambda cs: APoly(fs, tuple(cs)))
 
 
+def generic_divmod(a, b):
+    """Schoolbook division through the field's add and mul, for any q."""
+    fs = a.fs
+    rem = list(a.coeffs)
+    db = b.degree()
+    ilead = fs.inv(b.lead())
+    quo = [0] * max(0, len(rem) - db)
+    while len(rem) - 1 >= db and rem:
+        c = fs.mul(rem[-1], ilead)
+        shift = len(rem) - 1 - db
+        quo[shift] = c
+        for j, x in enumerate(b.coeffs, shift):
+            rem[j] = fs.add(rem[j], fs.mul(c, fs.neg(x)))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return APoly(fs, quo), APoly(fs, rem)
+
+
 class TestField:
     def test_prime_fields(self):
         assert fq2().q == 2
@@ -66,16 +84,20 @@ class TestAPoly:
         assert r.degree() < b.degree()
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_divmod_random(self, data):
-        fs = fq3()
-        a = data.draw(apolys(fs))
+        # prime fields take the integer loop mod p, extension fields the
+        # fs.add / fs.mul loop; both against the generic loop, with divisors
+        # of any nonzero leading coefficient
+        fs = data.draw(st.sampled_from([field(2), field(3), field(5),
+                                        field(2, 2), field(3, 2)]))
+        a = data.draw(apolys(fs, max_deg=12))
         b = data.draw(apolys(fs))
-        if b.is_zero():
-            return
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
+        b = APoly(fs, b.coeffs + (data.draw(st.integers(1, fs.q - 1)),))
+        quo, rem = divmod(a, b)
+        assert quo * b + rem == a
+        assert rem.is_zero() or rem.degree() < b.degree()
+        assert (quo, rem) == generic_divmod(a, b)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -3,9 +3,11 @@
 Regenerate tests/data/zeta_nu.json with write_stored_zeta_nu().
 """
 
+import functools
 import hashlib
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,33 @@ from hypothesis import strategies as st
 
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, RatFunc, field, monic_enumerate
+from tmzv.tlayer import bracket
 from tmzv.vadic import (FactoredScalar, NuAdic, NuPlace, a_nu,
                         nu_inv, nu_mod, nu_reduce, nu_split, nu_valuation,
                         zeta_nu, zeta_nu_check)
+
+
+@functools.lru_cache(maxsize=None)
+def places(q, f):
+    """Every place of residue degree f over F_q."""
+    fs = {2: field(2), 3: field(3), 4: field(2, 2), 9: field(3, 2)}[q]
+    out = []
+    for nu in monic_enumerate(fs, f):
+        try:
+            out.append(NuPlace(nu))
+        except ValueError:
+            pass
+    return out
+
+
+def split_by_one_power(a, pl):
+    """(v_nu(a), a / nu^v) from one division by nu per power."""
+    v = 0
+    while True:
+        quo, rem = divmod(a, pl.nu)
+        if not rem.is_zero():
+            return v, a
+        a, v = quo, v + 1
 
 
 def q2_place():
@@ -42,24 +68,49 @@ class TestNuPlace:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_split_recovers_unit_and_power(self, data):
-        # places of degree 1-3 over F_2 and F_3: every monic irreducible
-        fs = field(data.draw(st.sampled_from([2, 3])))
-        places = []
-        for d in (1, 2, 3):
-            for nu in monic_enumerate(fs, d):
-                try:
-                    places.append(NuPlace(nu))
-                except ValueError:
-                    pass
-        pl = data.draw(st.sampled_from(places))
+        # places of degree 1-3 over F_2, F_3, F_4 and F_9, against one
+        # division by nu per power
+        q = data.draw(st.sampled_from([2, 3, 4, 9]))
+        pl = data.draw(st.sampled_from(places(q, data.draw(st.integers(1, 3)))))
+        fs = pl.fs
         unit = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
-                               for _ in range(data.draw(st.integers(1, 6)))))
-        if unit.is_zero() or nu_mod(unit, pl, 1).is_zero():
-            return
-        k = data.draw(st.integers(0, 4))
-        assert nu_split(unit * pl.nu.pow(k), pl) == (k, unit)
-        assert nu_valuation(unit * pl.nu.pow(k), pl) == k
+                               for _ in range(data.draw(st.integers(1, 12)))))
+        if nu_mod(unit, pl, 1).is_zero():
+            unit = unit + APoly.one(fs)
+        k = data.draw(st.integers(0, 40))
+        a = unit * pl.nu.pow(k)
+        assert nu_split(a, pl) == split_by_one_power(a, pl) == (k, unit)
+        assert nu_valuation(a, pl) == k
         assert nu_split(APoly.zero(fs), pl) == (None, APoly.zero(fs))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_split_divisions_grow_with_log_of_valuation(self, q, f,
+                                                        monkeypatch):
+        # v = 64 takes a handful of divisions by powers of nu, where one
+        # division per power would take 65
+        pl = places(q, f)[-1]
+        fs = pl.fs
+        rng = random.Random(q * 10 + f)
+        calls = []
+        divmod_apoly = APoly.__divmod__
+
+        def counted(a, b):
+            calls.append(1)
+            return divmod_apoly(a, b)
+
+        for deg in (0, 1, 7, 200):
+            unit = APoly(fs, [rng.randrange(fs.q) for _ in range(deg)]
+                         + [rng.randrange(1, fs.q)])
+            if nu_mod(unit, pl, 1).is_zero():
+                unit = unit + APoly.one(fs)
+            a = unit * pl.nu.pow(64)
+            calls.clear()
+            monkeypatch.setattr(APoly, "__divmod__", counted)
+            got = nu_split(a, pl)
+            monkeypatch.setattr(APoly, "__divmod__", divmod_apoly)
+            assert got == (64, unit)
+            assert len(calls) <= 20
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -136,8 +187,6 @@ class TestFactoredScalars:
         # rational arithmetic followed by reduction
         pl = q2_place()
         fs = pl.fs
-        from tmzv.tlayer import bracket
-
         def draw_pair():
             num = APoly.one(fs) + APoly(fs, tuple(
                 data.draw(st.integers(0, 1)) for _ in range(3)))
@@ -150,6 +199,30 @@ class TestFactoredScalars:
         fac = fx * fy + fx - fy
         exact = ex * ey + ex - ey
         assert fac.to_nuadic(pl, 6).eq_to_prec(nu_reduce(exact, pl, 6), 6)
+
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_to_nuadic_matches_exact_reduction(self, data):
+        # one inverse of the product of the bracket powers gives the same
+        # expansion as the exact rational function
+        q = data.draw(st.sampled_from([2, 3, 4]))
+        pl = data.draw(st.sampled_from(places(q, data.draw(st.integers(1, 2)))))
+        fs = pl.fs
+        num = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
+                              for _ in range(data.draw(st.integers(1, 6)))))
+        if num.is_zero():
+            num = APoly.one(fs)
+        num = num * pl.nu.pow(data.draw(st.integers(0, 2)))
+        ks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3,
+                                unique=True))
+        den = {k: data.draw(st.integers(1, 3)) for k in ks}
+        exact = APoly.one(fs)
+        for k, e in den.items():
+            exact = exact * bracket(fs, k).pow(e)
+        prec = data.draw(st.integers(1, 8))
+        assert FactoredScalar(fs, num, den).to_nuadic(pl, prec) == \
+            nu_reduce(RatFunc(num, exact), pl, prec)
 
 
 class TestZetaNu:
