@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -385,7 +386,7 @@ def run_dump(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    _emit(payload, "json")
+    _emit(payload, args.format)
     return 0
 
 
@@ -394,7 +395,7 @@ def run_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, formats=("json", "text"), default="text"):
     p.add_argument("--q", type=int, default=None,
                    help="field size (prime power)")
     p.add_argument("--modulus", type=_parse_coeffs, default=None,
@@ -403,7 +404,7 @@ def _add_common(p):
                    help="comma-separated index tuple")
     p.add_argument("--prec", type=_positive_int, default=None,
                    help="target residual valuation")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--format", choices=formats, default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump", help="serialize an object as JSON")
     p.add_argument("object", choices=("motive", "tmodule", "point", "series"))
-    _add_common(p)
+    _add_common(p, formats=("json",), default="json")
     p.add_argument("--model", choices=("at", "star"), default=None)
     p.add_argument("--star", action="store_true",
                    help="series only: star variant")
@@ -447,7 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output closed by the reader", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

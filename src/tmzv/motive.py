@@ -98,15 +98,6 @@ def star_shape(fs: FieldSpec, s) -> MotiveShape:
     return MotiveShape(fs, tuple(s), tuple(anderson_thakur(fs, si) for si in s), "Star")
 
 
-def star_dimension(s) -> int:
-    """Dimension of the star t-module for the reversed index tuple s:
-    weight plus the partial-weight correction."""
-    s = tuple(s)
-    if not s:
-        raise ValueError("empty tuple")
-    return sum(s) + sum(sum(s[: ell + 1]) for ell in range(len(s) - 1))
-
-
 def sigma_basis(shape: MotiveShape):
     """Ordered basis labels (ell, j) for (t-theta)^j m_ell, j descending."""
     out = []
@@ -125,7 +116,6 @@ def sigma_basis(shape: MotiveShape):
 class DualTMotive:
     shape: MotiveShape
     phi: list  # r x r matrix of TPoly: the +1 twist of each entry
-    alpha_pre_sigma: list = None  # X with alpha = sigma(X); list of r TPoly
 
 
 def _tm_theta_pow(fs: FieldSpec, d: int, twist: int = 0) -> TPoly:
@@ -176,9 +166,8 @@ def _phi_rows(shape: MotiveShape, n: int) -> list:
 
 
 def build_motive(shape: MotiveShape) -> DualTMotive:
-    """The motive matrix Phi with the pre-sigma special point."""
-    return DualTMotive(shape, _phi_rows(shape, shape.r),
-                       special_point_pre_sigma(shape))
+    """The motive matrix Phi."""
+    return DualTMotive(shape, _phi_rows(shape, shape.r))
 
 
 def phi_tilde(shape: MotiveShape) -> list:
@@ -366,21 +355,8 @@ def split_recomposes(shape: MotiveShape, dec: SigmaDecomposition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# extensions and the induced t-module
+# the induced t-module
 # ---------------------------------------------------------------------------
-
-
-def ext_combine(a1: TPoly, M1: DualTMotive, a2: TPoly, M2: DualTMotive) -> DualTMotive:
-    """F_q[t]-linear combination of two extensions sharing the inner block."""
-    if M1.shape != M2.shape:
-        raise ValueError("extensions must share the inner motive")
-    for a in (a1, a2):
-        for c in a.coeffs:
-            if not (c.is_zero() or (c.is_poly() and c.num.degree() <= 0)):
-                raise ValueError("combination coefficients must lie in F_q[t]")
-    coords = [a1 * x + a2 * y
-              for x, y in zip(M1.alpha_pre_sigma, M2.alpha_pre_sigma)]
-    return DualTMotive(M1.shape, M1.phi, coords)
 
 
 def tmodule_of(shape: MotiveShape):

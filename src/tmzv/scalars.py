@@ -207,15 +207,6 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return self._exp[self.q - 1 - self._log[a]]
 
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.m == 1:
-            return pow(a, e, self.p)
-        if not a:
-            return 0 if e else self.one
-        return self._exp[self._log[a] * e % (self.q - 1)]
-
     def from_int(self, n: int):
         """Image of an integer under F_p -> F_q (prime-subfield element)."""
         return n % self.p
@@ -389,12 +380,6 @@ class APoly:
         fs = self.fs
         return APoly(fs, [fs.mul(c, x) for x in self.coeffs])
 
-    def shift(self, k):
-        """Multiply by theta^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return APoly(self.fs, (0,) * k + self.coeffs)
-
     def __divmod__(self, other):
         fs = self.fs
         if other.is_zero():
@@ -522,16 +507,6 @@ class APoly:
             else:
                 terms.append(f"{cs}θ^{j}")
         return " + ".join(terms)
-
-
-def monic_enumerate(fs: FieldSpec, d: int):
-    """All q^d monic polynomials of degree d, lexicographic in
-    (c_{d-1}, ..., c_0)."""
-    if d == 0:
-        yield APoly.one(fs)
-        return
-    for tail in itertools.product(range(fs.q), repeat=d):
-        yield APoly(fs, tuple(reversed(tail)) + (fs.one,))
 
 
 class RatFunc:
@@ -668,14 +643,6 @@ class PrecisionLaurent:
         return cls(fs, 0, (fs.one,), N=N, ram=ram)
 
     @classmethod
-    def const(cls, fs, c, N=None, ram=1):
-        return cls(fs, 0, (c,), N=N, ram=ram)
-
-    @classmethod
-    def monomial(cls, fs, v, c=None, N=None, ram=1):
-        return cls(fs, v, ((c if c is not None else fs.one),), N=N, ram=ram)
-
-    @classmethod
     def theta_pow(cls, fs, k, N=None, ram=1):
         """theta^k as a series in the given tower."""
         if ram == 1:
@@ -724,15 +691,6 @@ class PrecisionLaurent:
     def abs_infty_exp(self) -> Fraction:
         """Exponent e with |x| = q^e."""
         return -self.v_infty()
-
-    def __getitem__(self, n):
-        """Coefficient at exponent n (must be below N when N is finite)."""
-        if self.N is not None and n >= self.N:
-            raise _PrecisionError(f"coefficient at exponent {n} beyond precision {self.N}")
-        if self.v is None:
-            return 0
-        i = n - self.v
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def _check(self, other):
         if self.fs != other.fs or self.ram != other.ram:
@@ -788,14 +746,6 @@ class PrecisionLaurent:
             n = N - v
             xs, ys = xs[:n], ys[:n]
         return PrecisionLaurent(fs, v, fs.conv(xs, ys, n), N=N, ram=self.ram)
-
-    def scale(self, c):
-        fs = self.fs
-        if c == 0:
-            return PrecisionLaurent.zero(fs, N=self.N, ram=self.ram)
-        return PrecisionLaurent(
-            fs, self.v, [fs.mul(c, x) for x in self.coeffs], N=self.N, ram=self.ram
-        )
 
     def shift(self, k):
         """Multiply by the uniformizer^(-k): exponent shift by k."""

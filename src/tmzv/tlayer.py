@@ -66,20 +66,8 @@ class TPoly:
         return cls(fs, (RatFunc.one(fs),))
 
     @classmethod
-    def t(cls, fs):
-        return cls(fs, (RatFunc.zero(fs), RatFunc.one(fs)))
-
-    @classmethod
     def const(cls, fs, c: RatFunc):
         return cls(fs, (c,))
-
-    @classmethod
-    def from_apoly_coeffs(cls, fs, apolys):
-        return cls(fs, [RatFunc(a) for a in apolys])
-
-    @classmethod
-    def t_minus_theta(cls, fs):
-        return cls(fs, (-RatFunc.theta(fs), RatFunc.one(fs)))
 
     def is_zero(self):
         return not self.coeffs
@@ -425,17 +413,6 @@ class TateTrunc:
             self.fs, [c.frobenius(i) for c in self.coeffs], self.M, ram=self.ram
         )
 
-    def gauss_norm_exp(self) -> Fraction:
-        best = None
-        for c in self.coeffs:
-            if not c.is_zero_to_prec():
-                e = c.abs_infty_exp()
-                if best is None or e > best:
-                    best = e
-        if best is None:
-            raise PrecisionError("Gauss norm of zero-to-precision series")
-        return best
-
     def min_residual_valuation(self):
         """Least residual valuation over the rows, in theta-units: v, or N
         for a row zero to precision N; None if every row is an exact zero."""
@@ -583,9 +560,6 @@ class LocalJet:
             out.append(-(c0 * acc) if acc is not None else self.zero)
         return LocalJet(out, -self.shift, self.D - 2 * self.shift, self.zero)
 
-    def truncate(self, D):
-        return LocalJet(self.coeffs, self.shift, min(D, self.D), self.zero)
-
     def coeff_list(self, D=None):
         """Coefficients of u^0..u^(D-1); negative orders raise."""
         D = self.D if D is None else D
@@ -702,50 +676,6 @@ def anderson_thakur(fs: FieldSpec, n: int) -> TPoly:
                 rows[ideg][jdeg] = c.num[ideg]
     out = [RatFunc(APoly(fs, row)) for row in rows]
     return TPoly(fs, out)
-
-
-def anderson_thakur_closed(fs: FieldSpec, n: int) -> TPoly:
-    """Independent closed form: H_n = 1 for n <= q; for q+1 <= n <= q^2,
-    H_n = sum_{j=0..k} C(n-jq+j-1, j) (t^q - t)^(k-j) (t^q - theta^q)^j
-    with k = floor((n-1)/q)."""
-    q = fs.q
-    if n < 1:
-        raise ValueError("n >= 1")
-    if n <= q:
-        return TPoly.one(fs)
-    if n > q * q:
-        raise ValueError("closed form only valid for n <= q^2")
-    from math import comb
-
-    k = (n - 1) // q
-    tq_t = TPoly(
-        fs,
-        [RatFunc.zero(fs) if i not in (1, q) else (-RatFunc.one(fs) if i == 1 else RatFunc.one(fs)) for i in range(q + 1)],
-    )
-    tq_thq = TPoly(
-        fs,
-        [(-RatFunc(APoly.monomial(fs, q)) if i == 0 else (RatFunc.one(fs) if i == q else RatFunc.zero(fs))) for i in range(q + 1)],
-    )
-    acc = TPoly.zero(fs)
-    for j in range(k + 1):
-        c = comb(n - j * q + j - 1, j) % fs.p
-        if c == 0:
-            continue
-        acc = acc + _tpoly_pow(tq_t, k - j) * _tpoly_pow(tq_thq, j).scale(
-            RatFunc(APoly.const(fs, fs.from_int(c)))
-        )
-    return acc
-
-
-def _tpoly_pow(f: TPoly, e: int) -> TPoly:
-    acc = TPoly.one(f.fs)
-    base = f
-    while e:
-        if e & 1:
-            acc = acc * base
-        base = base * base
-        e >>= 1
-    return acc
 
 
 def omega_factor_count(fs: FieldSpec, N_theta: int) -> int:

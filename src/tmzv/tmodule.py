@@ -83,12 +83,11 @@ def vec_sub(u, v):
 
 class ScalarStrategy:
     """Base of the scalar strategies.  A strategy has `zero`, `one`,
-    `theta` (needed only by a TModule), `const(c)` for an F_q element,
-    `conv(x)` for an element of A or K, and `inv_bracket(k)` for
-    1/[k] = 1/(theta^{q^k} - theta), the only inverse the t-module
-    recursions take.  `key` names the strategy and its parameters;
-    strategies with equal keys compute the same values, so they compare and
-    hash by key and share memo entries."""
+    `theta` (needed only by a TModule), `conv(x)` for an element of A or
+    K, and `inv_bracket(k)` for 1/[k] = 1/(theta^{q^k} - theta), the only
+    inverse the t-module recursions take.  `key` names the strategy and its
+    parameters; strategies with equal keys compute the same values, so they
+    compare and hash by key and share memo entries."""
 
     key: tuple
 
@@ -108,9 +107,6 @@ class _ExactScalars(ScalarStrategy):
         self.one = RatFunc.one(fs)
         self.theta = RatFunc.theta(fs)
         self.key = ("exact", fs)
-
-    def const(self, c):
-        return RatFunc(APoly.const(self.fs, c))
 
     def conv(self, c: RatFunc):
         return c
@@ -132,9 +128,6 @@ class _LaurentScalars(ScalarStrategy):
         self.one = PrecisionLaurent.one(fs, ram=ram)
         self.theta = PrecisionLaurent.theta_pow(fs, 1, ram=ram)
         self.key = ("laurent", fs, window, ram)
-
-    def const(self, c):
-        return PrecisionLaurent.const(self.fs, c, ram=self.ram)
 
     def conv(self, c):
         """A RatFunc or APoly as a windowed Laurent series; a
@@ -259,11 +252,12 @@ class TModule:
     # -- F_q[t]-action -----------------------------------------------------
 
     def act(self, a: APoly, v, conv=None, red=None):
-        """E_a(v) for a module point v (list of scalars), by Horner's rule in
-        E_theta: acc <- E_theta(acc) + c v over the coefficients c of a, from
-        the top down.  `conv` maps the matrix entries and the F_q constants
-        into the point's scalars; `red` reduces every coordinate after each
-        step (reduction mod nu^m commutes with the Frobenius twists)."""
+        """E_a(v) for a module point v (list of scalars) of an exact module,
+        by Horner's rule in E_theta: acc <- E_theta(acc) + c v over the
+        coefficients c of a, from the top down.  `conv` maps the matrix
+        entries and the F_q constants, both in K, into the point's scalars;
+        `red` reduces every coordinate after each step (reduction mod nu^m
+        commutes with the Frobenius twists)."""
         return self._horner(a, v, [self.dtheta] + self.taus, conv, red)
 
     def lie_act(self, a: APoly, z, conv=None):
@@ -271,7 +265,6 @@ class TModule:
         return self._horner(a, z, [self.dtheta], conv, None)
 
     def _horner(self, a: APoly, v, mats, conv, red):
-        sc = self.scalars
         if conv is None:
             conv = lambda x: x
         mats = [mat_map(M, conv) for M in mats]
@@ -283,12 +276,12 @@ class TModule:
                 for k, M in enumerate(mats[1:], start=1):
                     acc = vec_add(acc, mat_vec(M, [x.frobenius(k) for x in w]))
             if c:
-                u = conv(sc.const(c))
+                u = conv(RatFunc(APoly.const(self.fs, c)))
                 cv = [u * x for x in v]
                 acc = cv if acc is None else vec_add(acc, cv)
             if red is not None:
                 acc = [red(x) for x in acc]
-        return acc if acc is not None else [conv(sc.zero)] * self.d
+        return acc if acc is not None else [conv(self.scalars.zero)] * self.d
 
     # -- exponential / logarithm coefficients ------------------------------
 
@@ -479,12 +472,8 @@ def _truncate_vec(vec, prec: int):
 def exp_eval(E: TModule, z, prec: int = 40, max_terms: int = 60, scalars=None):
     """Exp_E(z) to absolute precision prec (theta-digits), evaluated over a
     windowed Laurent backend with measured term decay."""
-    if scalars is not None:
-        sc = scalars
-    elif isinstance(E.scalars, _LaurentScalars):
-        sc = E.scalars
-    else:
-        sc = _LaurentScalars(E.fs, _eval_window(E.fs, prec, z))
+    sc = (scalars if scalars is not None
+          else _LaurentScalars(E.fs, _eval_window(E.fs, prec, z)))
     EL = E.with_scalars(sc)
     zz = [sc.conv(x) for x in z]
     acc = _series_sum(EL.exp_coeff, zz, prec, max_terms)

@@ -120,18 +120,6 @@ class NuAdic:
             out.append(rem)
         return tuple(out)
 
-    def abs_exp(self):
-        """log_q |x|_nu = -f * v, or None when zero to precision."""
-        if self.is_zero_to_prec():
-            return None
-        return -self.place.f * self.v
-
-    def apoly_mod(self) -> APoly:
-        """A polynomial representative modulo nu^N (requires v >= 0)."""
-        if self.v < 0:
-            raise ValueError("negative valuation has no polynomial lift")
-        return self.unit * _nu_pow(self.place, self.v)
-
     def __sub__(self, other: "NuAdic") -> "NuAdic":
         if self.place.nu != other.place.nu:
             raise ValueError("mismatched places")
@@ -162,18 +150,6 @@ class NuAdic:
         parts = [f"({d!r})*nu^{self.v + i}"
                  for i, d in enumerate(self.digits) if not d.is_zero()]
         return " + ".join(parts) + f" + O(nu^{self.N})"
-
-
-def nu_reduce(x, place: NuPlace, prec: int) -> NuAdic:
-    """nu-adic expansion of an exact element of K to guaranteed precision
-    nu^prec."""
-    if isinstance(x, APoly):
-        x = RatFunc.from_apoly(x)
-    if not isinstance(x, RatFunc):
-        raise TypeError("nu_reduce expects APoly or RatFunc")
-    vd, den = nu_split(x.den, place)
-    m = max(prec + vd, 1)
-    return NuAdic.from_unit(place, -vd, x.num * nu_inv(den, place, m), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +242,6 @@ class FactoredRing(ScalarStrategy):
         self.zero = FactoredScalar(fs, APoly.zero(fs))
         self.one = FactoredScalar(fs, APoly.one(fs))
         self.key = ("factored", fs)
-
-    def const(self, c):
-        return FactoredScalar(self.fs, APoly.const(self.fs, c))
 
     def conv(self, c: RatFunc) -> FactoredScalar:
         if isinstance(c, APoly):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, memo, min_residual_valuation, monic_enumerate)
+                      RatFunc, memo, min_residual_valuation)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, inv_bracket, l_poly, omega)
 from .tmodule import (TModule, _certified_sum, _LaurentScalars,
@@ -123,19 +123,6 @@ def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
     return (g[0] * b[k - 1]).truncate(N)
 
 
-def power_sum_enum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
-    """Oracle route: literal sum over all monics of degree d (q^d terms)."""
-    acc = PrecisionLaurent.zero(fs, N=prec)
-    window = prec + d * k + 1
-    for a in monic_enumerate(fs, d):
-        la = RatFunc(APoly.one(fs), a).laurent(window)
-        term = PrecisionLaurent.one(fs)
-        for _ in range(k):
-            term = (term * la).truncate(window)
-        acc = acc + term.truncate(prec)
-    return acc.truncate(prec)
-
-
 # ---------------------------------------------------------------------------
 # multiple zeta values
 # ---------------------------------------------------------------------------
@@ -148,14 +135,6 @@ class MZVIndex:
     def __post_init__(self):
         if not self.s or any(si < 1 for si in self.s):
             raise ValueError("index entries must be positive")
-
-    @property
-    def weight(self):
-        return sum(self.s)
-
-    @property
-    def depth(self):
-        return len(self.s)
 
 
 @dataclass
@@ -203,31 +182,6 @@ def mzv(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVValue:
     for d in range(D):
         acc = acc + G[d]
     return MZVValue(acc.truncate(prec), idx, "PowerSumDP", star)
-
-
-def mzv_brute(fs: FieldSpec, s, star: bool = False, prec: int = 20,
-              D: int = None) -> MZVValue:
-    """Oracle route: literal nested sum over chains of monic polynomials
-    with (strictly, or weakly for star) decreasing degrees below cutoff."""
-    idx = MZVIndex(tuple(s))
-    s = idx.s
-    if D is None:
-        D = mzv_cutoff(s, prec, fs.q)
-    N = prec
-    T = {(j, d): power_sum_enum(fs, d, s[j], N)
-         for j in range(len(s)) for d in range(D)}
-
-    def rec(j: int, dmax: int) -> PrecisionLaurent:
-        # literal loop over degree chains for s[j:], degrees < dmax
-        acc = PrecisionLaurent.zero(fs, N=N)
-        for d in range(dmax):
-            term = T[(j, d)]
-            if j + 1 < len(s):
-                term = term * rec(j + 1, d + 1 if star else d)
-            acc = acc + term.truncate(N)
-        return acc.truncate(N)
-
-    return MZVValue(rec(0, D).truncate(prec), idx, "BruteForce", star)
 
 
 # ---------------------------------------------------------------------------
@@ -476,29 +430,6 @@ def lseries_value(fs: FieldSpec, s, Q=None, star: bool = False,
     return jet.order(0).truncate(prec)
 
 
-def lseries_tate(fs: FieldSpec, s, Q=None, star: bool = False, M: int = 20,
-                 prec: int = 40) -> TateTrunc:
-    """t-truncation to order M of the normalized series.  Every shell term
-    is kept to N = min(v + rel, rel), rel = prec + _rel_guard(fs, s), so no
-    digit far below theta^-prec is computed."""
-    s = tuple(s)
-    Q = _default_Q(fs, s, Q)
-    rel = prec + _rel_guard(fs, s)
-    backend = _TateBackend(fs, M, rel)
-    return lseries_raw(fs, list(zip(s, Q)), star, prec, backend)
-
-
-def mzv_deformed(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVValue:
-    """Third MZV route: normalized deformed series at t = theta divided by
-    the Gamma factors."""
-    idx = MZVIndex(tuple(s))
-    gam = _gamma_product(fs, idx.s)
-    d = gam.degree()
-    val = lseries_value(fs, idx.s, star=star, prec=prec + d + 2)
-    ginv = gam.laurent().inv(window=prec + d + 2)
-    return MZVValue((val * ginv).truncate(prec), idx, "DeformedSeries", star)
-
-
 # ---------------------------------------------------------------------------
 # Carlitz (star) multiple polylogarithms
 # ---------------------------------------------------------------------------
@@ -561,11 +492,6 @@ class DeformedRow:
     L: dict
     Lstar: dict
 
-    def interval(self, a: int, b: int, star: bool):
-        if a == b:
-            return TateTrunc.one(self.shape.fs, self.M)
-        return (self.Lstar if star else self.L)[(a, b)]
-
     def inversion_residuals(self) -> dict:
         """Inclusion-exclusion between the strict and weak series, in both
         directions: for every interval,
@@ -607,8 +533,9 @@ def _sgn_tate(x, n: int):
 
 
 def _interval_series(fs: FieldSpec, M: int, prec: int, s):
-    """lseries_tate at (M, prec) for the intervals of the index s, built
-    once per distinct series: strict and weak chains agree in depth one,
+    """The normalized series, t-truncated to order M and taken to prec
+    through lseries_raw, for the intervals of the index s, built once per
+    distinct series: strict and weak chains agree in depth one,
     and the empty interval gives 1.
 
     The intervals also share one table of shell terms Q^(i) LL_i^(-s),
@@ -765,22 +692,6 @@ def inversion_check(shape, n_terms: int = 12, prec: int = 40) -> dict:
         "interval_residuals": {"%d,%d" % k: v for k, v in sorted(res.items())},
         "pass": passed,
     }
-
-
-def compositions(max_weight: int, max_depth: int):
-    """All tuples of positive integers with bounded weight and depth."""
-    out = []
-
-    def rec(prefix, left):
-        if prefix:
-            out.append(tuple(prefix))
-        if len(prefix) == max_depth:
-            return
-        for x in range(1, left + 1):
-            rec(prefix + [x], left - x)
-
-    rec([], max_weight)
-    return sorted(out, key=lambda t: (sum(t), len(t), t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""Reference oracles the tests compare the package with: literal sums,
+closed forms and direct constructions that no CLI verb or benchmark
+workload needs.  Each one computes its answer by a route independent of
+the one under test, or states what it shares with it."""
+
+import itertools
+from math import comb
+
+from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc
+from tmzv.tlayer import TateTrunc, TPoly
+from tmzv.vadic import NuAdic, NuPlace, nu_inv, nu_split
+from tmzv.zeta import (MZVIndex, MZVValue, _default_Q, _gamma_product,
+                       _rel_guard, _TateBackend, lseries_raw, lseries_value,
+                       mzv_cutoff)
+
+# ---------------------------------------------------------------------------
+# enumerations
+# ---------------------------------------------------------------------------
+
+
+def monic_enumerate(fs: FieldSpec, d: int):
+    """All q^d monic polynomials of degree d, lexicographic in
+    (c_{d-1}, ..., c_0)."""
+    if d == 0:
+        yield APoly.one(fs)
+        return
+    for tail in itertools.product(range(fs.q), repeat=d):
+        yield APoly(fs, tuple(reversed(tail)) + (fs.one,))
+
+
+def compositions(max_weight: int, max_depth: int):
+    """All tuples of positive integers with bounded weight and depth."""
+    out = []
+
+    def rec(prefix, left):
+        if prefix:
+            out.append(tuple(prefix))
+        if len(prefix) == max_depth:
+            return
+        for x in range(1, left + 1):
+            rec(prefix + [x], left - x)
+
+    rec([], max_weight)
+    return sorted(out, key=lambda t: (sum(t), len(t), t))
+
+
+# ---------------------------------------------------------------------------
+# power sums and multiple zeta values
+# ---------------------------------------------------------------------------
+
+
+def power_sum_enum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
+    """Oracle route: literal sum over all monics of degree d (q^d terms)."""
+    acc = PrecisionLaurent.zero(fs, N=prec)
+    window = prec + d * k + 1
+    for a in monic_enumerate(fs, d):
+        la = RatFunc(APoly.one(fs), a).laurent(window)
+        term = PrecisionLaurent.one(fs)
+        for _ in range(k):
+            term = (term * la).truncate(window)
+        acc = acc + term.truncate(prec)
+    return acc.truncate(prec)
+
+
+def mzv_brute(fs: FieldSpec, s, star: bool = False, prec: int = 20,
+              D: int = None) -> MZVValue:
+    """Oracle route: literal nested sum over chains of monic polynomials
+    with (strictly, or weakly for star) decreasing degrees below cutoff."""
+    idx = MZVIndex(tuple(s))
+    s = idx.s
+    if D is None:
+        D = mzv_cutoff(s, prec, fs.q)
+    N = prec
+    T = {(j, d): power_sum_enum(fs, d, s[j], N)
+         for j in range(len(s)) for d in range(D)}
+
+    def rec(j: int, dmax: int) -> PrecisionLaurent:
+        # literal loop over degree chains for s[j:], degrees < dmax
+        acc = PrecisionLaurent.zero(fs, N=N)
+        for d in range(dmax):
+            term = T[(j, d)]
+            if j + 1 < len(s):
+                term = term * rec(j + 1, d + 1 if star else d)
+            acc = acc + term.truncate(N)
+        return acc.truncate(N)
+
+    return MZVValue(rec(0, D).truncate(prec), idx, "BruteForce", star)
+
+
+def mzv_deformed(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVValue:
+    """Third MZV route: normalized deformed series at t = theta divided by
+    the Gamma factors."""
+    idx = MZVIndex(tuple(s))
+    gam = _gamma_product(fs, idx.s)
+    d = gam.degree()
+    val = lseries_value(fs, idx.s, star=star, prec=prec + d + 2)
+    ginv = gam.laurent().inv(window=prec + d + 2)
+    return MZVValue((val * ginv).truncate(prec), idx, "DeformedSeries", star)
+
+
+def lseries_tate(fs: FieldSpec, s, Q=None, star: bool = False, M: int = 20,
+                 prec: int = 40) -> TateTrunc:
+    """t-truncation to order M of the normalized series, one series on its
+    own table of shell terms.  Every shell term is kept to
+    N = min(v + rel, rel), rel = prec + _rel_guard(fs, s), so no digit far
+    below theta^-prec is computed."""
+    s = tuple(s)
+    Q = _default_Q(fs, s, Q)
+    rel = prec + _rel_guard(fs, s)
+    backend = _TateBackend(fs, M, rel)
+    return lseries_raw(fs, list(zip(s, Q)), star, prec, backend)
+
+
+# ---------------------------------------------------------------------------
+# polynomials in t and motives
+# ---------------------------------------------------------------------------
+
+
+def tpoly_pow(f: TPoly, e: int) -> TPoly:
+    acc = TPoly.one(f.fs)
+    base = f
+    while e:
+        if e & 1:
+            acc = acc * base
+        base = base * base
+        e >>= 1
+    return acc
+
+
+def t_minus_theta(fs: FieldSpec) -> TPoly:
+    return TPoly(fs, (-RatFunc.theta(fs), RatFunc.one(fs)))
+
+
+def anderson_thakur_closed(fs: FieldSpec, n: int) -> TPoly:
+    """Independent closed form: H_n = 1 for n <= q; for q+1 <= n <= q^2,
+    H_n = sum_{j=0..k} C(n-jq+j-1, j) (t^q - t)^(k-j) (t^q - theta^q)^j
+    with k = floor((n-1)/q)."""
+    q = fs.q
+    if n < 1:
+        raise ValueError("n >= 1")
+    if n <= q:
+        return TPoly.one(fs)
+    if n > q * q:
+        raise ValueError("closed form only valid for n <= q^2")
+    k = (n - 1) // q
+    tq_t = TPoly(
+        fs,
+        [RatFunc.zero(fs) if i not in (1, q) else (-RatFunc.one(fs) if i == 1 else RatFunc.one(fs)) for i in range(q + 1)],
+    )
+    tq_thq = TPoly(
+        fs,
+        [(-RatFunc(APoly.monomial(fs, q)) if i == 0 else (RatFunc.one(fs) if i == q else RatFunc.zero(fs))) for i in range(q + 1)],
+    )
+    acc = TPoly.zero(fs)
+    for j in range(k + 1):
+        c = comb(n - j * q + j - 1, j) % fs.p
+        if c == 0:
+            continue
+        acc = acc + tpoly_pow(tq_t, k - j) * tpoly_pow(tq_thq, j).scale(
+            RatFunc(APoly.const(fs, fs.from_int(c)))
+        )
+    return acc
+
+
+def star_dimension(s) -> int:
+    """Dimension of the star t-module for the reversed index tuple s:
+    weight plus the partial-weight correction."""
+    s = tuple(s)
+    if not s:
+        raise ValueError("empty tuple")
+    return sum(s) + sum(sum(s[: ell + 1]) for ell in range(len(s) - 1))
+
+
+# ---------------------------------------------------------------------------
+# nu-adic expansions
+# ---------------------------------------------------------------------------
+
+
+def nu_reduce(x, place: NuPlace, prec: int) -> NuAdic:
+    """nu-adic expansion of an exact element of K to guaranteed precision
+    nu^prec."""
+    if isinstance(x, APoly):
+        x = RatFunc.from_apoly(x)
+    if not isinstance(x, RatFunc):
+        raise TypeError("nu_reduce expects APoly or RatFunc")
+    vd, den = nu_split(x.den, place)
+    m = max(prec + vd, 1)
+    return NuAdic.from_unit(place, -vd, x.num * nu_inv(den, place, m), prec)

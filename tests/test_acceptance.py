@@ -3,16 +3,16 @@ stated residual valuation, with the stated wall-clock budgets."""
 
 import time
 
-from tmzv.motive import (at_shape, special_point, star_dimension, star_shape,
-                         tmodule_of)
+from reference import anderson_thakur_closed, compositions, star_dimension
+from tmzv.motive import at_shape, special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, RatFunc, field
-from tmzv.tlayer import anderson_thakur, anderson_thakur_closed
+from tmzv.tlayer import anderson_thakur
 from tmzv.tmodule import (_shape_module, depth_one_period_check,
                           log_coeff_matrix, log_oracle_check, period_check)
 from tmzv.vadic import NuPlace, zeta_nu_check
-from tmzv.zeta import (carlitz_check, compositions, depth_one_check,
-                       inversion_check, stark_unit_check,
-                       strange_formula_check, trivialization_check)
+from tmzv.zeta import (carlitz_check, depth_one_check, inversion_check,
+                       stark_unit_check, strange_formula_check,
+                       trivialization_check)
 
 from fractions import Fraction
 

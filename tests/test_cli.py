@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -266,6 +269,16 @@ class TestDump:
         rc2, out2 = run(capsys, "dump", obj, "--format", "json", *extra)
         assert out == out2
 
+    def test_json_is_the_only_format(self, capsys):
+        rc, out = run(capsys, "dump", "point", "--format", "text")
+        assert rc == 2 and out == ""
+        # the README example, with and without --format json
+        example = ["dump", "point", "--model", "star", "--q", "2", "--s", "3,1"]
+        rc, out = run(capsys, *example)
+        rc_json, out_json = run(capsys, *example, "--format", "json")
+        assert rc == rc_json == 0 and out == out_json
+        assert json.loads(out)["object"] == "point"
+
     def test_star_point_is_negated_unit_vector(self, capsys):
         rc, out = run(capsys, "dump", "point", "--model", "star", "--q", "2",
                       "--s", "3,1", "--format", "json")
@@ -275,3 +288,22 @@ class TestDump:
         neg = [-x for x in v]
         assert len(d["negated_point"]) == len(neg) == 5
         assert neg[-1].num.coeffs == (1,)
+
+
+class TestClosedOutput:
+    def test_reader_closed_before_output_exits_2_without_traceback(self):
+        src = str(pathlib.Path(tmzv.cli.__file__).resolve().parents[1])
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tmzv.cli", "verify", "carlitz",
+                 "--format", "json"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1

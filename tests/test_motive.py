@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import star_dimension, t_minus_theta, tpoly_pow
 from tmzv.motive import (MotiveShape, _tm_theta_pow, at_shape, build_motive,
-                         delta0, delta1, ext_combine, sigma_basis,
-                         special_point, special_point_pre_sigma,
-                         split_decomposition, split_recomposes, star_dimension,
-                         star_shape, tmodule_of)
+                         delta0, delta1, sigma_basis, special_point,
+                         split_decomposition, split_recomposes, star_shape,
+                         tmodule_of)
 from tmzv.scalars import APoly, RatFunc, field
-from tmzv.tlayer import TPoly, _tpoly_pow
+from tmzv.tlayer import TPoly
 
 
 def _ap(fs, *coeffs):
@@ -93,7 +93,7 @@ class TestDelta:
             # (t - theta)^j m_ell
             f = TPoly.one(fs)
             for _ in range(j):
-                f = f * TPoly.t_minus_theta(fs)
+                f = f * t_minus_theta(fs)
             coords = [TPoly.zero(fs) for _ in range(shape.r)]
             coords[ell - 1] = f
             col = delta1(coords, shape)
@@ -136,7 +136,7 @@ class TestDelta:
         d1 = shape.block_dims[0]
         f = TPoly.one(fs)
         for _ in range(d1):
-            f = f * TPoly.t_minus_theta(fs)
+            f = f * t_minus_theta(fs)
         col = delta0([f, TPoly.zero(fs)], shape)
         assert all(x.is_zero() for x in col)
 
@@ -150,7 +150,7 @@ class TestThetaPower:
         for w in range(3):
             for d in range(13):
                 got = _tm_theta_pow(fs, d, w)
-                want = _tpoly_pow(TPoly.t_minus_theta(fs), d).twist(w)
+                want = tpoly_pow(t_minus_theta(fs), d).twist(w)
                 assert [(c.num.coeffs, c.den.coeffs) for c in got.coeffs] == \
                     [(c.num.coeffs, c.den.coeffs) for c in want.coeffs]
                 assert hash(got) == hash(want)
@@ -262,30 +262,6 @@ class TestIntegrality:
             for row in M:
                 for x in row:
                     assert x.is_poly()
-
-
-class TestExtCombine:
-    def test_identity_and_zero(self):
-        fs = field(2)
-        M1 = build_motive(at_shape(fs, (1, 2)))
-        one = TPoly.one(fs)
-        zero = TPoly.zero(fs)
-        C = ext_combine(one, M1, zero, M1)
-        assert C.alpha_pre_sigma == M1.alpha_pre_sigma
-
-    def test_char2_doubling(self):
-        fs = field(2)
-        M1 = build_motive(at_shape(fs, (1, 2)))
-        one = TPoly.one(fs)
-        C = ext_combine(one, M1, one, M1)
-        assert all(x.is_zero() for x in C.alpha_pre_sigma)
-
-    def test_mismatched_phi_rejected(self):
-        fs = field(2)
-        M1 = build_motive(at_shape(fs, (1, 2)))
-        M2 = build_motive(at_shape(fs, (2, 1)))
-        with pytest.raises(ValueError):
-            ext_combine(TPoly.one(fs), M1, TPoly.one(fs), M2)
 
 
 class TestDepthOneCollapse:
