@@ -50,6 +50,11 @@ def _field_for_q(q: int, modulus=None) -> FieldSpec:
     return field(p, m, tuple(modulus) if modulus else None)
 
 
+def _arg_field(args) -> FieldSpec:
+    """The field of --q and --modulus; F_2 when --q is not given."""
+    return _field_for_q(2 if args.q is None else args.q, args.modulus)
+
+
 def _parse_tuple(text: str):
     try:
         s = tuple(int(x) for x in text.split(","))
@@ -80,23 +85,19 @@ def _parse_coeffs(text: str):
                          % text)
 
 
-def _jsonable(x):
+def _leaf(x):
+    """Plain data for a value json cannot write itself: a Fraction as an int
+    or "a/b", a series as its dict, anything else as its str."""
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (PrecisionLaurent,)):
+    if isinstance(x, PrecisionLaurent):
         return x.to_dict()
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
     return str(x)
 
 
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(_jsonable(payload), sort_keys=True,
+        print(json.dumps(payload, default=_leaf, sort_keys=True,
                          separators=(",", ":")))
     else:
         _emit_text(payload)
@@ -114,8 +115,10 @@ def _emit_text(payload: dict):
                 print("  resource error: %s" % extra)
         print("overall: %s" % ("PASS" if payload.get("pass") else "FAIL"))
     else:
+        # each value as plain data by the leaf rule: the JSON that _emit
+        # writes for it, read back
         for k, v in payload.items():
-            print("%s: %s" % (k, _jsonable(v)))
+            print("%s: %s" % (k, json.loads(json.dumps(v, default=_leaf))))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,7 @@ def _ser_field(fs: FieldSpec):
 
 def _ser(x):
     if isinstance(x, APoly):
-        return {"type": "apoly",
-                "coeffs": [x.fs.digits(c) for c in x.coeffs]}
+        return {"type": "apoly", "coeffs": x.fs.row_digits(x.coeffs)}
     if isinstance(x, RatFunc):
         return {"type": "ratfunc", "num": _ser(x.num), "den": _ser(x.den)}
     if isinstance(x, TPoly):
@@ -196,37 +198,37 @@ def _suite_items(suite: str, args):
     prec = args.prec
     items = []
     if suite == "carlitz":
-        qs = [args.q] if args.q else [2, 3, 4]
+        qs = [2, 3, 4] if args.q is None else [args.q]
         for q in qs:
             fs = _field_for_q(q, args.modulus)
             items.append(("carlitz q=%d" % q,
                           lambda fs=fs: carlitz_check(fs, prec=prec or 60)))
     elif suite == "at90":
-        fs = _field_for_q(args.q or 2, args.modulus)
+        fs = _arg_field(args)
         for n in (1, 2, 3, 4):
             items.append(("depth-one q=%d n=%d" % (fs.q, n),
                           lambda fs=fs, n=n:
                           depth_one_check(fs, n, prec=prec or 40)))
     elif suite == "star":
-        fs = _field_for_q(args.q or 2, args.modulus)
+        fs = _arg_field(args)
         shapes = [args.s] if args.s else [(3, 1), (2, 1, 1)]
         for s in shapes:
             items.append(("star q=%d s=%s" % (fs.q, ",".join(map(str, s))),
                           lambda fs=fs, s=s: stark_unit_check(
                               star_shape(fs, s), prec=prec or 40)))
     elif suite == "cpy":
-        fs = _field_for_q(args.q or 2, args.modulus)
+        fs = _arg_field(args)
         s = args.s or (1, 2)
         items.append(("cpy q=%d s=%s" % (fs.q, ",".join(map(str, s))),
                       lambda: stark_unit_check(at_shape(fs, s),
                                                prec=prec or 30)))
     elif suite == "cm":
-        fs = _field_for_q(args.q or 2, args.modulus)
+        fs = _arg_field(args)
         s = args.s or (1, 1)
         items.append(("cm q=%d s=%s" % (fs.q, ",".join(map(str, s))),
                       lambda: cm_check(fs, s, prec=prec or 30)))
     elif suite == "strange":
-        qs = [args.q] if args.q else [2, 3]
+        qs = [2, 3] if args.q is None else [args.q]
         for q in qs:
             fs = _field_for_q(q, args.modulus)
             items.append(("strange q=%d" % q,
@@ -234,8 +236,8 @@ def _suite_items(suite: str, args):
                           strange_formula_check(fs, prec=prec or 40)))
     elif suite == "trivialization":
         cases = []
-        if args.q or args.s:
-            fs = _field_for_q(args.q or 2, args.modulus)
+        if args.q is not None or args.s:
+            fs = _arg_field(args)
             s = args.s or (3, 1)
             model = args.model or "star"
             cases.append((fs, s, model))
@@ -257,7 +259,7 @@ def _suite_items(suite: str, args):
                      shape, n_terms=max(args.t_order, 12),
                      prec=prec or 40)))
     elif suite == "vadic":
-        fs = _field_for_q(args.q or 2, args.modulus)
+        fs = _arg_field(args)
         nu = args.nu or (1, 1)
         if not all(0 <= c < fs.q for c in nu):
             raise ValueError("--nu: coefficients must be field codes in "
@@ -270,7 +272,7 @@ def _suite_items(suite: str, args):
                  lambda idx=idx: zeta_nu_check(fs, idx, place,
                                                K=args.nu_prec)))
     elif suite == "periods":
-        fs = _field_for_q(args.q or 2, args.modulus)
+        fs = _arg_field(args)
         s = args.s or (1, 2)
         items.append(("periods star q=%d s=%s"
                       % (fs.q, ",".join(map(str, s))),
@@ -285,8 +287,8 @@ def _suite_items(suite: str, args):
                                                      prec=prec or 30)))
     elif suite == "oracle-log":
         cases = []
-        if args.q or args.s:
-            fs = _field_for_q(args.q or 2, args.modulus)
+        if args.q is not None or args.s:
+            fs = _arg_field(args)
             s = args.s or (3, 1)
             cases.append((fs, s, args.model or "star"))
         else:
@@ -362,7 +364,7 @@ def run_verify(args) -> int:
 def run_mzv(args) -> int:
     from .zeta import mzv
 
-    fs = _field_for_q(args.q or 2, args.modulus)
+    fs = _arg_field(args)
     val = mzv(fs, args.s, star=args.star, prec=args.prec or 20)
     payload = {
         "q": fs.q,
@@ -378,7 +380,7 @@ def run_mzv(args) -> int:
 
 
 def run_dump(args) -> int:
-    fs = _field_for_q(args.q or 2, args.modulus)
+    fs = _arg_field(args)
     try:
         payload = dump_object(args.object, fs, args.s or (1, 3),
                               args.model or "star", args.star,
@@ -395,12 +397,12 @@ def run_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, formats=("json", "text"), default="text"):
+def _add_common(p, formats=("json", "text"), default="text", need_s=False):
     p.add_argument("--q", type=int, default=None,
                    help="field size (prime power)")
     p.add_argument("--modulus", type=_parse_coeffs, default=None,
                    help="F_p-coefficients of the extension modulus")
-    p.add_argument("--s", type=_parse_tuple, default=None,
+    p.add_argument("--s", type=_parse_tuple, default=None, required=need_s,
                    help="comma-separated index tuple")
     p.add_argument("--prec", type=_positive_int, default=None,
                    help="target residual valuation")
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("mzv", help="evaluate a (star) multiple zeta value")
-    _add_common(p)
+    _add_common(p, need_s=True)
     p.add_argument("--star", action="store_true",
                    help="weak-inequality (star) variant")
     p.set_defaults(fn=run_mzv)

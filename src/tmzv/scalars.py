@@ -167,6 +167,12 @@ class FieldSpec:
             out.append(d)
         return out
 
+    def row_digits(self, codes):
+        """The digit lists of a row of codes, as digits gives them."""
+        if self.m == 1:
+            return [[c] for c in codes]
+        return [self.digits(c) for c in codes]
+
     def from_digits(self, ds):
         """The code with base-p digits ds, lowest first, each reduced mod p."""
         c = 0
@@ -903,7 +909,7 @@ class PrecisionLaurent:
             "ram": self.ram,
             "v": self.v,
             "N": self.N,
-            "coeffs": [fs.digits(c) for c in self.coeffs],
+            "coeffs": fs.row_digits(self.coeffs),
         }
 
     @classmethod

@@ -335,10 +335,8 @@ class _TateBackend:
     known to N = min(v_k + rel, rel), rel digits past the row's valuation
     bound v_k and never past the exponent rel."""
 
-    def __init__(self, fs, M, rel, W=None, terms=None):
-        self.fs, self.M, self.rel = fs, M, rel
-        self.W = rel if W is None else W
-        self.terms = {} if terms is None else terms
+    def __init__(self, fs, M, rel, W, terms):
+        self.fs, self.M, self.rel, self.W, self.terms = fs, M, rel, W, terms
 
     def zero(self):
         return TateTrunc.zero(self.fs, self.M)

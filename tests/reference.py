@@ -4,6 +4,8 @@ workload needs.  Each one computes its answer by a route independent of
 the one under test, or states what it shares with it."""
 
 import itertools
+import json
+from fractions import Fraction
 from math import comb
 
 from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc
@@ -107,7 +109,7 @@ def lseries_tate(fs: FieldSpec, s, Q=None, star: bool = False, M: int = 20,
     s = tuple(s)
     Q = _default_Q(fs, s, Q)
     rel = prec + _rel_guard(fs, s)
-    backend = _TateBackend(fs, M, rel)
+    backend = _TateBackend(fs, M, rel, W=rel, terms={})
     return lseries_raw(fs, list(zip(s, Q)), star, prec, backend)
 
 
@@ -186,3 +188,43 @@ def nu_reduce(x, place: NuPlace, prec: int) -> NuAdic:
     vd, den = nu_split(x.den, place)
     m = max(prec + vd, 1)
     return NuAdic.from_unit(place, -vd, x.num * nu_inv(den, place, m), prec)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's output
+# ---------------------------------------------------------------------------
+
+
+def jsonable(x):
+    """A CLI payload as plain data, walked in Python value by value."""
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator != 1 else int(x)
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (PrecisionLaurent,)):
+        return x.to_dict()
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    return str(x)
+
+
+def emit(payload: dict, fmt: str):
+    """Print a CLI payload as JSON of jsonable(payload), or as text."""
+    if fmt == "json":
+        print(json.dumps(jsonable(payload), sort_keys=True,
+                         separators=(",", ":")))
+    elif "reports" in payload:
+        for rep in payload["reports"]:
+            status = "PASS" if rep.get("pass") else "FAIL"
+            extra = rep.get("resource_error")
+            if extra:
+                status = "ERROR"
+            print("%-40s %s" % (rep["name"], status))
+            if extra:
+                print("  resource error: %s" % extra)
+        print("overall: %s" % ("PASS" if payload.get("pass") else "FAIL"))
+    else:
+        for k, v in payload.items():
+            print("%s: %s" % (k, jsonable(v)))

@@ -1,16 +1,22 @@
 """Command-line interface: verbs, report format, exit codes, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tmzv.cli
 import tmzv.zeta
+from reference import emit as reference_emit
 from tmzv.cli import REPORT_VERSION, main
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, PrecisionLaurent, field
@@ -52,6 +58,27 @@ class TestExitCodes:
     def test_nonprimepower_field_is_usage_error(self, capsys):
         rc, _ = run(capsys, "mzv", "--q", "6", "--s", "1")
         assert rc == 2
+
+    # once a TypeError traceback from zeta.mzv(fs, None, ...)
+    def test_mzv_without_an_index_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mzv", "--q", "3"])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and "Traceback" not in cap.err
+        assert cap.err.splitlines()[-1].endswith(
+            "the following arguments are required: --s")
+
+    # --q 0 was once read as "not given": mzv and dump answered for F_2 and
+    # verify carlitz ran its default fields
+    @pytest.mark.parametrize("verb", [["mzv", "--s", "1"], ["verify", "carlitz"],
+                                      ["dump", "point"]])
+    @pytest.mark.parametrize("q", ["0", "1", "-3"])
+    def test_field_size_below_two_is_usage_error(self, capsys, verb, q):
+        assert main([*verb, "--q", q]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "q must be a prime power >= 2\n"
 
     @pytest.mark.parametrize("verb", [["mzv", "--s", "1"], ["verify", "carlitz"]])
     @pytest.mark.parametrize("prec", ["-5", "0"])
@@ -307,3 +334,96 @@ class TestClosedOutput:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestEmitter:
+    # json's encoder with the leaf rule writes the same bytes as the Python
+    # walk of tests/reference.py, on one payload fed to both
+    @staticmethod
+    def assert_emits_as_reference(capsys, monkeypatch, *args):
+        payloads = []
+        emit = tmzv.cli._emit
+
+        def spy(payload, fmt):
+            payloads.append((payload, fmt))
+            emit(payload, fmt)
+
+        monkeypatch.setattr(tmzv.cli, "_emit", spy)
+        assert main(list(args)) == 0
+        got = capsys.readouterr().out
+        [(payload, fmt)] = payloads
+        reference_emit(payload, fmt)
+        assert got == capsys.readouterr().out
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_mzv(self, capsys, monkeypatch, q, star, fmt):
+        self.assert_emits_as_reference(
+            capsys, monkeypatch, "mzv", "--q", str(q), "--s", "1,2",
+            "--prec", "300", "--format", fmt, *(["--star"] if star else []))
+
+    @pytest.mark.parametrize("obj", ["motive", "tmodule", "point", "series"])
+    def test_dump(self, capsys, monkeypatch, obj):
+        self.assert_emits_as_reference(
+            capsys, monkeypatch, "dump", obj, "--q", "4", "--s", "2,1",
+            "--model", "at", "--prec", "40")
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN["cli"]))
+    def test_golden_cases(self, capsys, monkeypatch, case):
+        self.assert_emits_as_reference(capsys, monkeypatch,
+                                       *GOLDEN["cli"][case]["args"])
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_every_leaf_rule(self, capsys, fmt):
+        fs = field(3, 2)
+        payload = {"b": (Fraction(3, 4), Fraction(-6, 3), None, True, 1.5),
+                   "a": {"poly": APoly(fs, (1, 7)),
+                         "series": PrecisionLaurent(fs, 2, [5, 0, 8], N=6)},
+                   "s": "θ·η"}
+        tmzv.cli._emit(payload, fmt)
+        got = capsys.readouterr().out
+        reference_emit(payload, fmt)
+        assert got == capsys.readouterr().out
+
+
+INDICES = ["1", "2", "4", "1,2", "3,1", "2,1,1", "", "0", "-1", "1,,2", "a",
+           "1,0", "2.5", ",1"]
+
+
+@st.composite
+def argvs(draw):
+    """mzv or dump argv, each option present or absent, some malformed."""
+    verb = draw(st.sampled_from(["mzv", "dump"]))
+    argv = [verb]
+    if verb == "dump":
+        argv.append(draw(st.sampled_from(["motive", "tmodule", "point",
+                                          "series"])))
+    options = [("--q", st.sampled_from(["-1", "0", "1", "2", "3", "4", "6",
+                                        "9"])),
+               ("--s", st.sampled_from(INDICES)),
+               ("--prec", st.integers(-1, 30).map(str)),
+               ("--format", st.sampled_from(["json", "text"]))]
+    if verb == "dump":
+        options.append(("--model", st.sampled_from(["at", "star"])))
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv.append(flag + "=" + draw(values))
+    if draw(st.booleans()):
+        argv.append("--star")
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @example(["mzv", "--q=3"])
+    @given(argvs())
+    def test_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse errors
+                rc = exc.code
+        assert rc in (0, 2), argv
+        assert "Traceback" not in err.getvalue()

@@ -351,7 +351,8 @@ class TermsAtRel(_TateBackend):
 
 def series_reference(fs, s, Q, star, M, prec):
     """lseries_tate by the reference shell sum and terms."""
-    backend = TermsAtRel(fs, M, prec + _rel_guard(fs, s))
+    rel = prec + _rel_guard(fs, s)
+    backend = TermsAtRel(fs, M, rel, W=rel, terms={})
     return lseries_reference(list(zip(s, Q)), star, prec, backend)
 
 
@@ -448,8 +449,10 @@ class TestTermTable:
         fs = field(q)
         pairs = [(si, anderson_thakur(fs, si)) for si in s]
         rel = 20 + _rel_guard(fs, s)
-        got = lseries_raw(fs, pairs, star, 20, _TateBackend(fs, 5, rel))
-        want = lseries_reference(pairs, star, 20, _TateBackend(fs, 5, rel))
+        got = lseries_raw(fs, pairs, star, 20,
+                          _TateBackend(fs, 5, rel, W=rel, terms={}))
+        want = lseries_reference(pairs, star, 20,
+                                 _TateBackend(fs, 5, rel, W=rel, terms={}))
         assert rows(got) == rows(want)
         got = lseries_raw(fs, pairs, star, 20, _JetBackend(fs, 2, rel + 2))
         want = lseries_reference(pairs, star, 20, _JetBackend(fs, 2, rel + 2))
@@ -521,7 +524,8 @@ def assert_agrees_with_uncapped(fs, shape, M, prec, star):
         got.append((sub[::-1], Q[::-1], True, row.Lstar[(a, b)]))
     P = prec + 40
     for sub, Q, weak, x in got:
-        backend = UncappedTerms(fs, M, P + _rel_guard(fs, sub))
+        rel = P + _rel_guard(fs, sub)
+        backend = UncappedTerms(fs, M, rel, W=rel, terms={})
         ref = lseries_raw(fs, list(zip(sub, Q)), weak, P, backend)
         for a, b in zip(x.coeffs, ref.coeffs):
             if a.N is None:
