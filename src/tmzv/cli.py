@@ -196,6 +196,8 @@ def _suite_items(suite: str, args):
         trivialization_check
 
     prec = args.prec
+    if args.s and suite in ("carlitz", "at90", "strange"):
+        raise ValueError("--s: verify %s takes no index" % suite)
     items = []
     if suite == "carlitz":
         qs = [2, 3, 4] if args.q is None else [args.q]

@@ -13,17 +13,19 @@ FieldSpec keeps a q x q table:
   logarithms, g^i + g^j = g^(i + Z(j - i)) with g^Z(k) = 1 + g^k.
 
 Polynomial products (FieldSpec.conv) are one big-integer product (Kronecker
-substitution) for every q.  Over F_p each coefficient list is packed into an
-integer, one fixed-width slot per coefficient, the two integers are
-multiplied and the slots of the product are read back and reduced mod p.  A
-product slot holds a sum of at most min(len) terms, each at most (p-1)^2, so
-the slot width is the smallest of 1, 2, 4 or 8 bytes that holds
-min(len) * (p-1)^2; packing and unpacking go through an array of that item
-size in the machine's byte order.  Over F_q with m > 1 the product is taken
-over F_p[x]: each code becomes its m digits followed by m - 1 zero digits,
-so the digit product of a coefficient pair, of degree <= 2m - 2, stays
-inside its group of 2m - 1 slots; each group of the F_p product is read back
-as lo + x^m hi and reduced by the modulus as lo + (x^m mod modulus) * hi.
+substitution) for every q, unless one operand is a single coefficient c: that
+product is the other operand scaled by c, with no packing.  Over F_p each
+coefficient list is packed into an integer, one fixed-width slot per
+coefficient, the two integers are multiplied and the slots of the product
+are read back and reduced mod p.  A product slot holds a sum of at most
+min(len) terms, each at most (p-1)^2, so the slot width is the smallest of
+1, 2, 4 or 8 bytes that holds min(len) * (p-1)^2; packing and unpacking go
+through an array of that item size in the machine's byte order.  Over F_q
+with m > 1 the product is taken over F_p[x]: each code becomes its m digits
+followed by m - 1 zero digits, so the digit product of a coefficient pair,
+of degree <= 2m - 2, stays inside its group of 2m - 1 slots; each group of
+the F_p product is read back as lo + x^m hi and reduced by the modulus as
+lo + (x^m mod modulus) * hi.
 conv(xs, ys, n) returns only the first n coefficients of the product: the
 packed product is cut to n slots (or slot groups) before it is unpacked.
 
@@ -223,6 +225,17 @@ class FieldSpec:
         if not xs or not ys:
             return []
         p, m = self.p, self.m
+        if len(xs) == 1 or len(ys) == 1:
+            # one coefficient c times the other operand: no packing
+            if len(xs) != 1:
+                xs, ys = ys, xs
+            c, ys = xs[0], ys if n is None else ys[:n]
+            if c == 1:
+                return list(ys)
+            if m == 1:
+                return [c * y % p for y in ys]
+            mul = self.mul
+            return [mul(c, y) for y in ys]
         if m == 1:
             return _pack_mul(p, xs, ys, n)
         w = 2 * m - 1
@@ -253,7 +266,8 @@ class FieldSpec:
                 for lo, hi in zip(fold(0, m), fold(m, m - 1))]
 
     def __eq__(self, other):
-        return (
+        # field() is memoised, so equal fields are nearly always one object
+        return self is other or (
             isinstance(other, FieldSpec)
             and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
         )
@@ -516,7 +530,11 @@ class APoly:
 
 
 class RatFunc:
-    """Element of K = F_q(theta) as a reduced fraction num/den, den monic."""
+    """Element of K = F_q(theta) as a reduced fraction num/den, den monic.
+    Every constructor keeps that form, so equal elements have equal (num,
+    den).  A sum or difference with a polynomial is reduced already
+    (gcd(a + b den, den) = gcd(a, den)), and so is a product of two
+    polynomials: those skip the gcd."""
 
     __slots__ = ("num", "den")
 
@@ -571,21 +589,31 @@ class RatFunc:
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._add(other.num, other.den)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, reduce=False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add(-other.num, other.den)
+
+    def _add(self, num, den):
+        """self + num/den, for num/den reduced with den monic."""
+        if den.degree() == 0:
+            return RatFunc(self.num + num * self.den, self.den, reduce=False)
+        if self.den.degree() == 0:
+            return RatFunc(self.num * den + num, den, reduce=False)
+        return RatFunc(self.num * den + num * self.den, self.den * den)
 
     def __mul__(self, other):
+        if self.den.degree() == 0 and other.den.degree() == 0:
+            return RatFunc(self.num * other.num, self.den, reduce=False)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def inv(self):
@@ -669,8 +697,7 @@ class PrecisionLaurent:
             return cls.zero(fs, N=N, ram=ram)
         d = a.degree()
         if ram == 1:
-            coeffs = [a[d - i] for i in range(d + 1)]
-            return cls(fs, -d, coeffs, N=N, ram=1)
+            return cls(fs, -d, a.coeffs[::-1], N=N, ram=1)
         e = ram
         coeffs = [0] * (d * e + 1)
         for j in range(d + 1):

@@ -12,6 +12,7 @@ exact work, PrecisionLaurent/LocalJet backends elsewhere).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -148,6 +149,23 @@ class _LaurentScalars(ScalarStrategy):
         x = inv_bracket(self.fs, k, self.fs.q**k + self.window)
         return x.embed_ram() if self.ram > 1 else x
 
+    def bracket_pow(self, k: int, m: int, b: int):
+        """b (-[k])^m, b an integer, exactly, from its at most m + 1 terms:
+        with Q = q^k, (-[k])^m = (theta - theta^Q)^m has binom(m, i)
+        (-1)^(m+i) at theta^e, e = mQ - i(Q - 1), which sits at exponent
+        -e ram with the sign (-1)^e of theta = -eta^(q-1) when ram > 1."""
+        fs, ram = self.fs, self.ram
+        p, Q = fs.p, fs.q**k
+        if not b % p:
+            return self.zero
+        step = (Q - 1) * ram
+        cs = [0] * (m * step + 1)
+        for i in range(m + 1):
+            e = m * Q - i * (Q - 1)
+            sign = (-1) ** (m + i + (e if ram > 1 else 0))
+            cs[i * step] = b * math.comb(m, i) * sign % p
+        return PrecisionLaurent(fs, -m * Q * ram, cs, ram=ram)
+
 
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
     """Jet at t = theta of 1/(t - theta^{q^k}), order D, in the scalars of
@@ -160,19 +178,23 @@ def _bracket_pow_jets(sc, n: int, D: int) -> list:
     """Jets at t = theta of (t - theta^{q^n})^j for j < D, order D, in the
     scalars of any strategy: with u = t - theta and [n] = theta^{q^n} -
     theta this is (u - [n])^j, whose u^k coefficient is
-    binom(j, k) (-[n])^{j-k}; the powers of -[n] are formed once."""
+    binom(j, k) (-[n])^{j-k}.  Laurent scalars build it in closed form
+    (bracket_pow); the others take the powers of -[n], formed once in A."""
     fs = sc.fs
-    neg = -bracket(fs, n)
-    pows = [APoly.one(fs)]
-    for _ in range(1, D):
-        pows.append(pows[-1] * neg)
-    jets = []
-    for j in range(D):
-        cs = [pows[j - k].scale(fs.from_int(math.comb(j, k)))
-              for k in range(j + 1)]
-        jets.append(LocalJet([sc.conv(RatFunc(c, reduce=False)) for c in cs],
-                             0, D, sc.zero))
-    return jets
+    if isinstance(sc, _LaurentScalars):
+        coeff = functools.partial(sc.bracket_pow, n)
+    else:
+        neg = -bracket(fs, n)
+        pows = [APoly.one(fs)]
+        for _ in range(1, D):
+            pows.append(pows[-1] * neg)
+
+        def coeff(m, b):
+            return sc.conv(RatFunc(pows[m].scale(fs.from_int(b)),
+                                   reduce=False))
+    return [LocalJet([coeff(j - k, math.comb(j, k)) for k in range(j + 1)],
+                     0, D, sc.zero)
+            for j in range(D)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,26 @@ from tmzv.zeta import (MZVIndex, MZVValue, _default_Q, _gamma_product,
                        mzv_cutoff)
 
 # ---------------------------------------------------------------------------
+# K = F_q(theta) by the fraction formulas, every result reduced by a gcd
+# ---------------------------------------------------------------------------
+
+
+def fraction_sum(a: RatFunc, b: RatFunc, negate: bool = False) -> RatFunc:
+    """(a.num b.den + b.num a.den) / (a.den b.den), or a - b with negate."""
+    other = b.num * a.den
+    return RatFunc(a.num * b.den + (-other if negate else other),
+                   a.den * b.den)
+
+
+def fraction_product(a: RatFunc, b: RatFunc) -> RatFunc:
+    return RatFunc(a.num * b.num, a.den * b.den)
+
+
+def fraction_equal(a: RatFunc, b: RatFunc) -> bool:
+    return a.num * b.den == b.num * a.den
+
+
+# ---------------------------------------------------------------------------
 # enumerations
 # ---------------------------------------------------------------------------
 

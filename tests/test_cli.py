@@ -107,6 +107,17 @@ class TestExitCodes:
         assert cap.err.splitlines()[-1].endswith(
             "%s: expected a positive integer, got %r" % (flag, value))
 
+    # these suites take no index; --s was once echoed in config and ignored,
+    # and the default checks ran and passed
+    @pytest.mark.parametrize("suite", ["carlitz", "at90", "strange"])
+    @pytest.mark.parametrize("s", ["5", "3,1"])
+    def test_index_on_an_index_free_suite_is_usage_error(self, capsys, suite,
+                                                         s):
+        assert main(["verify", suite, "--s", s, "--format", "json"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "--s: verify %s takes no index\n" % suite
+
     # a coefficient outside [0, q) is no field element; reducing it mod q
     # ran a different place (nu = theta for --q 4 --nu 4,1)
     @pytest.mark.parametrize("q,nu", [("4", "4,1"), ("2", "3,1"), ("3", "-1,1")])

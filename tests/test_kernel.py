@@ -94,6 +94,24 @@ class TestConv:
             xs = [q - 1] * n
             assert fs.conv(xs, xs) == schoolbook(fs, xs, xs)
 
+    # a one-coefficient operand scales the other one without packing; a
+    # trailing zero sends the same product through the packed path
+    @pytest.mark.parametrize("q", [2, 3, 5, 257, 4, 9])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_coefficient_matches_packed_product(self, q, data):
+        fs = field(*EXTENSION_FIELDS.get(q, (q,)))
+        codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=40)
+        ys = data.draw(codes)
+        for c in (0, 1, data.draw(st.integers(2, q - 1)) if q > 2 else 1):
+            packed = fs.conv([c, 0], ys)[:len(ys)]
+            if fs.m == 1:
+                assert _pack_mul(fs.p, [c], ys) == packed
+            assert fs.conv([c], ys) == packed == fs.conv(ys, [c])
+            assert fs.conv([c], [ys[0]]) == packed[:1]
+            for n in range(len(ys) + 3):
+                assert fs.conv([c], ys, n) == packed[:n] == fs.conv(ys, [c], n)
+
 
 def pairwise_product(a, b):
     """sum_{i+j=k} a_i * b_j with PrecisionLaurent products and sums."""

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import monic_enumerate
-from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
+from reference import (fraction_equal, fraction_product, fraction_sum,
+                       monic_enumerate)
+from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc, field
+from tmzv.tlayer import TateTrunc
 
 
 def fq2():
@@ -157,6 +159,69 @@ class TestRatFunc:
         got = x.frobenius(i)
         want = RatFunc(x.num.frobenius(i), x.den.frobenius(i))
         assert (got.num, got.den) == (want.num, want.den)
+
+
+def ratfuncs(fs):
+    """Polynomials and proper fractions of K, half each."""
+    dens = apolys(fs, 3).filter(lambda d: not d.is_zero())
+    return st.tuples(apolys(fs, 4), st.booleans(), dens).map(
+        lambda t: RatFunc(t[0], t[2]) if t[1] else RatFunc(t[0]))
+
+
+class TestRatFuncArithmetic:
+    # polynomial operands skip the gcd and equality compares (num, den);
+    # both must agree with the fraction formulas on every mix of operands
+    @pytest.mark.parametrize("make", FIELDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_formulas(self, make, data):
+        fs = make()
+        a, b = data.draw(ratfuncs(fs)), data.draw(ratfuncs(fs))
+        for got, want in ((a + b, fraction_sum(a, b)),
+                          (a - b, fraction_sum(a, b, negate=True)),
+                          (a * b, fraction_product(a, b))):
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.den.is_monic()
+        assert (a == b) == fraction_equal(a, b)
+        assert a - a == RatFunc.zero(fs)
+
+    @pytest.mark.parametrize("make", FIELDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_values_compare_and_hash_equal(self, make, data):
+        # the same element built from an unreduced fraction
+        fs = make()
+        a = data.draw(ratfuncs(fs))
+        c = data.draw(apolys(fs, 2).filter(lambda d: not d.is_zero()))
+        b = RatFunc(a.num * c, a.den * c)
+        assert a == b and hash(a) == hash(b) and fraction_equal(a, b)
+        assert (a == b + RatFunc.one(fs)) is False
+
+
+class TestFieldIdentity:
+    # field() is memoised and FieldSpec.__eq__ returns at once on identity;
+    # a field built directly must still be equal to it
+    @pytest.mark.parametrize("args", [(3,), (2, 2), (3, 2)])
+    def test_direct_field_equals_memoised_one(self, args):
+        direct, memo = FieldSpec(*args), field(*args)
+        assert direct is not memo
+        assert direct == memo and hash(direct) == hash(memo)
+        x = PrecisionLaurent.one(direct) + PrecisionLaurent.one(memo)
+        assert x == PrecisionLaurent(memo, 0, (2 % memo.p,))
+
+    def test_mismatched_fields_or_ram_raise(self):
+        f3, f9 = field(3), field(3, 2)
+        one = PrecisionLaurent.one
+        for a, b in ((one(f3), one(field(5))), (one(f3), one(f9)),
+                     (one(f3), one(f3, ram=2))):
+            for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+                with pytest.raises(ValueError):
+                    op()
+        for a, b in ((TateTrunc.one(f3, 2), TateTrunc.one(f9, 2)),
+                     (TateTrunc.one(f3, 2), TateTrunc.one(f3, 2, ram=2))):
+            for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+                with pytest.raises(ValueError):
+                    op()
 
 
 class TestPrecisionLaurent:

@@ -5,6 +5,7 @@ import json
 import os
 import tracemalloc
 from functools import reduce
+from math import comb
 from operator import add
 
 import pytest
@@ -15,7 +16,8 @@ from reference import t_minus_theta, tpoly_pow
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import (APoly, PrecisionError, PrecisionLaurent, RatFunc,
                           field, min_residual_valuation)
-from tmzv.tlayer import TateTrunc, bracket, d_poly, inv_bracket, l_poly
+from tmzv.tlayer import (LocalJet, TateTrunc, bracket, d_poly, inv_bracket,
+                         l_poly)
 from tmzv.tmodule import (TModule, _bracket_pow_jets, _ExactScalars,
                           _LaurentScalars, _pole_inv_jet, _shape_module,
                           check_log_domain,
@@ -297,6 +299,35 @@ class TestBracketPowerJet:
                         assert (got.shift, got.D) == (want.shift, want.D)
                         assert [scalar_key(x) for x in got.coeffs] == \
                             [scalar_key(x) for x in want.coeffs]
+
+
+def apoly_route_jets(sc, n, D):
+    """The bracket-power jets through dense powers of -[n] in A, each
+    coefficient scaled and passed to sc.conv: the route the Laurent scalars
+    replaced by their closed form."""
+    fs = sc.fs
+    neg = -bracket(fs, n)
+    pows = [APoly.one(fs)]
+    for _ in range(1, D):
+        pows.append(pows[-1] * neg)
+    return [LocalJet([sc.conv(RatFunc(pows[j - k].scale(
+        fs.from_int(comb(j, k))), reduce=False)) for k in range(j + 1)],
+        0, D, sc.zero) for j in range(D)]
+
+
+class TestClosedFormBracketPowers:
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_laurent_jets_match_apoly_route(self, q):
+        fs = field(*BRACKET_FIELDS[q])
+        for ram in sorted({1, q - 1}):
+            sc = _LaurentScalars(fs, 11, ram=ram)
+            for n in range(1, 5):
+                got = _bracket_pow_jets(sc, n, 6)
+                want = apoly_route_jets(sc, n, 6)
+                for g, w in zip(got, want):
+                    assert (g.shift, g.D) == (w.shift, w.D)
+                    assert [(x.v, x.coeffs, x.N, x.ram) for x in g.coeffs] \
+                        == [(x.v, x.coeffs, x.N, x.ram) for x in w.coeffs]
 
 
 class TestCarlitz:
