@@ -20,11 +20,9 @@ from fractions import Fraction
 from .scalars import APoly, FieldSpec, PrecisionError, PrecisionLaurent, \
     RatFunc, field
 from .tlayer import TPoly
+from . import tmodule, vadic, zeta
 
-REPORT_VERSION = 2
-
-SUITES = ("carlitz", "at90", "star", "cpy", "cm", "strange",
-          "trivialization", "vadic", "periods", "oracle-log")
+REPORT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -35,24 +33,13 @@ SUITES = ("carlitz", "at90", "star", "cpy", "cm", "strange",
 def _field_for_q(q: int, modulus=None) -> FieldSpec:
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    m = 0
-    n = q
-    while n % p == 0:
-        n //= p
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = 1
+    while p ** m < q:
         m += 1
-    if n != 1:
+    if p ** m != q:
         raise ValueError("q = %d is not a prime power" % q)
     return field(p, m, tuple(modulus) if modulus else None)
-
-
-def _arg_field(args) -> FieldSpec:
-    """The field of --q and --modulus; F_2 when --q is not given."""
-    return _field_for_q(2 if args.q is None else args.q, args.modulus)
 
 
 def _parse_tuple(text: str):
@@ -146,19 +133,15 @@ def _ser(x):
 
 def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
                 prec: int) -> dict:
-    from .motive import at_shape, build_motive, special_point, star_shape, \
-        tmodule_of
-    from .zeta import mzv
+    """The JSON form of a dump object, one of DUMPS, at s over fs."""
+    from .motive import build_motive, special_point, tmodule_of
 
-    out = {"object": obj, "field": _ser_field(fs)}
+    out = {"object": obj, "field": _ser_field(fs), "s": list(s)}
     if obj == "series":
-        val = mzv(fs, s, star=star, prec=prec)
-        out["s"] = list(s)
         out["star"] = star
-        out["value"] = _ser(val.value)
+        out["value"] = _ser(zeta.mzv(fs, s, star=star, prec=prec).value)
         return out
-    shape = star_shape(fs, s) if model == "star" else at_shape(fs, s)
-    out["s"] = list(s)
+    shape = _shape(fs, s, model)
     out["model"] = shape.model
     if obj == "motive":
         # each entry X is stored as X^(1) and written as its -1 twist
@@ -169,146 +152,172 @@ def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
         out["dtheta"] = [[_ser(e) for e in row] for row in E.dtheta]
         out["taus"] = [[[_ser(e) for e in row] for row in M]
                        for M in E.taus]
-    elif obj == "point":
+    else:
         v = special_point(shape)
         out["point"] = [_ser(x) for x in v]
         out["negated_point"] = [_ser(-x) for x in v]
         out["sign_note"] = ("point is delta_1 of the sigma-reduced motive "
                             "generator; displays often list its negative")
-    else:
-        raise ValueError("unknown dump object %r" % obj)
     return out
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# option tables
 # ---------------------------------------------------------------------------
 
 
-def _suite_items(suite: str, args):
-    """List of (name, zero-argument callable) pairs for a suite."""
+def _shape(fs, s, model):
+    # motive imports zeta, so it loads only when a shape is asked for
     from .motive import at_shape, star_shape
-    from .tmodule import depth_one_period_check, log_oracle_check, \
-        period_check
-    from .vadic import NuPlace, zeta_nu_check
-    from .zeta import carlitz_check, cm_check, depth_one_check, \
-        inversion_check, stark_unit_check, strange_formula_check, \
-        trivialization_check
 
-    prec = args.prec
-    if args.s and suite in ("carlitz", "at90", "strange"):
-        raise ValueError("--s: verify %s takes no index" % suite)
-    items = []
-    if suite == "carlitz":
-        qs = [2, 3, 4] if args.q is None else [args.q]
-        for q in qs:
-            fs = _field_for_q(q, args.modulus)
-            items.append(("carlitz q=%d" % q,
-                          lambda fs=fs: carlitz_check(fs, prec=prec or 60)))
-    elif suite == "at90":
-        fs = _arg_field(args)
-        for n in (1, 2, 3, 4):
-            items.append(("depth-one q=%d n=%d" % (fs.q, n),
-                          lambda fs=fs, n=n:
-                          depth_one_check(fs, n, prec=prec or 40)))
-    elif suite == "star":
-        fs = _arg_field(args)
-        shapes = [args.s] if args.s else [(3, 1), (2, 1, 1)]
-        for s in shapes:
-            items.append(("star q=%d s=%s" % (fs.q, ",".join(map(str, s))),
-                          lambda fs=fs, s=s: stark_unit_check(
-                              star_shape(fs, s), prec=prec or 40)))
-    elif suite == "cpy":
-        fs = _arg_field(args)
-        s = args.s or (1, 2)
-        items.append(("cpy q=%d s=%s" % (fs.q, ",".join(map(str, s))),
-                      lambda: stark_unit_check(at_shape(fs, s),
-                                               prec=prec or 30)))
-    elif suite == "cm":
-        fs = _arg_field(args)
-        s = args.s or (1, 1)
-        items.append(("cm q=%d s=%s" % (fs.q, ",".join(map(str, s))),
-                      lambda: cm_check(fs, s, prec=prec or 30)))
-    elif suite == "strange":
-        qs = [2, 3] if args.q is None else [args.q]
-        for q in qs:
-            fs = _field_for_q(q, args.modulus)
-            items.append(("strange q=%d" % q,
-                          lambda fs=fs:
-                          strange_formula_check(fs, prec=prec or 40)))
-    elif suite == "trivialization":
-        cases = []
-        if args.q is not None or args.s:
-            fs = _arg_field(args)
-            s = args.s or (3, 1)
-            model = args.model or "star"
-            cases.append((fs, s, model))
-        else:
-            cases = [(_field_for_q(3), (2, 4), "at"),
-                     (_field_for_q(2), (3, 1), "star")]
-        for fs, s, model in cases:
-            shape = (star_shape(fs, s) if model == "star"
-                     else at_shape(fs, s))
-            items.append(
-                ("trivialization %s q=%d s=%s"
-                 % (model, fs.q, ",".join(map(str, s))),
-                 lambda shape=shape: trivialization_check(
-                     shape, M=args.t_order, N=prec or 30)))
-            items.append(
-                ("inversion %s q=%d s=%s"
-                 % (model, fs.q, ",".join(map(str, s))),
-                 lambda shape=shape: inversion_check(
-                     shape, n_terms=max(args.t_order, 12),
-                     prec=prec or 40)))
-    elif suite == "vadic":
-        fs = _arg_field(args)
-        nu = args.nu or (1, 1)
-        if not all(0 <= c < fs.q for c in nu):
-            raise ValueError("--nu: coefficients must be field codes in "
-                             "[0, %d), got %s" % (fs.q, ",".join(map(str, nu))))
-        place = NuPlace(APoly(fs, nu))
-        indices = [args.s] if args.s else [(2, 1), (3, 1)]
-        for idx in indices:
-            items.append(
-                ("vadic q=%d s=%s" % (fs.q, ",".join(map(str, idx))),
-                 lambda idx=idx: zeta_nu_check(fs, idx, place,
-                                               K=args.nu_prec)))
-    elif suite == "periods":
-        fs = _arg_field(args)
-        s = args.s or (1, 2)
-        items.append(("periods star q=%d s=%s"
-                      % (fs.q, ",".join(map(str, s))),
-                      lambda: period_check(star_shape(fs, s),
-                                           prec=prec or 30)))
-        items.append(("periods at q=%d s=%s"
-                      % (fs.q, ",".join(map(str, s))),
-                      lambda: period_check(at_shape(fs, s),
-                                           prec=prec or 30)))
-        items.append(("periods depth-one q=%d" % fs.q,
-                      lambda: depth_one_period_check(fs, 1,
-                                                     prec=prec or 30)))
-    elif suite == "oracle-log":
-        cases = []
-        if args.q is not None or args.s:
-            fs = _arg_field(args)
-            s = args.s or (3, 1)
-            cases.append((fs, s, args.model or "star"))
-        else:
-            fs2 = _field_for_q(2)
-            cases = [(fs2, (1,), "star"), (fs2, (4,), "star"),
-                     (fs2, (3, 1), "star"), (fs2, (2, 1, 1), "star"),
-                     (fs2, (1, 2), "at"), (_field_for_q(3), (2, 4), "at")]
-        for fs, s, model in cases:
-            shape = (star_shape(fs, s) if model == "star"
-                     else at_shape(fs, s))
-            items.append(
-                ("oracle-log %s q=%d s=%s"
-                 % (model, fs.q, ",".join(map(str, s))),
-                 lambda shape=shape: log_oracle_check(
-                     shape, nmax=args.nmax, window=prec or 60)))
-    else:
-        raise ValueError("unknown suite %r" % suite)
-    return items
+    return (star_shape if model == "star" else at_shape)(fs, s)
+
+
+def _name(head, r, index=True):
+    """An item name: "<head> q=<q>", then " s=<s>" when index."""
+    return "%s q=%d" % (head, r["fs"].q) + (
+        " s=" + ",".join(map(str, r["s"])) if index else "")
+
+
+# item builders: a run (a dict of option values, with its field as "fs")
+# to its list of (name, zero-argument callable) pairs
+
+
+def _carlitz(r):
+    return [(_name("carlitz", r, False),
+             lambda: zeta.carlitz_check(r["fs"], prec=r["prec"]))]
+
+
+def _at90(r):
+    return [(_name("depth-one", r, False) + " n=%d" % n,
+             lambda n=n: zeta.depth_one_check(r["fs"], n, prec=r["prec"]))
+            for n in (1, 2, 3, 4)]
+
+
+def _stark(head, model):
+    return lambda r: [(_name(head, r), lambda: zeta.stark_unit_check(
+        _shape(r["fs"], r["s"], model), prec=r["prec"]))]
+
+
+def _cm(r):
+    return [(_name("cm", r),
+             lambda: zeta.cm_check(r["fs"], r["s"], prec=r["prec"]))]
+
+
+def _strange(r):
+    return [(_name("strange", r, False),
+             lambda: zeta.strange_formula_check(r["fs"], prec=r["prec"]))]
+
+
+def _trivialization(r):
+    shape = _shape(r["fs"], r["s"], r["model"])
+    # the default is a pair: the trivialization's precision, the inversion's
+    N, prec = r["prec"] if isinstance(r["prec"], tuple) else (r["prec"],) * 2
+    return [(_name("trivialization " + r["model"], r),
+             lambda: zeta.trivialization_check(shape, M=r["t_order"], N=N)),
+            (_name("inversion " + r["model"], r),
+             lambda: zeta.inversion_check(
+                 shape, n_terms=max(r["t_order"], 12), prec=prec))]
+
+
+def _vadic(r):
+    fs, nu = r["fs"], r["nu"]
+    if not all(0 <= c < fs.q for c in nu):
+        raise ValueError("--nu: coefficients must be field codes in "
+                         "[0, %d), got %s" % (fs.q, ",".join(map(str, nu))))
+    place = vadic.NuPlace(APoly(fs, nu))
+    return [(_name("vadic", r), lambda: vadic.zeta_nu_check(
+        fs, r["s"], place, K=r["nu_prec"]))]
+
+
+def _periods(r):
+    fs, s, prec = r["fs"], r["s"], r["prec"]
+    return [(_name("periods " + model, r),
+             lambda model=model: tmodule.period_check(_shape(fs, s, model),
+                                                      prec=prec))
+            for model in ("star", "at")] + [
+        (_name("periods depth-one", r, False),
+         lambda: tmodule.depth_one_period_check(fs, 1, prec=prec))]
+
+
+def _oracle_log(r):
+    shape = _shape(r["fs"], r["s"], r["model"])
+    return [(_name("oracle-log " + r["model"], r), lambda:
+             tmodule.log_oracle_check(shape, nmax=r["nmax"],
+                                      window=r["prec"]))]
+
+
+_FIELD = {"q": 2, "modulus": None}
+
+# suite -> (the options it reads, with their defaults; its default runs;
+# its item builder).  A suite makes its default runs when none of the
+# options they set is given; given alone, such an option makes one run,
+# with the defaults for the others.
+SUITES = {
+    "carlitz": (dict(_FIELD, prec=60), [{"q": q} for q in (2, 3, 4)],
+                _carlitz),
+    "at90": (dict(_FIELD, prec=40), [], _at90),
+    "star": (dict(_FIELD, s=None, prec=40), [{"s": (3, 1)}, {"s": (2, 1, 1)}],
+             _stark("star", "star")),
+    "cpy": (dict(_FIELD, s=(1, 2), prec=30), [], _stark("cpy", "at")),
+    "cm": (dict(_FIELD, s=(1, 1), prec=30), [], _cm),
+    "strange": (dict(_FIELD, prec=40), [{"q": q} for q in (2, 3)], _strange),
+    "trivialization": (
+        dict(_FIELD, s=(3, 1), model="star", t_order=20, prec=(30, 40)),
+        [dict(q=3, s=(2, 4), model="at"), dict(q=2, s=(3, 1), model="star")],
+        _trivialization),
+    "vadic": (dict(_FIELD, s=None, nu=(1, 1), nu_prec=8),
+              [{"s": (2, 1)}, {"s": (3, 1)}], _vadic),
+    "periods": (dict(_FIELD, s=(1, 2), prec=30), [], _periods),
+    "oracle-log": (
+        dict(_FIELD, s=(3, 1), model="star", nmax=8, prec=60),
+        [dict(q=2, s=s, model="star") for s in ((1,), (4,), (3, 1), (2, 1, 1))]
+        + [dict(q=2, s=(1, 2), model="at"), dict(q=3, s=(2, 4), model="at")],
+        _oracle_log),
+}
+
+# the options of mzv and of each dump object, with their defaults
+_MZV = dict(_FIELD, s=None, star=False, prec=20)
+_SHAPE_DUMP = dict(_FIELD, s=(1, 3), model="star")
+DUMPS = {"motive": _SHAPE_DUMP, "tmodule": _SHAPE_DUMP, "point": _SHAPE_DUMP,
+         "series": dict(_FIELD, s=(1, 3), star=False, prec=20)}
+
+# the options checked against a table; --format is read by every verb
+_OPTIONS = ("q", "modulus", "s", "model", "star", "prec", "t_order", "nu",
+            "nu_prec", "nmax")
+
+
+def _resolve(label, options, cases, args):
+    """The runs of a verb: dicts of the table's options, given values over
+    defaults, each with its field as "fs".  An option the table does not
+    list, or --modulus without --q, is a usage error."""
+    given = {k: v for k, v in vars(args).items()
+             if k in _OPTIONS and v is not None and v is not False}
+    for k in given:
+        if k not in options:
+            raise ValueError("--%s: %s reads only %s" % (
+                k.replace("_", "-"), label,
+                ", ".join("--" + o.replace("_", "-") for o in options)))
+    if "modulus" in given and "q" not in given:
+        raise ValueError("--modulus needs --q")
+    run = dict(options, **given)
+    runs = ([dict(run, **case) for case in cases]
+            if cases and given.keys().isdisjoint(cases[0]) else [run])
+    for r in runs:
+        r["fs"] = _field_for_q(r["q"], r["modulus"])
+        r["modulus"] = r["fs"].modulus
+    return runs
+
+
+def _config(options, cases, runs):
+    """Each option the suite read, with the value it ran; an option that
+    its default runs set, and the modulus of their fields, as a list with
+    one entry per run."""
+    several = set(cases[0]) if len(runs) > 1 else set()
+    if "q" in several:
+        several.add("modulus")
+    return {k: [r[k] for r in runs] if k in several else runs[0][k]
+            for k in options}
 
 
 # errors that mean "this input needs more than the run can give": exit 2
@@ -330,25 +339,15 @@ def _run_item(name, fn):
 
 
 def run_verify(args) -> int:
-    try:
-        items = _suite_items(args.suite, args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    options, cases, build = SUITES[args.suite]
+    runs = _resolve("verify " + args.suite, options, cases, args)
+    items = [item for r in runs for item in build(r)]
     reports = [_run_item(name, fn) for name, fn in items]
     reports.sort(key=lambda r: r["name"])
     payload = {
         "report_v": REPORT_VERSION,
         "suite": args.suite,
-        "config": {
-            "q": args.q,
-            "s": list(args.s) if args.s else None,
-            "prec": args.prec,
-            "t_order": args.t_order,
-            "nu_prec": args.nu_prec,
-            "nu": list(args.nu) if args.nu else None,
-            "nmax": args.nmax,
-        },
+        "config": _config(options, cases, runs),
         "reports": reports,
         "pass": all(r.get("pass") for r in reports),
     }
@@ -364,15 +363,13 @@ def run_verify(args) -> int:
 
 
 def run_mzv(args) -> int:
-    from .zeta import mzv
-
-    fs = _arg_field(args)
-    val = mzv(fs, args.s, star=args.star, prec=args.prec or 20)
+    [r] = _resolve("mzv", _MZV, (), args)
+    val = zeta.mzv(r["fs"], r["s"], star=r["star"], prec=r["prec"])
     payload = {
-        "q": fs.q,
-        "s": list(args.s),
-        "star": args.star,
-        "prec": args.prec or 20,
+        "q": r["fs"].q,
+        "s": list(r["s"]),
+        "star": r["star"],
+        "prec": r["prec"],
         "valuation": val.value.v,
         "value": val.value.to_dict(),
         "leading": repr(val.value),
@@ -382,15 +379,9 @@ def run_mzv(args) -> int:
 
 
 def run_dump(args) -> int:
-    fs = _arg_field(args)
-    try:
-        payload = dump_object(args.object, fs, args.s or (1, 3),
-                              args.model or "star", args.star,
-                              args.prec or 20)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    _emit(payload, args.format)
+    [r] = _resolve("dump " + args.object, DUMPS[args.object], (), args)
+    _emit(dump_object(args.object, r["fs"], r["s"], r.get("model"),
+                      r.get("star"), r.get("prec")), args.format)
     return 0
 
 
@@ -400,8 +391,7 @@ def run_dump(args) -> int:
 
 
 def _add_common(p, formats=("json", "text"), default="text", need_s=False):
-    p.add_argument("--q", type=int, default=None,
-                   help="field size (prime power)")
+    p.add_argument("--q", type=int, help="field size (prime power)")
     p.add_argument("--modulus", type=_parse_coeffs, default=None,
                    help="F_p-coefficients of the extension modulus")
     p.add_argument("--s", type=_parse_tuple, default=None, required=need_s,
@@ -428,25 +418,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", choices=("at", "star"), default=None)
     p.add_argument("--t-order", dest="t_order", type=_positive_int,
-                   default=20,
                    help="t-truncation order for series identities")
-    p.add_argument("--nu", type=_parse_coeffs, default=None,
-                   help="coefficients of the finite place, low to high "
-                        "(default 1,1: theta + 1)")
-    p.add_argument("--nu-prec", dest="nu_prec", type=_positive_int,
-                   default=8)
-    p.add_argument("--nmax", type=_positive_int, default=8,
+    p.add_argument("--nu", type=_parse_coeffs,
+                   help="coefficients of the finite place, low to high")
+    p.add_argument("--nu-prec", dest="nu_prec", type=_positive_int)
+    p.add_argument("--nmax", type=_positive_int,
                    help="logarithm coefficients checked per shape")
     p.set_defaults(fn=run_verify)
 
     p = sub.add_parser("dump", help="serialize an object as JSON")
-    p.add_argument("object", choices=("motive", "tmodule", "point", "series"))
+    p.add_argument("object", choices=DUMPS)
     _add_common(p, formats=("json",), default="json")
     p.add_argument("--model", choices=("at", "star"), default=None)
     p.add_argument("--star", action="store_true",
                    help="series only: star variant")
     p.set_defaults(fn=run_dump)
     return ap
+
+
+def _fail(message) -> int:
+    """Exit code 2, with message as one line on stderr when it can be
+    written; a closed stderr goes to devnull, like a closed stdout."""
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return 2
 
 
 def main(argv=None) -> int:
@@ -459,14 +456,11 @@ def main(argv=None) -> int:
         # the reader closed stdout: send what is still buffered to devnull,
         # so that the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("output closed by the reader", file=sys.stderr)
-        return 2
+        return _fail("output closed by the reader")
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _fail(exc)
     except RESOURCE_ERRORS as exc:
-        print(str(exc) or type(exc).__name__, file=sys.stderr)
-        return 2
+        return _fail(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

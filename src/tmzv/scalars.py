@@ -379,14 +379,15 @@ class APoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = fs.add(out[i], c)
-        return APoly(fs, out)
+        if fs.m == 1:
+            p = fs.p
+            low = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            low = list(map(fs.add, a, b))
+        return APoly(fs, low + list(a[len(b):]))
 
     def __neg__(self):
-        fs = self.fs
-        return APoly(fs, [fs.neg(c) for c in self.coeffs])
+        return APoly(self.fs, _row_neg(self.fs, self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)

@@ -15,11 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tmzv.cli
+import tmzv.tmodule
+import tmzv.vadic
 import tmzv.zeta
 from reference import emit as reference_emit
 from tmzv.cli import REPORT_VERSION, main
-from tmzv.motive import special_point, star_shape, tmodule_of
-from tmzv.scalars import APoly, PrecisionLaurent, field
+from tmzv.motive import MotiveShape, special_point, star_shape, tmodule_of
+from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, field
 from tmzv.vadic import NuPlace, zeta_nu
 
 
@@ -116,7 +118,8 @@ class TestExitCodes:
         assert main(["verify", suite, "--s", s, "--format", "json"]) == 2
         cap = capsys.readouterr()
         assert cap.out == ""
-        assert cap.err == "--s: verify %s takes no index\n" % suite
+        assert cap.err == ("--s: verify %s reads only --q, --modulus, --prec\n"
+                           % suite)
 
     # a coefficient outside [0, q) is no field element; reducing it mod q
     # ran a different place (nu = theta for --q 4 --nu 4,1)
@@ -170,6 +173,154 @@ class TestExitCodes:
         cap = capsys.readouterr()
         assert cap.out == ""
         assert cap.err == (str(error) or type(error).__name__) + "\n"
+
+
+# the options each verify suite reads (README, "CLI"), independent of the
+# table in cli.py
+READS = {
+    "carlitz": {"q", "modulus", "prec"},
+    "at90": {"q", "modulus", "prec"},
+    "star": {"q", "modulus", "s", "prec"},
+    "cpy": {"q", "modulus", "s", "prec"},
+    "cm": {"q", "modulus", "s", "prec"},
+    "strange": {"q", "modulus", "prec"},
+    "trivialization": {"q", "modulus", "s", "model", "t_order", "prec"},
+    "vadic": {"q", "modulus", "s", "nu", "nu_prec"},
+    "periods": {"q", "modulus", "s", "prec"},
+    "oracle-log": {"q", "modulus", "s", "model", "nmax", "prec"},
+}
+
+# each option with a value no suite has as its default, and that value as
+# config reports it
+GIVEN = {
+    "q": (["--q", "3"], 3),
+    "modulus": (["--q", "9", "--modulus", "2,2,1"], [2, 2, 1]),
+    "s": (["--s", "2,1"], [2, 1]),
+    "model": (["--model", "at"], "at"),
+    "prec": (["--prec", "17"], 17),
+    "t_order": (["--t-order", "5"], 5),
+    "nu": (["--nu", "1,1,1"], [1, 1, 1]),
+    "nu_prec": (["--nu-prec", "3"], 3),
+    "nmax": (["--nmax", "3"], 3),
+}
+
+CHECKS = [(tmzv.zeta, name) for name in (
+    "carlitz_check", "depth_one_check", "stark_unit_check", "cm_check",
+    "strange_formula_check", "trivialization_check", "inversion_check")] + [
+    (tmzv.tmodule, "period_check"), (tmzv.tmodule, "depth_one_period_check"),
+    (tmzv.tmodule, "log_oracle_check"), (tmzv.vadic, "zeta_nu_check")]
+
+
+def _describe(x):
+    """A call argument as plain data: fields, shapes and places by what
+    defines them."""
+    if isinstance(x, FieldSpec):
+        return ("field", x.q, x.modulus)
+    if isinstance(x, MotiveShape):
+        return ("shape", _describe(x.fs), x.s, x.model)
+    if isinstance(x, NuPlace):
+        return ("place", _describe(x.nu.fs), x.nu.coeffs)
+    return x
+
+
+@pytest.fixture
+def stub_checks(monkeypatch):
+    """Replace every check a suite runs by one that records its call and
+    passes; the list of calls is returned."""
+    calls = []
+    for module, name in CHECKS:
+        def record(*args, name=name, **kwargs):
+            calls.append((name, tuple(map(_describe, args)),
+                          tuple(sorted(kwargs.items()))))
+            return {"pass": True}
+        monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def run_stubbed(capsys, calls, *argv):
+    """(exit code, stdout, stderr, the set of check calls) of one run."""
+    calls.clear()
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    cap = capsys.readouterr()
+    return rc, cap.out, cap.err, set(calls)
+
+
+class TestOptionTable:
+    # every (suite, option) pair: an option the suite reads changes the
+    # checks it calls and is reported in config with the given value; any
+    # other option exits 2 with one line naming the options the suite reads
+    @pytest.mark.parametrize("suite", sorted(READS))
+    def test_every_option_is_read_or_rejected(self, capsys, stub_checks,
+                                              suite):
+        rc, out, _, default_calls = run_stubbed(
+            capsys, stub_checks, "verify", suite, "--format", "json")
+        assert rc == 0 and default_calls
+        assert set(json.loads(out)["config"]) == READS[suite]
+        for option, (argv, value) in GIVEN.items():
+            rc, out, err, calls = run_stubbed(
+                capsys, stub_checks, "verify", suite, *argv, "--format",
+                "json")
+            if option in READS[suite]:
+                assert rc == 0, (suite, option, err)
+                config = json.loads(out)["config"]
+                assert config[option] == value, (suite, option)
+                assert calls and calls != default_calls, (suite, option)
+            else:
+                assert (rc, out) == (2, ""), (suite, option)
+                flag = "--" + option.replace("_", "-")
+                head, _, listed = err.partition(" reads only ")
+                assert head == "%s: verify %s" % (flag, suite)
+                assert listed.endswith("\n") and listed.count("\n") == 1
+                assert set(listed.strip().split(", ")) == {
+                    "--" + o.replace("_", "-") for o in READS[suite]}
+
+    @pytest.mark.parametrize("suite", ["trivialization", "oracle-log"])
+    @pytest.mark.parametrize("argv,case", [
+        (["--q", "3"], "star q=3 s=3,1"), (["--s", "2,1"], "star q=2 s=2,1"),
+        (["--model", "at"], "at q=2 s=3,1")])
+    def test_one_case_option_makes_one_run(self, capsys, stub_checks, suite,
+                                           argv, case):
+        # --model alone once ran the mixed default cases
+        rc, out, _, _ = run_stubbed(capsys, stub_checks, "verify", suite,
+                                    *argv, "--format", "json")
+        assert rc == 0
+        names = sorted(r["name"] for r in json.loads(out)["reports"])
+        heads = (["inversion", "trivialization"] if suite == "trivialization"
+                 else ["oracle-log"])
+        assert names == ["%s %s" % (h, case) for h in heads]
+
+    def test_default_runs_report_one_entry_each(self, capsys, stub_checks):
+        rc, out, _, _ = run_stubbed(capsys, stub_checks, "verify",
+                                    "trivialization", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["config"] == {
+            "q": [3, 2], "modulus": [[0, 1], [0, 1]], "s": [[2, 4], [3, 1]],
+            "model": ["at", "star"], "t_order": 20, "prec": [30, 40]}
+
+    # carlitz and strange once applied the modulus to every default field,
+    # and oracle-log and trivialization ignored it
+    @pytest.mark.parametrize("argv", [
+        ["verify", suite] for suite in sorted(READS)] + [
+        ["mzv", "--s", "1"], ["dump", "point"], ["dump", "series"]])
+    def test_modulus_without_q_is_usage_error(self, capsys, argv):
+        assert main([*argv, "--modulus", "1,1,1"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "--modulus needs --q\n"
+
+    @pytest.mark.parametrize("obj,argv", [
+        (obj, argv) for obj in ("motive", "tmodule", "point")
+        for argv in (["--star"], ["--prec", "3"])] + [
+        ("series", ["--model", "at"])])
+    def test_dump_option_the_object_does_not_read(self, capsys, obj, argv):
+        assert main(["dump", obj, *argv]) == 2
+        cap = capsys.readouterr()
+        reads = ("--q, --modulus, --s, --star, --prec" if obj == "series"
+                 else "--q, --modulus, --s, --model")
+        assert cap.out == ""
+        assert cap.err == "%s: dump %s reads only %s\n" % (argv[0], obj, reads)
 
 
 class TestVerify:
@@ -346,6 +497,22 @@ class TestClosedOutput:
         assert "Exception ignored" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    # with stderr on the same closed pipe, the message about the closed
+    # output failed in turn, and the run exited 1, "a check failed"
+    def test_stderr_on_the_closed_pipe_too_exits_2(self):
+        src = str(pathlib.Path(tmzv.cli.__file__).resolve().parents[1])
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tmzv.cli", "verify", "carlitz",
+                 "--format", "json"],
+                stdout=write, stderr=write, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+
 
 class TestEmitter:
     # json's encoder with the leaf rule writes the same bytes as the Python
@@ -376,9 +543,10 @@ class TestEmitter:
 
     @pytest.mark.parametrize("obj", ["motive", "tmodule", "point", "series"])
     def test_dump(self, capsys, monkeypatch, obj):
+        # each object with the options it reads
         self.assert_emits_as_reference(
             capsys, monkeypatch, "dump", obj, "--q", "4", "--s", "2,1",
-            "--model", "at", "--prec", "40")
+            *(["--prec", "40"] if obj == "series" else ["--model", "at"]))
 
     @pytest.mark.parametrize("case", sorted(GOLDEN["cli"]))
     def test_golden_cases(self, capsys, monkeypatch, case):

@@ -77,6 +77,19 @@ class TestAPoly:
         one = APoly.one(fs)
         assert (t + one) * (t + one) == t * t + (one + one) * t + one
 
+    # sum and negation against the coefficient formulas in the field's own
+    # add and neg, over F_2 (where -a = a), F_3 and F_9
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_add_and_neg_match_coefficient_formulas(self, data):
+        fs = data.draw(st.sampled_from([field(2), field(3), field(3, 2)]))
+        a, b = data.draw(apolys(fs, 8)), data.draw(apolys(fs, 8))
+        n = max(len(a.coeffs), len(b.coeffs))
+        assert a + b == APoly(fs, [fs.add(a[i], b[i]) for i in range(n)])
+        assert -a == APoly(fs, [fs.neg(a[i]) for i in range(len(a.coeffs))])
+        assert a - b == APoly(fs, [fs.sub(a[i], b[i]) for i in range(n)])
+        assert (a + b).coeffs[-1:] != (0,) and (-a).coeffs[-1:] != (0,)
+
     def test_divmod(self):
         fs = fq3()
         a = APoly(fs, (1, 2, 0, 1))
