@@ -195,6 +195,7 @@ def _at90(r):
 
 
 def _stark(head, model):
+    """The builder of a Stark-unit suite: star or cpy."""
     return lambda r: [(_name(head, r), lambda: zeta.stark_unit_check(
         _shape(r["fs"], r["s"], model), prec=r["prec"]))]
 
