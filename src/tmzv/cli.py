@@ -17,8 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .scalars import APoly, FieldSpec, PrecisionError, PrecisionLaurent, \
-    RatFunc, field
+from .scalars import MAX_Q, APoly, FieldSpec, PrecisionError, \
+    PrecisionLaurent, RatFunc, field, field_size_error
 from .tlayer import TPoly
 from . import tmodule, vadic, zeta
 
@@ -33,6 +33,8 @@ REPORT_VERSION = 3
 def _field_for_q(q: int, modulus=None) -> FieldSpec:
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
+    if q > MAX_Q:
+        raise field_size_error(q)
     p = next(d for d in range(2, q + 1) if q % d == 0)
     m = 1
     while p ** m < q:

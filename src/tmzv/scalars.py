@@ -81,6 +81,16 @@ def _prime_factors(n):
     return out
 
 
+MAX_Q = 4096
+
+
+def field_size_error(q) -> ValueError:
+    """The error for a field larger than MAX_Q, with q as the caller has
+    it (a number, or p^m)."""
+    return ValueError("q = %s exceeds the largest supported field size "
+                      "q <= %d" % (q, MAX_Q))
+
+
 class FieldSpec:
     """F_q with q = p^m, defined by a monic irreducible modulus over F_p.
 
@@ -89,6 +99,9 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int = 1, modulus=None):
+        # the size first: factoring a large p is itself an unbounded run
+        if p >= 2 and p**m > MAX_Q:
+            raise field_size_error("%d^%d" % (p, m))
         if _prime_factors(p) != [p]:
             raise ValueError("p must be prime")
         if m < 1:
@@ -96,9 +109,6 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = p**m
-        if self.q > 4096:
-            raise ValueError("q = %d^%d exceeds the largest supported field "
-                             "size q <= 4096" % (p, m))
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:

@@ -82,6 +82,7 @@ def nu_mod(a: APoly, place: NuPlace, m: int) -> APoly:
     return a % _nu_pow(place, m)
 
 
+@memo
 def nu_inv(a: APoly, place: NuPlace, m: int) -> APoly:
     """Inverse of a unit modulo nu^m."""
     mod = _nu_pow(place, m)
@@ -158,31 +159,33 @@ class NuAdic:
 
 
 class FactoredScalar:
-    """f / prod_k [k]^{e_k} with f in A and [k] = theta^{q^k} - theta."""
+    """f / prod_k [k]^{e_k} with f in A and [k] = theta^{q^k} - theta.  The
+    denominator is the sorted tuple of its pairs (k, e_k), so a scalar that
+    memo entries share cannot change in place."""
 
     __slots__ = ("fs", "num", "den")
 
-    def __init__(self, fs: FieldSpec, num: APoly, den=None):
+    def __init__(self, fs: FieldSpec, num: APoly, den=()):
         self.fs = fs
         self.num = num
-        self.den = dict(den) if den else {}
-        if num.is_zero():
-            self.den = {}
+        self.den = (tuple(sorted(dict(den).items()))
+                    if den and not num.is_zero() else ())
 
     def is_zero(self):
         return self.num.is_zero()
 
-    def _scale_to(self, den):
+    def _scale_to(self, den: dict):
+        own = dict(self.den)
         out = self.num
         for k, e in den.items():
-            extra = e - self.den.get(k, 0)
+            extra = e - own.get(k, 0)
             if extra:
                 out = out * bracket(self.fs, k).pow(extra)
         return out
 
     def __add__(self, other):
         den = dict(self.den)
-        for k, e in other.den.items():
+        for k, e in other.den:
             den[k] = max(den.get(k, 0), e)
         return FactoredScalar(self.fs, self._scale_to(den)
                               + other._scale_to(den), den)
@@ -197,14 +200,14 @@ class FactoredScalar:
         if isinstance(other, APoly):
             other = FactoredScalar(self.fs, other)
         den = dict(self.den)
-        for k, e in other.den.items():
+        for k, e in other.den:
             den[k] = den.get(k, 0) + e
         return FactoredScalar(self.fs, self.num * other.num, den)
 
     def den_valuation(self, place: NuPlace) -> int:
         """v_nu of the denominator product: [k] picks up nu exactly once
         when f | k."""
-        return sum(e for k, e in self.den.items() if k % place.f == 0)
+        return sum(e for k, e in self.den if k % place.f == 0)
 
     def nu_valuation(self, place: NuPlace):
         if self.is_zero():
@@ -215,21 +218,29 @@ class FactoredScalar:
         """One inverse mod nu^m, of the product of the bracket factors."""
         vd = self.den_valuation(place)
         m = max(prec + vd, 1)
-        mod = _nu_pow(place, m)
-        den = APoly.one(self.fs)
-        for k, e in sorted(self.den.items()):
-            b = bracket(self.fs, k)
-            if k % place.f == 0:
-                b = b // place.nu
-            den = den * b.pow(e, mod) % mod
-        unit = nu_mod(self.num, place, m) * nu_inv(den, place, m)
+        unit = nu_mod(self.num, place, m) * _den_inv(place, self.den, m)
         return NuAdic.from_unit(place, -vd, unit, prec)
 
     def __repr__(self):
         if not self.den:
             return repr(self.num)
-        den = "*".join(f"[{k}]^{e}" for k, e in sorted(self.den.items()))
+        den = "*".join(f"[{k}]^{e}" for k, e in self.den)
         return f"({self.num!r})/({den})"
+
+
+@memo
+def _den_inv(place: NuPlace, den: tuple, m: int) -> APoly:
+    """Inverse mod nu^m of the unit prod_k ([k] / nu^[f | k])^{e_k}, for a
+    FactoredScalar denominator den = ((k, e_k), ...)."""
+    fs = place.fs
+    mod = _nu_pow(place, m)
+    out = APoly.one(fs)
+    for k, e in den:
+        b = bracket(fs, k)
+        if k % place.f == 0:
+            b = b // place.nu
+        out = out * b.pow(e, mod) % mod
+    return nu_inv(out, place, m)
 
 
 class FactoredRing(ScalarStrategy):
@@ -251,7 +262,7 @@ class FactoredRing(ScalarStrategy):
         return FactoredScalar(self.fs, c.num)
 
     def inv_bracket(self, k: int) -> FactoredScalar:
-        return FactoredScalar(self.fs, APoly.one(self.fs), {k: 1})
+        return FactoredScalar(self.fs, APoly.one(self.fs), ((k, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +289,38 @@ def _as_apoly(x) -> APoly:
     return x.num
 
 
-def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
-    """Log of a point with |Z|_nu < 1, over the factored subring: term i is
-    delta_0 of the i-fold twisted transition product applied to the i-twisted
-    point.  Returns (coordinate vector of FactoredScalar, diagnostics)."""
-    fs = shape.fs
-    q = fs.q
+@memo
+def _nu_log_term(shape, place: NuPlace, Z: tuple, i: int):
+    """Term i of the nu-adic logarithm of Z over the factored subring, with
+    its nu-valuation (None for a zero term): delta_0 of the i-fold twisted
+    transition product applied to the i-twisted point.  One entry per
+    (shape, place, Z, i), which every precision reaching term i shares."""
+    ring = FactoredRing(shape.fs)
     dims = shape.block_dims
-    d1 = dims[0]
     D = max(dims)
-    ring = FactoredRing(fs)
+    pows = _bracket_pow_jets(ring, i, D)
+    jets = []
+    for ell, dl in enumerate(dims, start=1):
+        jet = LocalJet.zero_jet(D, ring.zero)
+        for j in range(dl):
+            c = Z[shape.slot(ell, j)]
+            if not c.is_zero():
+                jet = jet + pows[j].scale(ring.conv(c.frobenius(i)))
+        jets.append(None if jet.is_zero() else jet)
+    t = tuple(_twisted_term(shape, i, ring, D, jets))
+    return t, min((x.nu_valuation(place) for x in t if not x.is_zero()),
+                  default=None)
 
-    Z = [_as_apoly(x) for x in Z]
+
+def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
+    """Log of a point with |Z|_nu < 1, summed from the terms of
+    _nu_log_term.  Returns (coordinate vector of FactoredScalar,
+    diagnostics)."""
+    q = shape.fs.q
+    d1 = shape.block_dims[0]
+    ring = FactoredRing(shape.fs)
+
+    Z = tuple(_as_apoly(x) for x in Z)
     vZ = min((nu_valuation(x, place) for x in Z if not x.is_zero()),
              default=None)
     if vZ is None:
@@ -297,37 +328,33 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     if vZ < 1:
         raise ValueError("point is not inside the nu-adic unit ball")
 
-    def term(i):
-        pows = _bracket_pow_jets(ring, i, D)
-        jets = []
-        for ell, dl in enumerate(dims, start=1):
-            jet = LocalJet.zero_jet(D, ring.zero)
-            for j in range(dl):
-                c = Z[shape.slot(ell, j)]
-                if not c.is_zero():
-                    jet = jet + pows[j].scale(ring.conv(c.frobenius(i)))
-            jets.append(None if jet.is_zero() else jet)
-        return _twisted_term(shape, i, ring, D, jets)
-
     diag = {"terms": 0, "term_valuations": [], "bound_ok": True}
+    vals = diag["term_valuations"]
 
-    def val(t):
-        v = min((x.nu_valuation(place) for x in t if not x.is_zero()),
-                default=None)
-        vals = diag["term_valuations"]
+    def term(i):
+        t, v = _nu_log_term(shape, place, Z, i)
         vals.append(v)
-        i = len(vals)
         if v is not None and v < q**i * vZ - i * (3 * d1 - 1):
             diag["bound_ok"] = False
-        return v
+        return t
 
     # i = 0: the identity coefficient
     acc = _certified_sum(
         term, 1, K, max_terms,
         f"nu-adic logarithm did not certify precision {K} within "
-        f"{max_terms} terms", val, [ring.conv(x) for x in Z])
-    diag["terms"] = len(diag["term_valuations"]) + 1
+        f"{max_terms} terms", lambda t: vals[-1], [ring.conv(x) for x in Z])
+    diag["terms"] = len(vals) + 1
     return acc, diag
+
+
+@memo
+def _shape_action(shape):
+    """The induced t-module of a shape and its special point in A: one entry
+    per shape, shared by every place and precision (tmodule_of itself keeps
+    no memo, since most shapes that reach it never repeat)."""
+    from .motive import special_point, tmodule_of
+
+    return tmodule_of(shape), tuple(_as_apoly(x) for x in special_point(shape))
 
 
 def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
@@ -335,18 +362,17 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     """nu-adic MZV: -(1/a) times the d_1-th coordinate of Log(E_a(v)) for
     the weak-model module of the reversed tuple; a defaults to the canonical
     contraction and the value is independent of the choice."""
-    from .motive import special_point, star_shape, tmodule_of
+    from .motive import star_shape
 
     index = tuple(index)
     shape = star_shape(fs, tuple(reversed(index)))
-    E = tmodule_of(shape)
+    E, point = _shape_action(shape)
     if a is None:
         a = a_nu(shape, place)
     va, au = nu_split(a, place)
     d1 = shape.block_dims[0]
     # working modulus: survives the denominator valuations of every term
     m = K + va + 2 + 12 * (3 * d1 - 1) + 5
-    point = [_as_apoly(x) for x in special_point(shape)]
     Z = E.act(a, point, conv=_as_apoly, red=lambda x: nu_mod(x, place, m))
     coords, diag = nu_log_eval(shape, place, Z, K + va + 2,
                                max_terms=max_terms)

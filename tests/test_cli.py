@@ -445,6 +445,17 @@ class TestLargeFields:
         assert cap.out == ""
         assert cap.err.count("\n") == 1 and "4096" in cap.err
 
+    @pytest.mark.parametrize("argv", [["mzv", "--s", "1"], ["verify", "carlitz"]])
+    def test_large_prime_is_rejected_before_it_is_factored(self, capsys, argv):
+        # 100000007 is prime: trial division up to it would take minutes
+        start = time.perf_counter()
+        rc = main(argv + ["--q", "100000007"])
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.count("\n") == 1 and "4096" in cap.err
+
 
 class TestDump:
     @pytest.mark.parametrize("obj,extra", [

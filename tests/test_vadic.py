@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import monic_enumerate, nu_reduce
+from tmzv import vadic
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, RatFunc, field
 from tmzv.tlayer import bracket
@@ -314,3 +315,31 @@ class TestStoredZetaNu:
         assert len(got) == 18
         with open(ZETA_NU_PATH) as f:
             assert got == json.load(f)
+
+
+class TestMemoOrder:
+    # the memo entries of shapes, log terms and inverses serve any later
+    # request, so the order of the requests, and whether the entries exist
+    # at all, must not change a value or its diagnostics
+    TABLES = (vadic._shape_action, vadic._nu_log_term, vadic._den_inv,
+              vadic.nu_inv)
+
+    def answers(self, requests):
+        out = {}
+        for q, nu, K in requests:
+            fs = field(q)
+            v, diag = zeta_nu(fs, (1,), NuPlace(APoly(fs, nu)), K=K)
+            out[q, nu, K] = (v, diag["terms"], diag.get("term_valuations"),
+                             diag["bound_ok"])
+        return out
+
+    def test_order_and_cleared_tables_change_nothing(self):
+        requests = [(q, nu, K) for q, nu in PINNED_PLACES for K in range(4, 9)]
+        rng = random.Random(23)
+        first = self.answers(rng.sample(requests, len(requests)))
+        second = self.answers(rng.sample(requests, len(requests)))
+        for fn in self.TABLES:
+            fn.table.clear()
+        third = self.answers(requests)
+        assert len(first) == 40
+        assert first == second == third
