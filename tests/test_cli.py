@@ -447,7 +447,7 @@ class TestLargeFields:
 
     @pytest.mark.parametrize("argv", [["mzv", "--s", "1"], ["verify", "carlitz"]])
     def test_large_prime_is_rejected_before_it_is_factored(self, capsys, argv):
-        # 100000007 is prime: trial division up to it would take minutes
+        # 100000007 is prime: trial division up to it runs for many seconds
         start = time.perf_counter()
         rc = main(argv + ["--q", "100000007"])
         assert time.perf_counter() - start < 1

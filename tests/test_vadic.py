@@ -335,7 +335,7 @@ class TestMemoOrder:
 
     def test_order_and_cleared_tables_change_nothing(self):
         requests = [(q, nu, K) for q, nu in PINNED_PLACES for K in range(4, 9)]
-        rng = random.Random(23)
+        rng = random.Random(5)
         first = self.answers(rng.sample(requests, len(requests)))
         second = self.answers(rng.sample(requests, len(requests)))
         for fn in self.TABLES:
