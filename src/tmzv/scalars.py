@@ -920,12 +920,6 @@ class PrecisionLaurent:
         return Fraction(self.v, self.ram)
 
     # comparisons
-    def eq_to_prec(self, other, N):
-        d = self - other
-        if d.N is not None and d.N < N:
-            raise _PrecisionError(f"cannot compare to precision {N}: only {d.N} available")
-        return d.v is None or d.v >= N
-
     def __eq__(self, other):
         if not isinstance(other, PrecisionLaurent):
             return NotImplemented

@@ -26,6 +26,7 @@ from .scalars import (
     _row_add,
     _row_neg,
     memo,
+    min_residual_valuation,
 )
 
 
@@ -281,6 +282,15 @@ def _product_precisions(va, Na, vb, Nb):
     return [None if n == inf else n for n in Ns]
 
 
+def _settled(vs, Ns):
+    """Whether an addend whose coefficients start at vs leaves alone every
+    digit of a sum whose coefficients are known to Ns: each coefficient of
+    the addend is zero to its own precision (v None) or starts at or past
+    the sum's N there.  Only a zero leaves an exact coefficient (N None)
+    alone."""
+    return all(v is None or (n is not None and v >= n) for v, n in zip(vs, Ns))
+
+
 class TateTrunc:
     """t-truncated series: K_inf coefficients for t^0..t^M, row i stored
     flat as vs[i], Ns[i], cs[i], the v, N and coeffs of a PrecisionLaurent.
@@ -420,6 +430,11 @@ class TateTrunc:
         best = min((x for x in vals if x is not None), default=None)
         return None if best is None else Fraction(best, self.ram)
 
+    def settled(self, total):
+        """Whether adding self leaves every digit that total certifies
+        alone, row by row (_settled)."""
+        return _settled(self.vs, total.Ns)
+
     def eval_theta(self):
         """Evaluate the stored truncation at t = theta."""
         fs = self.fs
@@ -434,9 +449,6 @@ class TateTrunc:
             raise ValueError("already ramified")
         e = self.fs.q - 1
         return TateTrunc(self.fs, [c.embed_ram() for c in self.coeffs], self.M, ram=e)
-
-    def to_dict(self):
-        return {"tdeg": self.M, "ram": self.ram, "coeffs": [c.to_dict() for c in self.coeffs]}
 
     def __repr__(self):
         return " + ".join(f"[{c!r}]·t^{i}" for i, c in enumerate(self.coeffs[:4])) + (
@@ -540,6 +552,19 @@ class LocalJet:
                 if not _is_exact_zero(b):
                     out[i + j] = out[i + j] + a * b
         return LocalJet(out, self.shift + other.shift, D, self.zero)
+
+    def min_residual_valuation(self):
+        """Least residual valuation over the orders; None if every order
+        is an exact zero."""
+        return min_residual_valuation(self.coeffs)
+
+    def settled(self, total):
+        """Whether adding self leaves every digit that total certifies
+        alone, order by order (_settled); an order total lacks is an exact
+        zero there."""
+        return _settled([c.v for c in self.coeffs],
+                        [total.order(j).N for j in range(
+                            self.shift, self.shift + len(self.coeffs))])
 
     def scale(self, c):
         return LocalJet([x * c for x in self.coeffs], self.shift, self.D, self.zero)

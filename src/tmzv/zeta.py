@@ -303,76 +303,32 @@ def _shell_term(s: int, Q: TPoly, i: int, M: int, C: int) -> TateTrunc:
     return (qt * ll).truncate(C)
 
 
-class _JetBackend:
-    """Order-D jets at t = theta over K_inf scalars."""
-
-    def __init__(self, fs, D, rel):
-        self.fs, self.D, self.rel = fs, D, rel
-
-    def zero(self):
-        return LocalJet.zero_jet(self.D, PrecisionLaurent.zero(self.fs))
-
-    def term(self, s, Q, i):
-        qj = _tpoly_jet_rel(Q, i, self.D, self.rel)
-        if i == 0:
-            return qj
-        return qj * _ll_inv_jet(self.fs, i, s, self.D, self.rel)
-
-    @staticmethod
-    def min_val(x):
-        return min_residual_valuation(x.coeffs)
-
-    @staticmethod
-    def settled(G, total):
-        """A jet's value is read only to prec."""
-        return True
+def _jet_term(s: int, Q: TPoly, i: int, D: int, rel: int) -> LocalJet:
+    """Q^(i) LL_i^(-s) as an order-D jet at t = theta, every order to rel
+    digits past its valuation."""
+    qj = _tpoly_jet_rel(Q, i, D, rel)
+    if i == 0:
+        return qj
+    return qj * _ll_inv_jet(Q.fs, i, s, D, rel)
 
 
-class _TateBackend:
-    """t-truncated series to order M over K_inf scalars.  Each shell term
-    Q^(i) LL_i^(-s) is built once into `terms`, at the window W >= rel that
-    the table serves, and cut to rel (see _interval_series): its row k is
-    known to N = min(v_k + rel, rel), rel digits past the row's valuation
-    bound v_k and never past the exponent rel."""
-
-    def __init__(self, fs, M, rel, W, terms):
-        self.fs, self.M, self.rel, self.W, self.terms = fs, M, rel, W, terms
-
-    def zero(self):
-        return TateTrunc.zero(self.fs, self.M)
-
-    def term(self, s, Q, i):
-        key = (s, Q, i)
-        got = self.terms.get(key)
-        if got is None:
-            got = self.terms[key] = _shell_term(s, Q, i, self.M, self.W)
-        cut = self.W - self.rel
-        if cut == 0:
-            return got
-        return got.lower_precision(cut)
-
-    @staticmethod
-    def min_val(x):
-        return x.min_residual_valuation()
-
-    @staticmethod
-    def settled(G, total):
-        """Whether shell G leaves every certified digit of the sum alone:
-        each row of G is zero to its precision or starts at or past the
-        sum's N.  The rows are known to about rel, well past prec, so a
-        shell below theta^-prec can still reach them."""
-        return all(v is None or (n is not None and v >= n)
-                   for v, n in zip(G.vs, total.Ns))
-
-
-def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64):
+def lseries_raw(pairs, star: bool, prec, term, zero, imax: int = 64):
     """Shell dynamic program.  pairs = [(s_1, Q_1), ..., (s_k, Q_k)] with the
-    first pair taking the largest Frobenius index.  Stops when two consecutive
-    outermost shells fall below the target valuation and the backend finds
-    them settled, below every digit the sum certifies (their norms
-    eventually decay geometrically)."""
+    first pair taking the largest Frobenius index; term(s, Q, i) is the
+    shell term Q^(i) LL_i^(-s), a TateTrunc or a LocalJet, and zero the
+    empty sum of that type.
+
+    A shell G is small when its least residual valuation is >= prec and it
+    is settled against the sum S it was added to: every coefficient of G
+    (a row of a TateTrunc, an order of a LocalJet) is zero to its
+    precision or starts at or past S's N in that coefficient, so G leaves
+    every digit S certifies alone.  The terms are known to about rel, well
+    past prec, so a shell below theta^-prec can still reach those digits.
+    The sum stops after two consecutive small shells, once every entry has
+    had a shell; that the shells after them are small too rests on their
+    norms' geometric decay, not on a proved tail bound."""
     k = len(pairs)
-    prefix = [backend.zero() for _ in range(k)]
+    prefix = [zero] * k
     stable = 0
     seen = False
     for i in range(imax + 1):
@@ -382,7 +338,7 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
         G = None
         for m in range(k - 1, -1, -1):
             s, Q = pairs[m]
-            T = backend.term(s, Q, i)
+            T = term(s, Q, i)
             if G is not None:
                 if star:
                     prefix[m + 1] = prefix[m + 1] + G
@@ -391,11 +347,11 @@ def lseries_raw(fs: FieldSpec, pairs, star: bool, prec, backend, imax: int = 64)
                     T, prefix[m + 1] = T * prefix[m + 1], prefix[m + 1] + G
             G = T
         prefix[0] = prefix[0] + G
-        val = backend.min_val(G)
+        val = G.min_residual_valuation()
         if val is not None:
             seen = True
         stable = stable + 1 if (seen and (val is None or val >= prec)
-                                and backend.settled(G, prefix[0])) else 0
+                                and G.settled(prefix[0])) else 0
         if stable >= 2 and i + 1 >= k:
             return prefix[0]
     raise PrecisionError(
@@ -416,8 +372,9 @@ def lseries_jet(fs: FieldSpec, s, Q=None, star: bool = False, D: int = 1,
     s = tuple(s)
     Q = _default_Q(fs, s, Q)
     rel = prec + D + _rel_guard(fs, s)
-    backend = _JetBackend(fs, D, rel)
-    return lseries_raw(fs, list(zip(s, Q)), star, prec, backend)
+    return lseries_raw(list(zip(s, Q)), star, prec,
+                       lambda si, Qi, i: _jet_term(si, Qi, i, D, rel),
+                       LocalJet.zero_jet(D, PrecisionLaurent.zero(fs)))
 
 
 def lseries_value(fs: FieldSpec, s, Q=None, star: bool = False,
@@ -433,7 +390,7 @@ def lseries_value(fs: FieldSpec, s, Q=None, star: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _as_ratfunc(fs: FieldSpec, u):
+def _as_ratfunc(u):
     if isinstance(u, RatFunc):
         return u
     if isinstance(u, APoly):
@@ -458,7 +415,7 @@ def polylog(fs: FieldSpec, s, u, star: bool = False,
     sum over i_1 > ... > i_k >= 0 of u_1^{q^{i_1}}...u_k^{q^{i_k}} /
     (L_{i_1}^{s_1}...L_{i_k}^{s_k}); star variant uses weak chains."""
     s = tuple(s)
-    u = [_as_ratfunc(fs, x) for x in u]
+    u = [_as_ratfunc(x) for x in u]
     if len(u) != len(s):
         raise ValueError("need one argument per index entry")
     if any(x.is_zero() for x in u):
@@ -547,13 +504,21 @@ def _interval_series(fs: FieldSpec, M: int, prec: int, s):
     live as long as the returned function."""
     W = prec + _rel_guard(fs, s)
     terms, table = {}, {}
+    zero = TateTrunc.zero(fs, M)
 
     def series(sub, Qsub, weak):
         key = (sub, Qsub, weak and len(sub) > 1)
         if key not in table:
             if sub:
-                backend = _TateBackend(fs, M, prec + _rel_guard(fs, sub), W, terms)
-                table[key] = lseries_raw(fs, list(zip(sub, Qsub)), weak, prec, backend)
+                cut = W - prec - _rel_guard(fs, sub)
+
+                def term(si, Qi, i):
+                    got = terms.get((si, Qi, i))
+                    if got is None:
+                        got = terms[si, Qi, i] = _shell_term(si, Qi, i, M, W)
+                    return got.lower_precision(cut) if cut else got
+
+                table[key] = lseries_raw(list(zip(sub, Qsub)), weak, prec, term, zero)
             else:
                 table[key] = TateTrunc.one(fs, M)
         return table[key]
@@ -857,7 +822,7 @@ def cm_check(fs: FieldSpec, s, u=None, prec: int = 30) -> dict:
     if u is None:
         u = tuple(RatFunc.one(fs) for _ in s)
     else:
-        u = tuple(_as_ratfunc(fs, x) for x in u)
+        u = tuple(_as_ratfunc(x) for x in u)
     shape = MotiveShape(fs, s, tuple(TPoly.const(fs, x) for x in u), "AT")
     E = tmodule_of(shape)
     v = special_point(shape)

@@ -12,7 +12,7 @@ from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc
 from tmzv.tlayer import TateTrunc, TPoly
 from tmzv.vadic import NuAdic, NuPlace, nu_inv, nu_split
 from tmzv.zeta import (MZVIndex, MZVValue, _default_Q, _gamma_product,
-                       _rel_guard, _TateBackend, lseries_raw, lseries_value,
+                       _rel_guard, _shell_term, lseries_raw, lseries_value,
                        mzv_cutoff)
 
 # ---------------------------------------------------------------------------
@@ -122,15 +122,29 @@ def mzv_deformed(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVVal
 
 def lseries_tate(fs: FieldSpec, s, Q=None, star: bool = False, M: int = 20,
                  prec: int = 40) -> TateTrunc:
-    """t-truncation to order M of the normalized series, one series on its
-    own table of shell terms.  Every shell term is kept to
+    """t-truncation to order M of the normalized series, one series with
+    its shell terms built at its own window.  Every shell term is kept to
     N = min(v + rel, rel), rel = prec + _rel_guard(fs, s), so no digit far
     below theta^-prec is computed."""
     s = tuple(s)
     Q = _default_Q(fs, s, Q)
     rel = prec + _rel_guard(fs, s)
-    backend = _TateBackend(fs, M, rel, W=rel, terms={})
-    return lseries_raw(fs, list(zip(s, Q)), star, prec, backend)
+    return lseries_raw(list(zip(s, Q)), star, prec,
+                       lambda si, Qi, i: _shell_term(si, Qi, i, M, rel),
+                       TateTrunc.zero(fs, M))
+
+
+def laurent_eq_to_prec(a: PrecisionLaurent, b: PrecisionLaurent, N: int) -> bool:
+    """Whether a and b agree below theta^-N; both must be known that far."""
+    d = a - b
+    assert d.N is None or d.N >= N, f"only {d.N} digits, not {N}"
+    return d.v is None or d.v >= N
+
+
+def tate_dict(x: TateTrunc) -> dict:
+    """A t-truncation as plain data: its order, its tower and each row's
+    to_dict."""
+    return {"tdeg": x.M, "ram": x.ram, "coeffs": [c.to_dict() for c in x.coeffs]}
 
 
 # ---------------------------------------------------------------------------

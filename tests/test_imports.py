@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-local a function of the package assigns is read, and no function imports
-again from a sibling module that its file imports from at the top."""
+local a function of the package assigns is read, every parameter it takes
+is read, and no function imports again from a sibling module that its file
+imports from at the top."""
 
 import ast
 import pathlib
@@ -40,6 +41,29 @@ def unused_locals(tree):
         found |= {(n.lineno, n.id) for n in names
                   if isinstance(n.ctx, ast.Store) and n.id not in read
                   and not n.id.startswith("_")}
+    return sorted(found)
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) of every parameter a function never reads
+    in its body, nested functions included.  self, cls and names that start
+    with an underscore are exempt, and so are the parameters of a @memo
+    function: they are its memo key, read or not."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(isinstance(d, ast.Name) and d.id == "memo"
+               for d in fn.decorator_list):
+            continue
+        a = fn.args
+        params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        found += [(fn.lineno, fn.name, p) for p in params
+                  if p not in read and p not in ("self", "cls")
+                  and not p.startswith("_")]
     return sorted(found)
 
 
@@ -87,6 +111,27 @@ def test_scan_finds_an_unused_local():
                      "        pass\n"
                      "    return g\n")
     assert unused_locals(tree) == [(2, "m"), (7, "i")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(ast.parse(path.read_text())) == []
+
+
+def test_scan_finds_an_unread_parameter():
+    tree = ast.parse("def f(fs, x, *args, y=1, _z=2, **kw):\n"
+                     "    def g(a):\n"
+                     "        return x\n"
+                     "    return g\n"
+                     "class C:\n"
+                     "    def m(self, b):\n"
+                     "        return b\n"
+                     "@memo\n"
+                     "def h(key):\n"
+                     "    return []\n")
+    assert unread_parameters(tree) == [
+        (1, "f", "args"), (1, "f", "fs"), (1, "f", "kw"), (1, "f", "y"),
+        (2, "g", "a")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -219,11 +219,6 @@ class TestFlatRows:
         assert [a[i] for i in range(-1, M + 2)] == (
             [PrecisionLaurent.zero(fs, ram=ram)] + list(ra)
             + [PrecisionLaurent.zero(fs, ram=ram)])
-        d = a.to_dict()
-        assert d == {"tdeg": M, "ram": ram, "coeffs": [x.to_dict() for x in ra]}
-        back = TateTrunc(fs, [PrecisionLaurent.from_dict(x) for x in d["coeffs"]],
-                         M, ram=ram)
-        assert back.coeffs == a.coeffs
         # fewer rows than M + 1 are padded with exact zeros, more are cut
         M2 = max(M + extra, 0)
         short = TateTrunc(fs, ra, M2, ram=ram)
@@ -276,3 +271,55 @@ class TestLocalJet:
         jet = f.jet(2, _ExactScalars(fs))
         with pytest.raises(ArithmeticError):
             jet.inv().coeff_list(2)
+
+
+class TestSettled:
+    """One settled test for the rows of a TateTrunc and the orders of a
+    LocalJet: a shell leaves a sum's certified digits alone when each of
+    its coefficients is zero to its precision or starts at or past the
+    sum's N there."""
+
+    @staticmethod
+    def both(fs, coeffs):
+        """The same three coefficients as t-rows 0..2 and as jet orders
+        0..2."""
+        return (TateTrunc(fs, coeffs, 2),
+                LocalJet(coeffs, 0, 3, PrecisionLaurent.zero(fs)))
+
+    @pytest.mark.parametrize("c,want", [
+        # zero to a precision below the sum's N = 10
+        (("zero", 4), True),
+        # starts exactly at the sum's N
+        ((10, 20), True),
+        # starts below it
+        ((9, 20), False),
+    ])
+    def test_one_coefficient_against_the_sum(self, c, want):
+        fs = field(3)
+        v, N = c
+        x = (PrecisionLaurent.zero(fs, N=N) if v == "zero"
+             else PrecisionLaurent(fs, v, (1,), N=N))
+        z = PrecisionLaurent.zero(fs)
+        # the sum: row 0 known to N = 10, row 1 zero to N = 8, no row 2
+        total = self.both(fs, [PrecisionLaurent(fs, 3, (1, 2), N=10),
+                               PrecisionLaurent.zero(fs, N=8), z])
+        for coeffs, expect in (([x, z, z], want),
+                               # row 1 is settled at its N = 8, not below
+                               ([x, PrecisionLaurent(fs, 8, (2,), N=9), z], want),
+                               ([x, PrecisionLaurent(fs, 7, (2,), N=9), z], False)):
+            tate, jet = self.both(fs, coeffs)
+            assert tate.min_residual_valuation() == jet.min_residual_valuation()
+            assert tate.settled(total[0]) == jet.settled(total[1]) == expect
+
+    def test_an_order_the_sum_lacks(self):
+        # the sum is exact there, so no nonzero coefficient leaves it alone
+        fs = field(2)
+        z = PrecisionLaurent.zero(fs)
+        total = self.both(fs, [PrecisionLaurent(fs, 0, (1,), N=10), z, z])
+        far = PrecisionLaurent(fs, 50, (1,), N=60)
+        tate, jet = self.both(fs, [z, z, far])
+        assert jet.shift == 2 and total[1].order(2) == z
+        assert tate.settled(total[0]) is jet.settled(total[1]) is False
+        # a coefficient zero to its precision there still is settled
+        tate, jet = self.both(fs, [z, z, PrecisionLaurent.zero(fs, N=3)])
+        assert tate.settled(total[0]) is jet.settled(total[1]) is True

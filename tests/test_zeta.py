@@ -1,24 +1,27 @@
 """Multiple zeta values, polylogarithms, and the identity check reports."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (compositions, lseries_tate, mzv_brute, mzv_deformed,
-                       power_sum_enum)
+from reference import (compositions, laurent_eq_to_prec, lseries_tate,
+                       mzv_brute, mzv_deformed, power_sum_enum, tate_dict)
 from tmzv import zeta
 from tmzv.motive import MotiveShape, at_shape, star_shape
 from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
-from tmzv.tlayer import TateTrunc, TPoly, anderson_thakur, l_poly
-from tmzv.zeta import (MZVIndex, _gamma_rows, _JetBackend, _ll_inv_tate,
-                       _rel_guard, _TateBackend, carlitz_check, cm_check,
+from tmzv.tlayer import (LocalJet, TateTrunc, TPoly, anderson_thakur,
+                         l_poly)
+from tmzv.zeta import (MZVIndex, _gamma_rows, _jet_term, _ll_inv_tate,
+                       _rel_guard, _shell_term, carlitz_check, cm_check,
                        deformed_row, depth_one_check, inversion_check,
                        lseries_raw, mzv, polylog, power_sum,
                        stark_unit_check, strange_formula_check)
@@ -191,7 +194,7 @@ class TestPolylog:
         for k in range(40):
             u = RatFunc.one(fs) if k % 2 == 0 else RatFunc.theta(fs)
             got = polylog(fs, (1,), [u], prec=prec)
-            assert got.eq_to_prec(want[u.num.degree()], prec)
+            assert laurent_eq_to_prec(got, want[u.num.degree()], prec)
 
     def test_depth_one_at_one_is_zeta(self):
         fs = field(3)
@@ -214,7 +217,7 @@ class TestPolylog:
             acc = acc + RatFunc(u.num.pow(fs.q**i), u.den.pow(fs.q**i) * L * L)
             i += 1
         got = polylog(fs, (2,), [u], prec=prec)
-        assert got.N == prec and got.eq_to_prec(acc.laurent(N=prec), prec)
+        assert got.N == prec and laurent_eq_to_prec(got, acc.laurent(N=prec), prec)
 
     def test_later_argument_on_the_boundary_converges(self):
         # |u_2| = q^{s_2 q/(q-1)} sits on the boundary, which only the first
@@ -232,7 +235,7 @@ class TestPolylog:
                     u1.den.pow(k1) * u2.den.pow(k2)
                     * l_poly(fs, i1) * l_poly(fs, i2))
         got = polylog(fs, (1, 1), [u1, u2], prec=30)
-        assert got.N == 30 and got.eq_to_prec(acc.laurent(N=30), 30)
+        assert got.N == 30 and laurent_eq_to_prec(got, acc.laurent(N=30), 30)
 
     @pytest.mark.parametrize("s,num,den,arg", [
         # u_1 on its boundary: deg(u_1^{q^i} / L_i) = 2 for every i
@@ -297,17 +300,17 @@ def shape_with(fs, s, scaled):
                                     for si in s), "ExtGeneric")
 
 
-def lseries_reference(pairs, star, prec, backend, imax=64):
+def lseries_reference(pairs, star, prec, term, zero, imax=64):
     """The shell sum with the weak chains' inner sum prefix + G formed
     apart from the prefix update, kept as the reference."""
     k = len(pairs)
-    prefix = [backend.zero() for _ in range(k)]
+    prefix = [zero] * k
     stable, seen = 0, False
     for i in range(imax + 1):
         G = [None] * k
         for m in range(k - 1, -1, -1):
             s, Q = pairs[m]
-            T = backend.term(s, Q, i)
+            T = term(s, Q, i)
             if m == k - 1:
                 G[m] = T
             else:
@@ -315,45 +318,36 @@ def lseries_reference(pairs, star, prec, backend, imax=64):
                 G[m] = T * inner
         for m in range(k):
             prefix[m] = prefix[m] + G[m]
-        val = backend.min_val(G[0])
+        val = G[0].min_residual_valuation()
         if val is not None:
             seen = True
         stable = stable + 1 if (seen and (val is None or val >= prec)
-                                and backend.settled(G[0], prefix[0])) else 0
+                                and G[0].settled(prefix[0])) else 0
         if stable >= 2 and i + 1 >= k:
             return prefix[0]
     raise AssertionError("reference did not stop")
 
 
-def term_at_rel(fs, s, Q, i, M, rel):
+def uncapped_term(fs, M, rel, s, Q, i):
     """Q^(i), row n to N = v + rel, times the exact LL_i^(-s): the shell
-    term with no ceiling."""
+    term built afresh at the series' own rel, with no table and no
+    ceiling."""
     qt = TateTrunc(fs, [zeta._frob_laurent_rel(Q[n], i, rel)
                         for n in range(min(M, Q.degree()) + 1)], M)
     return qt if i == 0 else qt * _ll_inv_tate(fs, i, s, M)
 
 
-class UncappedTerms(_TateBackend):
-    """Each shell term built afresh at the series' own rel, with no table
-    and no ceiling."""
-
-    def term(self, s, Q, i):
-        return term_at_rel(self.fs, s, Q, i, self.M, self.rel)
-
-
-class TermsAtRel(_TateBackend):
-    """Each shell term built afresh at the series' own rel, with no table,
-    every row then cut at the ceiling rel."""
-
-    def term(self, s, Q, i):
-        return term_at_rel(self.fs, s, Q, i, self.M, self.rel).truncate(self.rel)
+def capped_term(fs, M, rel, s, Q, i):
+    """uncapped_term with every row then cut at the ceiling rel."""
+    return uncapped_term(fs, M, rel, s, Q, i).truncate(rel)
 
 
 def series_reference(fs, s, Q, star, M, prec):
     """lseries_tate by the reference shell sum and terms."""
     rel = prec + _rel_guard(fs, s)
-    backend = TermsAtRel(fs, M, rel, W=rel, terms={})
-    return lseries_reference(list(zip(s, Q)), star, prec, backend)
+    return lseries_reference(list(zip(s, Q)), star, prec,
+                             partial(capped_term, fs, M, rel),
+                             TateTrunc.zero(fs, M))
 
 
 def sgn(x, n):
@@ -449,13 +443,19 @@ class TestTermTable:
         fs = field(q)
         pairs = [(si, anderson_thakur(fs, si)) for si in s]
         rel = 20 + _rel_guard(fs, s)
-        got = lseries_raw(fs, pairs, star, 20,
-                          _TateBackend(fs, 5, rel, W=rel, terms={}))
-        want = lseries_reference(pairs, star, 20,
-                                 _TateBackend(fs, 5, rel, W=rel, terms={}))
-        assert rows(got) == rows(want)
-        got = lseries_raw(fs, pairs, star, 20, _JetBackend(fs, 2, rel + 2))
-        want = lseries_reference(pairs, star, 20, _JetBackend(fs, 2, rel + 2))
+
+        def tate(si, Q, i):
+            return _shell_term(si, Q, i, 5, rel)
+
+        def jet(si, Q, i):
+            return _jet_term(si, Q, i, 2, rel + 2)
+
+        zero = TateTrunc.zero(fs, 5)
+        got = lseries_raw(pairs, star, 20, tate, zero)
+        assert rows(got) == rows(lseries_reference(pairs, star, 20, tate, zero))
+        zero = LocalJet.zero_jet(2, PrecisionLaurent.zero(fs))
+        got = lseries_raw(pairs, star, 20, jet, zero)
+        want = lseries_reference(pairs, star, 20, jet, zero)
         assert got.shift == want.shift and rows(got) == rows(want)
 
 
@@ -525,8 +525,8 @@ def assert_agrees_with_uncapped(fs, shape, M, prec, star):
     P = prec + 40
     for sub, Q, weak, x in got:
         rel = P + _rel_guard(fs, sub)
-        backend = UncappedTerms(fs, M, rel, W=rel, terms={})
-        ref = lseries_raw(fs, list(zip(sub, Q)), weak, P, backend)
+        ref = lseries_raw(list(zip(sub, Q)), weak, P,
+                          partial(uncapped_term, fs, M, rel), TateTrunc.zero(fs, M))
         for a, b in zip(x.coeffs, ref.coeffs):
             if a.N is None:
                 assert b == a
@@ -539,12 +539,14 @@ def assert_agrees_with_uncapped(fs, shape, M, prec, star):
 # fresh interpreter
 ROW_JSON = """
 import hashlib
+import itertools
 import json
 from tmzv.motive import at_shape
 from tmzv.scalars import field
 from tmzv.zeta import deformed_row
 row = deformed_row(at_shape(field(3), (2, 1, 3)), n_terms=4, prec=20)
-print(json.dumps({kind: {"%d,%d" % k: v.to_dict() for k, v in sorted(t.items())}
+print(json.dumps({kind: {"%d,%d" % k: [c.to_dict() for c in v.coeffs]
+                         for k, v in sorted(t.items())}
                   for kind, t in (("L", row.L), ("Lstar", row.Lstar))},
                  sort_keys=True))
 """
@@ -561,6 +563,33 @@ class TestCeiling:
         # every strict and weak interval of a deformed row, and the series
         # of the whole index, against prec + 40 with no ceiling on the terms
         assert_agrees_with_uncapped(fq(q), at_shape(fq(q), s), M, prec, star)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_jet_orders_agree_with_higher_precision(self, q):
+        # every order of lseries_jet, below its N, against the same call at
+        # prec + 40; the constant twisting entries 1, theta and
+        # theta^3/(theta + 1) take turns over (D, star, prec), each where
+        # the index lies in its convergence domain
+        fs = fq(q)
+        th, one = RatFunc.theta(fs), RatFunc.one(fs)
+        us = (one, th, th * th * th * (th + one).inv())
+        for s in ((1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (3, 1), (2, 1, 1)):
+            inside = itertools.cycle([u for u in us if not any(
+                zeta.outside_polylog_domain(
+                    q, si, u.num.degree() - u.den.degree(), m == 0)
+                for m, si in enumerate(s))])
+            for D, star, prec in itertools.product((1, 2, 3), (False, True),
+                                                   (5, 10, 20, 30)):
+                Q = (TPoly.const(fs, next(inside)),) * len(s)
+                lo = zeta.lseries_jet(fs, s, Q=Q, star=star, D=D, prec=prec)
+                hi = zeta.lseries_jet(fs, s, Q=Q, star=star, D=D, prec=prec + 40)
+                for j in range(D):
+                    a, b = lo.order(j), hi.order(j)
+                    if a.N is None:
+                        assert b == a
+                    else:
+                        assert b.N is None or b.N >= a.N
+                        assert (a - b).truncate(a.N).is_zero_to_prec()
 
     @pytest.mark.parametrize("q,s,M,scaled", [(3, (2,), 2, True),
                                                (4, (3,), 3, False)])
@@ -584,7 +613,7 @@ class TestCeiling:
                              RatFunc(APoly.monomial(fs, 5))])):
             for s in (1, 2, 3):
                 got = zeta._shell_term(s, Q, i, M, C)
-                want = term_at_rel(fs, s, Q, i, M, C)
+                want = uncapped_term(fs, M, C, s, Q, i)
                 for a, b in zip(got.coeffs, want.coeffs):
                     assert a.N == (C if b.N is None else min(b.N, C))
                     assert (a - b).truncate(a.N).is_zero_to_prec()
@@ -633,7 +662,7 @@ def deformed_row_digest(fs, s):
     """sha256 of the canonical JSON of deformed_row(at_shape(fs, s), 6, 22):
     every L and Lstar series through to_dict, keyed "a,b"."""
     row = deformed_row(at_shape(fs, s), n_terms=6, prec=22)
-    doc = {name: {"%d,%d" % k: x.to_dict() for k, x in sorted(series.items())}
+    doc = {name: {"%d,%d" % k: tate_dict(x) for k, x in sorted(series.items())}
            for name, series in (("L", row.L), ("Lstar", row.Lstar))}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
