@@ -219,6 +219,9 @@ class TestFlatRows:
         assert [a[i] for i in range(-1, M + 2)] == (
             [PrecisionLaurent.zero(fs, ram=ram)] + list(ra)
             + [PrecisionLaurent.zero(fs, ram=ram)])
+        back = TateTrunc(fs, [PrecisionLaurent.from_dict(x.to_dict())
+                              for x in a.coeffs], M, ram=ram)
+        assert back.coeffs == a.coeffs
         # fewer rows than M + 1 are padded with exact zeros, more are cut
         M2 = max(M + extra, 0)
         short = TateTrunc(fs, ra, M2, ram=ram)
