@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .scalars import APoly, FieldSpec, RatFunc, memo
-from .tlayer import LocalJet, TPoly, anderson_thakur
+from .tlayer import TPoly, anderson_thakur
 from . import tmodule as _tmodule
 from .zeta import outside_polylog_domain
 
@@ -222,20 +222,13 @@ def iota(shape: MotiveShape, column) -> list:
 
 
 def delta0(coords, shape: MotiveShape) -> list:
-    """Stacked (t-theta)-jet coefficients in basis order.  Blocks may be
-    TPoly (exact) or LocalJet (any scalar backend); a pole deeper than the
-    block's jet order is an error."""
+    """Stacked (t-theta)-jet coefficients in basis order: orders 0..d - 1
+    of the LocalJet of each block of dimension d."""
     out = [None] * shape.dim
     for ell, d in enumerate(shape.block_dims, start=1):
-        f = coords[ell - 1]
-        if isinstance(f, TPoly):
-            cs = f.taylor_coeffs(d)
-        elif isinstance(f, LocalJet):
-            cs = f.coeff_list(d)
-        else:
-            raise TypeError("unsupported block type %r" % (type(f),))
+        orders = coords[ell - 1].orders
         for j in range(d):
-            out[shape.slot(ell, j)] = cs[j]
+            out[shape.slot(ell, j)] = orders[j]
     return out
 
 

@@ -5,7 +5,8 @@ TateTrunc is a t-truncated series stored as one flat (v, N, coefficients)
 row per t-degree, whose product is one F_q polynomial product of the two
 series laid out flat and clipped to what the product certifies;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
-(RatFunc, PrecisionLaurent, or the factored/nu-adic scalars).
+(RatFunc, PrecisionLaurent, or the factored/nu-adic scalars), the tuple of
+its D orders: order j is the coefficient of u^j, and no jet has a pole.
 
 Also provides the classical quantities [k], 1/[k], D_k, L_i, gamma_j,
 Gamma_n, the Anderson-Thakur polynomials H_n, and the Omega series.
@@ -13,7 +14,6 @@ Gamma_n, the Anderson-Thakur polynomials H_n, and the Omega series.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .scalars import (
@@ -168,7 +168,7 @@ class TPoly:
         sc: the exact Taylor coefficients, each passed through sc.conv."""
         f = self.twist(twist) if twist else self
         cs = f.taylor_coeffs(min(D, f.degree() + 1))
-        return LocalJet([sc.conv(c) for c in cs], 0, D, sc.zero)
+        return LocalJet.of([sc.conv(c) for c in cs], D, sc.zero)
 
     def gauss_norm_exp(self) -> Fraction:
         """Exponent e with ||f|| = q^e (max coefficient |.|_inf)."""
@@ -459,36 +459,32 @@ class TateTrunc:
 class LocalJet:
     """Truncated expansion in u = t - theta over a duck-typed scalar ring.
 
-    coeffs[i] is the coefficient of u^(shift + i); all orders < D are
-    guaranteed.  `zero` is the scalar zero used for padding.
+    orders[j] is the coefficient of u^j for every j < D = len(orders),
+    exact zeros included: a jet starts at order 0, so it has no pole.
+    Sums, products and inverses keep the least D of their operands.
+    `zero` is the scalar zero used for padding.
     """
 
-    __slots__ = ("coeffs", "shift", "D", "zero")
+    __slots__ = ("orders", "zero")
 
-    def __init__(self, coeffs, shift, D, zero):
-        cs = list(coeffs)
-        # drop orders >= D
-        if shift + len(cs) > D:
-            cs = cs[: max(0, D - shift)]
-        while cs and _is_exact_zero(cs[0]):
-            cs.pop(0)
-            shift += 1
-        while cs and _is_exact_zero(cs[-1]):
-            cs.pop()
-        if not cs:
-            shift = D
-        self.coeffs = list(cs)
-        self.shift = shift
-        self.D = D
+    def __init__(self, orders, zero):
+        self.orders = tuple(orders)
         self.zero = zero
 
     @classmethod
+    def of(cls, coeffs, D, zero):
+        """Jet of order D whose first orders are coeffs, cut to D and padded
+        with exact zeros."""
+        cs = list(coeffs[:D])
+        return cls(cs + [zero] * (D - len(cs)), zero)
+
+    @classmethod
     def zero_jet(cls, D, zero):
-        return cls([], D, D, zero)
+        return cls((zero,) * D, zero)
 
     @classmethod
     def const_jet(cls, c, D, zero):
-        return cls([c], 0, D, zero)
+        return cls.of([c], D, zero)
 
     @classmethod
     def pole_inv(cls, c0, D, zero):
@@ -500,97 +496,68 @@ class LocalJet:
             cs.append(p if m % 2 == 0 else -p)
             if m + 1 < D:
                 p = p * c0
-        return cls(cs, 0, D, zero)
+        return cls(cs, zero)
 
     def is_zero(self):
-        return not self.coeffs
-
-    def order(self, j):
-        i = j - self.shift
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.zero
+        return all(_is_exact_zero(c) for c in self.orders)
 
     def __add__(self, other):
-        D = min(self.D, other.D)
-        if self.is_zero():
-            return LocalJet(other.coeffs, other.shift, D, self.zero)
-        return self._combine(other, D, operator.add)
+        return LocalJet([b if _is_exact_zero(a) else a if _is_exact_zero(b)
+                         else a + b for a, b in zip(self.orders, other.orders)],
+                        self.zero)
 
     def __neg__(self):
-        return LocalJet([-c for c in self.coeffs], self.shift, self.D, self.zero)
+        return LocalJet([-c for c in self.orders], self.zero)
 
     def __sub__(self, other):
-        D = min(self.D, other.D)
-        if self.is_zero():
-            return LocalJet([-c for c in other.coeffs], other.shift, D, self.zero)
-        return self._combine(other, D, operator.sub)
-
-    def _combine(self, other, D, op):
-        """op(self, other) order by order, self nonzero."""
-        if other.is_zero():
-            return LocalJet(self.coeffs, self.shift, D, self.zero)
-        lo = min(self.shift, other.shift)
-        hi = min(D, max(self.shift + len(self.coeffs), other.shift + len(other.coeffs)))
-        out = [op(self.order(j), other.order(j)) for j in range(lo, hi)]
-        return LocalJet(out, lo, D, self.zero)
+        return LocalJet([-b if _is_exact_zero(a) else a if _is_exact_zero(b)
+                         else a - b for a, b in zip(self.orders, other.orders)],
+                        self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, LocalJet):
             return self.scale(other)
-        D = min(self.D + other.shift, other.D + self.shift)
-        if self.is_zero() or other.is_zero():
-            return LocalJet([], D, D, self.zero)
-        n = min(D - self.shift - other.shift, len(self.coeffs) + len(other.coeffs) - 1)
-        if n <= 0:
-            return LocalJet([], D, D, self.zero)
-        out = [self.zero] * n
-        for i, a in enumerate(self.coeffs):
+        ys = other.orders
+        D = min(len(self.orders), len(ys))
+        out = [self.zero] * D
+        for i, a in enumerate(self.orders[:D]):
             if _is_exact_zero(a):
                 continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
+            for j in range(D - i):
+                b = ys[j]
                 if not _is_exact_zero(b):
                     out[i + j] = out[i + j] + a * b
-        return LocalJet(out, self.shift + other.shift, D, self.zero)
+        return LocalJet(out, self.zero)
 
     def min_residual_valuation(self):
         """Least residual valuation over the orders; None if every order
         is an exact zero."""
-        return min_residual_valuation(self.coeffs)
+        return min_residual_valuation(self.orders)
 
     def settled(self, total):
         """Whether adding self leaves every digit that total certifies
-        alone, order by order (_settled); an order total lacks is an exact
-        zero there."""
-        return _settled([c.v for c in self.coeffs],
-                        [total.order(j).N for j in range(
-                            self.shift, self.shift + len(self.coeffs))])
+        alone, order by order (_settled)."""
+        return _settled([c.v for c in self.orders],
+                        [c.N for c in total.orders])
 
     def scale(self, c):
-        return LocalJet([x * c for x in self.coeffs], self.shift, self.D, self.zero)
+        return LocalJet([x if _is_exact_zero(x) else x * c
+                         for x in self.orders], self.zero)
 
     def inv(self):
-        """Jet inverse; leading scalar must be invertible."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero jet")
-        W = self.D - self.shift
-        b0 = self.coeffs[0]
-        c0 = b0.inv()
+        """Jet inverse; order 0 must be invertible in the scalars (an
+        exact zero there raises from its own inverse)."""
+        b = self.orders
+        c0 = b[0].inv()
         out = [c0]
-        for k in range(1, W):
+        for k in range(1, len(b)):
             acc = None
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                term = self.coeffs[i] * out[k - i]
-                acc = term if acc is None else acc + term
+            for i in range(1, k + 1):
+                if not _is_exact_zero(b[i]):
+                    term = b[i] * out[k - i]
+                    acc = term if acc is None else acc + term
             out.append(-(c0 * acc) if acc is not None else self.zero)
-        return LocalJet(out, -self.shift, self.D - 2 * self.shift, self.zero)
-
-    def coeff_list(self, D=None):
-        """Coefficients of u^0..u^(D-1); negative orders raise."""
-        D = self.D if D is None else D
-        if self.coeffs and self.shift < 0:
-            raise PrecisionError("jet has a pole at t = theta")
-        return [self.order(j) for j in range(D)]
+        return LocalJet(out, self.zero)
 
 
 # classical quantities
@@ -738,11 +705,11 @@ def omega_jet(fs: FieldSpec, D: int, N_theta: int) -> LocalJet:
     Nram = N_theta * e
     nfac = omega_factor_count(fs, N_theta)
     z = PrecisionLaurent.zero(fs, ram=e)
-    acc = LocalJet([PrecisionLaurent.eta_pow(fs, -fs.q, N=Nram + fs.q * e + D * e)], 0, D, z)
+    acc = LocalJet.of([PrecisionLaurent.eta_pow(fs, -fs.q, N=Nram + fs.q * e + D * e)], D, z)
     for i in range(1, nfac + 1):
         tpi = PrecisionLaurent.theta_pow(fs, -(fs.q**i), ram=e, N=Nram + fs.q * e + D * e)
         one = PrecisionLaurent.one(fs, ram=e, N=Nram + fs.q * e + D * e)
         c0 = one - PrecisionLaurent.theta_pow(fs, 1 - fs.q**i, ram=e, N=Nram + fs.q * e + D * e)
-        fac = LocalJet([c0, -tpi], 0, D, z)
+        fac = LocalJet.of([c0, -tpi], D, z)
         acc = acc * fac
     return acc

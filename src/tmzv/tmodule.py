@@ -192,8 +192,8 @@ def _bracket_pow_jets(sc, n: int, D: int) -> list:
         def coeff(m, b):
             return sc.conv(RatFunc(pows[m].scale(fs.from_int(b)),
                                    reduce=False))
-    return [LocalJet([coeff(j - k, math.comb(j, k)) for k in range(j + 1)],
-                     0, D, sc.zero)
+    return [LocalJet.of([coeff(j - k, math.comb(j, k)) for k in range(j + 1)],
+                        D, sc.zero)
             for j in range(D)]
 
 
@@ -659,8 +659,7 @@ def period_basis(shape, prec: int = 30):
         opow.append(opow[-1] * oj)
 
     def embed_jet(jet: LocalJet) -> LocalJet:
-        return LocalJet([c.embed_ram() for c in jet.coeffs], jet.shift,
-                        jet.D, zero_r)
+        return LocalJet([c.embed_ram() for c in jet.orders], zero_r)
 
     def g_entry(j, ell):
         """(j, ell) entry of the inverse triangular factor, as a jet."""

@@ -246,8 +246,8 @@ def _tpoly_jet_rel(Q: TPoly, i: int, D: int, rel: int) -> LocalJet:
     acc = LocalJet.zero_jet(D, z)
     if Q.is_zero():
         return acc
-    tjet = LocalJet(
-        [PrecisionLaurent.theta_pow(fs, 1), PrecisionLaurent.one(fs)], 0, D, z)
+    tjet = LocalJet.of(
+        [PrecisionLaurent.theta_pow(fs, 1), PrecisionLaurent.one(fs)], D, z)
     for c in reversed(Q.coeffs):
         acc = acc * tjet
         if not c.is_zero():
@@ -382,7 +382,7 @@ def lseries_value(fs: FieldSpec, s, Q=None, star: bool = False,
     """Value at t = theta; equals Gamma_{s_1}...Gamma_{s_k} zeta_A(s_1,...,s_k)
     (or the star value) when the Q_m are the H_{s_m}."""
     jet = lseries_jet(fs, s, Q=Q, star=star, D=1, prec=prec)
-    return jet.order(0).truncate(prec)
+    return jet.orders[0].truncate(prec)
 
 
 # ---------------------------------------------------------------------------

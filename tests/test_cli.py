@@ -604,16 +604,81 @@ def argvs(draw):
     return argv
 
 
+def _ints(lo, hi):
+    return [str(n) for n in range(lo, hi + 1)]
+
+
+# the values of each verify option, well-formed ones first (hypothesis
+# draws early entries more often), all small
+VERIFY_VALUES = {
+    "q": _ints(2, 5) + ["-1", "0", "1", "6"],
+    "modulus": ["1,1,1", "0", "a"],
+    "s": ["1", "2", "4", "1,2", "3,1", "2,1,1", "", "0", "1,,2", "a", ",1"],
+    "model": ["at", "star", "a"],
+    "nu": ["0,1", "1,1", "2,1", "1,0,1", "1,1,1", "2,0,1", "", "a", "1",
+           "-1,1"],
+    "prec": _ints(1, 10) + ["-1", "0", "a"],
+    "t_order": _ints(1, 10) + ["-1", "0", "a"],
+    "nmax": _ints(1, 3) + ["-1", "0", "a"],
+    "nu_prec": _ints(1, 3) + ["-1", "0", "a"],
+}
+# options whose defaults are larger than the values drawn above
+SIZES = ("prec", "t_order", "nmax", "nu_prec")
+
+
+@st.composite
+def verify_argvs(draw):
+    """verify argv: a suite of cli.SUITES with the options it reads.  Each
+    size option the suite reads is given, any other but --modulus half the
+    time; one time in ten, --modulus or an option the suite does not read
+    is added."""
+    suite = draw(st.sampled_from(sorted(tmzv.cli.SUITES)))
+    reads = tmzv.cli.SUITES[suite][0]
+
+    def option(name):
+        return "--%s=%s" % (name.replace("_", "-"),
+                            draw(st.sampled_from(VERIFY_VALUES[name])))
+
+    argv = ["verify", suite] + [
+        option(name) for name in VERIFY_VALUES
+        if name in reads and name != "modulus"
+        and (name in SIZES or draw(st.booleans()))]
+    rare = [name for name in VERIFY_VALUES
+            if name == "modulus" or name not in reads]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.append(option(draw(st.sampled_from(rare))))
+    if draw(st.booleans()):
+        argv.append("--format=" + draw(st.sampled_from(["json", "text"])))
+    return argv
+
+
+def run_quiet(argv):
+    """main's exit code on argv and what it wrote to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse errors
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 class TestArgvFuzz:
     @settings(max_examples=200, deadline=None)
     @example(["mzv", "--q=3"])
     @given(argvs())
     def test_no_traceback(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse errors
-                rc = exc.code
+        rc, err = run_quiet(argv)
         assert rc in (0, 2), argv
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(verify_argvs())
+    def test_verify_no_traceback(self, argv):
+        # an answer (0), a failed check (1) or a usage error (2), in
+        # bounded time
+        t0 = time.monotonic()
+        rc, err = run_quiet(argv)
+        assert time.monotonic() - t0 < 5, argv
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err

@@ -11,6 +11,7 @@ from tmzv.motive import (MotiveShape, _tm_theta_pow, at_shape, build_motive,
                          tmodule_of)
 from tmzv.scalars import APoly, RatFunc, field
 from tmzv.tlayer import TPoly
+from tmzv.tmodule import _ExactScalars
 
 
 def _ap(fs, *coeffs):
@@ -137,7 +138,9 @@ class TestDelta:
         f = TPoly.one(fs)
         for _ in range(d1):
             f = f * t_minus_theta(fs)
-        col = delta0([f, TPoly.zero(fs)], shape)
+        sc = _ExactScalars(fs)
+        col = delta0([f.jet(d1, sc),
+                      TPoly.zero(fs).jet(shape.block_dims[1], sc)], shape)
         assert all(x.is_zero() for x in col)
 
 

@@ -12,7 +12,7 @@ import os
 from tmzv.motive import (MotiveShape, at_shape, special_point,
                          split_decomposition, star_shape, tmodule_of)
 from tmzv.scalars import PrecisionLaurent, RatFunc, field
-from tmzv.tlayer import TPoly
+from tmzv.tlayer import TPoly, _is_exact_zero
 from tmzv.tmodule import log_eval, period_basis
 from tmzv.zeta import lseries_jet
 
@@ -26,8 +26,14 @@ def _digest(obj):
 
 
 def _jet_dict(jet):
-    return {"shift": jet.shift, "D": jet.D,
-            "coeffs": [c.to_dict() for c in jet.coeffs]}
+    """The pinned form of a jet: D, and its orders from the first to the
+    last that is not an exact zero, with the index of the first as shift
+    (D when every order is an exact zero)."""
+    D = len(jet.orders)
+    live = [j for j, c in enumerate(jet.orders) if not _is_exact_zero(c)]
+    lo, hi = (live[0], live[-1] + 1) if live else (D, D)
+    return {"shift": lo, "D": D,
+            "coeffs": [c.to_dict() for c in jet.orders[lo:hi]]}
 
 
 def _vectors_dict(vs):
@@ -110,7 +116,7 @@ def monomial_denominator_jets():
                 jet = lseries_jet(fs, (2,), Q=(TPoly.const(fs, u),), D=D,
                                   prec=30)
                 out["q=%d u=%s D=%d" % (q, label, D)] = [
-                    [c.v, list(c.coeffs), c.N] for c in jet.coeff_list(D)]
+                    [c.v, list(c.coeffs), c.N] for c in jet.orders]
     return out
 
 
@@ -152,7 +158,7 @@ class TestMonomialDenominator:
                     jet = lseries_jet(fs, (2,), Q=(TPoly.const(fs, u),), D=D,
                                       prec=30)
                     want = stored["q=%d u=%s D=%d" % (q, label, D)]
-                    got = jet.coeff_list(D)
+                    got = jet.orders
                     assert len(got) == len(want) == D
                     for c, (v, coeffs, N) in zip(got, want):
                         old = PrecisionLaurent(fs, v, coeffs, N=N)

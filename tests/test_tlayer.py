@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from reference import anderson_thakur_closed, t_minus_theta
 from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, field,
                           min_residual_valuation)
-from tmzv.tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
-                         bracket, d_poly, gamma_factorial, l_poly, omega,
-                         omega_jet)
+from tmzv.tlayer import (LocalJet, TPoly, TateTrunc, _is_exact_zero,
+                         anderson_thakur, bracket, d_poly, gamma_factorial,
+                         l_poly, omega, omega_jet)
 from tmzv.tmodule import _ExactScalars
 from tmzv.zeta import _ll_inv_tate
 
@@ -81,7 +81,7 @@ class TestTPoly:
         fs = field(2)
         H = anderson_thakur(fs, 3)
         jet = H.jet(3, _ExactScalars(fs))
-        lst = jet.coeff_list(3)
+        lst = jet.orders
         tay = H.taylor_coeffs(3)
         for a, b in zip(lst, tay):
             assert a == b
@@ -127,7 +127,7 @@ class TestTateTrunc:
         Om = omega(fs, 40, 3 * N)
         # compare the value at theta (0th jet coefficient)
         v = Om.eval_theta()
-        d = oj.order(0) - v
+        d = oj.orders[0] - v
         assert d.is_zero_to_prec()
 
 
@@ -259,21 +259,53 @@ class TestFlatRows:
             assert all(id(c) in seen for c in t.cs)
 
 
+@st.composite
+def t_polys(draw, fs):
+    """A polynomial in t of degree < 4 whose coefficients are polynomials in
+    theta of degree < 4; one in four is a multiple of t - theta, which
+    vanishes at t = theta."""
+    coeff = st.lists(st.integers(0, fs.q - 1), max_size=4).map(
+        lambda cs: RatFunc.from_apoly(APoly(fs, cs)))
+    f = TPoly(fs, draw(st.lists(coeff, max_size=4)))
+    return f * t_minus_theta(fs) if draw(st.integers(0, 3)) == 0 else f
+
+
 class TestLocalJet:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_matches_exact_taylor_coefficients(self, data):
+        # the sum, difference and product of two jets carry exactly D orders,
+        # the Taylor coefficients at t = theta of the sum, difference and
+        # product in t; f times its inverse is the jet of 1 where
+        # f(theta) != 0, and the inverse raises where f(theta) = 0
+        fs = field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+        D = data.draw(st.integers(1, 5))
+        sc = _ExactScalars(fs)
+        f, g = data.draw(t_polys(fs)), data.draw(t_polys(fs))
+        a, b = f.jet(D, sc), g.jet(D, sc)
+        for got, want in ((a * b, f * g), (a + b, f + g), (a - b, f - g)):
+            assert got.orders == tuple(want.taylor_coeffs(D))
+        if f.taylor_coeffs(1)[0].is_zero():
+            with pytest.raises(ArithmeticError):
+                a.inv()
+        else:
+            assert (a * a.inv()).orders == \
+                tuple(TPoly.one(fs).taylor_coeffs(D))
+
     def test_inverse(self):
         fs = field(2)
         H = anderson_thakur(fs, 3)
         jet = H.jet(4, _ExactScalars(fs))
         prod = jet * jet.inv()
         one = LocalJet.const_jet(RatFunc.one(fs), 4, RatFunc.zero(fs))
-        assert prod.coeff_list(4) == one.coeff_list(4)
+        assert prod.orders == one.orders
 
     def test_pole_detection(self):
         fs = field(2)
         f = t_minus_theta(fs)
         jet = f.jet(2, _ExactScalars(fs))
         with pytest.raises(ArithmeticError):
-            jet.inv().coeff_list(2)
+            jet.inv()
 
 
 class TestSettled:
@@ -287,7 +319,7 @@ class TestSettled:
         """The same three coefficients as t-rows 0..2 and as jet orders
         0..2."""
         return (TateTrunc(fs, coeffs, 2),
-                LocalJet(coeffs, 0, 3, PrecisionLaurent.zero(fs)))
+                LocalJet(coeffs, PrecisionLaurent.zero(fs)))
 
     @pytest.mark.parametrize("c,want", [
         # zero to a precision below the sum's N = 10
@@ -321,7 +353,8 @@ class TestSettled:
         total = self.both(fs, [PrecisionLaurent(fs, 0, (1,), N=10), z, z])
         far = PrecisionLaurent(fs, 50, (1,), N=60)
         tate, jet = self.both(fs, [z, z, far])
-        assert jet.shift == 2 and total[1].order(2) == z
+        assert _is_exact_zero(jet.orders[0]) and _is_exact_zero(jet.orders[1])
+        assert total[1].orders[2] == z
         assert tate.settled(total[0]) is jet.settled(total[1]) is False
         # a coefficient zero to its precision there still is settled
         tate, jet = self.both(fs, [z, z, PrecisionLaurent.zero(fs, N=3)])
