@@ -361,7 +361,13 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
             max_terms: int = 40):
     """nu-adic MZV: -(1/a) times the d_1-th coordinate of Log(E_a(v)) for
     the weak-model module of the reversed tuple; a defaults to the canonical
-    contraction and the value is independent of the choice."""
+    contraction and the value is independent of the choice.
+
+    The value carries the Carlitz factorial: at depth one it is
+    Gamma_s nu^s/(nu^s - 1) sum_a a^(-s), the sum over the monic a prime
+    to nu, read nu-adically (Gamma_s = tlayer.gamma_factorial, and
+    nu^s/(nu^s - 1) the Euler factor at nu).  At depth >= 2 it is the
+    same coordinate of the logarithm, and no sum over monics checks it."""
     from .motive import star_shape
 
     index = tuple(index)

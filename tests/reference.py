@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import comb
 
 from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc
-from tmzv.tlayer import TateTrunc, TPoly
-from tmzv.vadic import NuAdic, NuPlace, nu_inv, nu_split
+from tmzv.tlayer import TateTrunc, TPoly, gamma_factorial
+from tmzv.vadic import NuAdic, NuPlace, nu_inv, nu_mod, nu_split
 from tmzv.zeta import (MZVIndex, MZVValue, _default_Q, _gamma_product,
                        _rel_guard, _shell_term, lseries_raw, lseries_value,
                        mzv_cutoff)
@@ -222,6 +222,25 @@ def nu_reduce(x, place: NuPlace, prec: int) -> NuAdic:
     vd, den = nu_split(x.den, place)
     m = max(prec + vd, 1)
     return NuAdic.from_unit(place, -vd, x.num * nu_inv(den, place, m), prec)
+
+
+def depth_one_nu_sum(fs: FieldSpec, s: int, place: NuPlace, prec: int,
+                     dmax: int) -> NuAdic:
+    """Gamma_s nu^s/(nu^s - 1) sum_a a^(-s) mod nu^prec, the sum over the
+    monic a with nu not dividing a and deg a < dmax: the depth-one nu-adic
+    value as an interpolated sum over monics.  Gamma_s is the Carlitz
+    factorial and nu^s/(nu^s - 1) the Euler factor at nu (Anderson-Thakur,
+    Ann. of Math. 132, 1990; Thakur, Function Field Arithmetic, 2004)."""
+    mod = place.nu.pow(prec)
+    acc = APoly.zero(fs)
+    for d in range(dmax):
+        for a in monic_enumerate(fs, d):
+            if not nu_mod(a, place, 1).is_zero():
+                acc = acc + nu_inv(a.pow(s, mod), place, prec)
+    nus = place.nu.pow(s)
+    x = (gamma_factorial(fs, s) * nus * acc
+         * nu_inv(nus - APoly.one(fs), place, prec))
+    return NuAdic.from_unit(place, 0, x, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import monic_enumerate, nu_reduce
+from reference import depth_one_nu_sum, monic_enumerate, nu_reduce
 from tmzv import vadic
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, RatFunc, field
@@ -236,24 +236,6 @@ class TestZetaNu:
         v, diag = zeta_nu(pl.fs, (1,), pl, K=8)
         assert v.is_zero_to_prec() and diag["bound_ok"]
 
-    def test_depth_one_interpolated_sum_q3(self):
-        # independent oracle at nu = theta: the interpolated Goss sum
-        # (nu-factor removed) terminates at degree 2; multiplying back the
-        # Euler factor nu/(nu - 1) recovers the logarithmic value
-        fs = field(3)
-        pl = NuPlace(APoly.theta(fs))
-        v, diag = zeta_nu(fs, (1,), pl, K=8)
-        assert diag["bound_ok"] and not v.is_zero_to_prec()
-        m = 12
-        acc = APoly.zero(fs)
-        for d in range(6):
-            for a in monic_enumerate(fs, d):
-                if nu_valuation(a, pl) == 0:
-                    acc = acc + nu_inv(a, pl, m)
-        fac = nu_inv(pl.nu - APoly.one(fs), pl, m) * pl.nu
-        want = nu_mod(acc * fac, pl, m)
-        assert nu_mod(want - v.unit * pl.nu.pow(v.v), pl, 8).is_zero()
-
     def test_alternating_fields_with_fresh_places(self):
         # a cache keyed by object identity could hand a power of the q = 2
         # place to the q = 3 one
@@ -266,6 +248,31 @@ class TestZetaNu:
         fs = field(3)
         rep = zeta_nu_check(fs, (1,), NuPlace(APoly.theta(fs)), K=6)
         assert rep["pass"]
+
+
+# the depth-one cases of the interpolated-sum oracle, as (q, nu, s): 14 of
+# the 24 values are nonzero mod nu^8
+DEPTH_ONE_CASES = (
+    [(3, (0, 1), s) for s in (1, 3, 5, 7, 9, 11)]
+    + [(3, (1, 0, 1), s) for s in (1, 3, 5, 7)]
+    + [(4, (0, 1), s) for s in (1, 2, 3, 5, 6, 7)]
+    + [(2, (1, 1, 1), s) for s in (1, 3, 5)]
+    + [(5, (2, 1), s) for s in (1, 2, 3, 6, 7)])
+
+
+@pytest.mark.parametrize("q,nu,s", DEPTH_ONE_CASES, ids=[
+    "q=%d nu=%s s=%d" % (q, ",".join(map(str, nu)), s)
+    for q, nu, s in DEPTH_ONE_CASES])
+def test_depth_one_matches_interpolated_sum(q, nu, s):
+    # an oracle outside the logarithm route: Gamma_s nu^s/(nu^s - 1) times
+    # the sum of a^(-s) over the monic a prime to nu, which settles mod
+    # nu^8 by degree 4 (degree 3 at q = 4, 5)
+    fs = {2: field(2), 3: field(3), 4: field(2, 2), 5: field(5)}[q]
+    pl = NuPlace(APoly(fs, nu))
+    v, diag = zeta_nu(fs, (s,), pl, K=8)
+    assert diag["bound_ok"] and v.N == 8
+    want = depth_one_nu_sum(fs, s, pl, 8, 5 if q <= 3 else 4)
+    assert v.eq_to_prec(want, 8)
 
 
 ZETA_NU_PATH = os.path.join(os.path.dirname(__file__), "data", "zeta_nu.json")
