@@ -5,8 +5,8 @@ TateTrunc is a t-truncated series stored as one flat (v, N, coefficients)
 row per t-degree, whose product is one F_q polynomial product of the two
 series laid out flat and clipped to what the product certifies;
 LocalJet is a truncated expansion in u = t - theta over any scalar backend
-(RatFunc, PrecisionLaurent, or the factored/nu-adic scalars), the tuple of
-its D orders: order j is the coefficient of u^j, and no jet has a pole.
+(RatFunc, PrecisionLaurent or NuAdic), the tuple of its D orders: order j
+is the coefficient of u^j, and no jet has a pole.
 
 Also provides the classical quantities [k], 1/[k], D_k, L_i, gamma_j,
 Gamma_n, the Anderson-Thakur polynomials H_n, and the Omega series.
@@ -31,10 +31,11 @@ from .scalars import (
 
 
 def _is_exact_zero(x):
-    """Zero with no attached uncertainty: an exact-zero PrecisionLaurent, or
-    a zero of A, K or the factored ring.  Its product with anything is an
-    exact zero, and adding that to a sum changes nothing.  Jet and t-series
-    zeros are not: their order or truncation enters the sum."""
+    """Zero with no attached uncertainty: an exact-zero PrecisionLaurent, a
+    zero of A or K, or the exact NuAdic zero (N None).  Its product with
+    anything is an exact zero, and adding that to a sum changes nothing.
+    Jet and t-series zeros are not: their order or truncation enters the
+    sum."""
     if type(x) is PrecisionLaurent:
         return x.v is None and x.N is None
     if isinstance(x, (LocalJet, TateTrunc)):

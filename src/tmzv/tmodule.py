@@ -273,20 +273,19 @@ class TModule:
 
     # -- F_q[t]-action -----------------------------------------------------
 
-    def act(self, a: APoly, v, conv=None, red=None):
+    def act(self, a: APoly, v, conv=None):
         """E_a(v) for a module point v (list of scalars) of an exact module,
         by Horner's rule in E_theta: acc <- E_theta(acc) + c v over the
         coefficients c of a, from the top down.  `conv` maps the matrix
-        entries and the F_q constants, both in K, into the point's scalars;
-        `red` reduces every coordinate after each step (reduction mod nu^m
-        commutes with the Frobenius twists)."""
-        return self._horner(a, v, [self.dtheta] + self.taus, conv, red)
+        entries and the F_q constants, both in K, into the point's scalars,
+        which twist through their own `frobenius`."""
+        return self._horner(a, v, [self.dtheta] + self.taus, conv)
 
     def lie_act(self, a: APoly, z, conv=None):
         """d[a](z): the Horner loop of `act` with d[theta] alone."""
-        return self._horner(a, z, [self.dtheta], conv, None)
+        return self._horner(a, z, [self.dtheta], conv)
 
-    def _horner(self, a: APoly, v, mats, conv, red):
+    def _horner(self, a: APoly, v, mats, conv):
         if conv is None:
             conv = lambda x: x
         mats = [mat_map(M, conv) for M in mats]
@@ -301,8 +300,6 @@ class TModule:
                 u = conv(RatFunc(APoly.const(self.fs, c)))
                 cv = [u * x for x in v]
                 acc = cv if acc is None else vec_add(acc, cv)
-            if red is not None:
-                acc = [red(x) for x in acc]
         return acc if acc is not None else [conv(self.scalars.zero)] * self.d
 
     # -- exponential / logarithm coefficients ------------------------------

@@ -1,22 +1,20 @@
 """Finite-place completions: valuation arithmetic at a monic irreducible
-nu, the factored-denominator subring used to evaluate logarithm coefficients
-exactly over K, and the nu-adic multiple zeta values.
+nu, the windowed nu-adic scalars, and the nu-adic multiple zeta values.
 
-The logarithm coefficients of the weak-model t-module only ever divide by
-the bracket polynomials [k] = theta^{q^k} - theta, so every coefficient
-lives in the subring { f / prod_k [k]^{e_k} : f in A }.  Since [k] is
-squarefree and its roots are the elements of F_{q^k}, the place nu of
-residue degree f divides [k] exactly once when f | k and not at all
-otherwise, which makes the nu-adic valuation of the factored denominator
-exact bookkeeping rather than arithmetic.
+The nu-adic logarithm runs the twisted-product terms of the infinite one
+(tmodule._twisted_term) over NuAdic scalars.  Its coefficients only divide
+by the brackets [k] = theta^{q^k} - theta, which are squarefree with the
+elements of F_{q^k} as roots, so nu (of degree f) divides [k] once when
+f | k and not at all otherwise; and since the coefficients lie in F_q, a
+twist x^(i) is the power x^(q^i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import APoly, FieldSpec, RatFunc, memo
-from .tlayer import LocalJet, bracket
+from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo
+from .tlayer import LocalJet
 from .tmodule import (ScalarStrategy, _bracket_pow_jets, _certified_sum,
                       _twisted_term)
 
@@ -73,11 +71,6 @@ def nu_split(a: APoly, place: NuPlace):
     return v, a
 
 
-def nu_valuation(a: APoly, place: NuPlace):
-    """v_nu(a); None for the zero polynomial."""
-    return nu_split(a, place)[0]
-
-
 def nu_mod(a: APoly, place: NuPlace, m: int) -> APoly:
     return a % _nu_pow(place, m)
 
@@ -95,7 +88,9 @@ def nu_inv(a: APoly, place: NuPlace, m: int) -> APoly:
 @dataclass(frozen=True)
 class NuAdic:
     """x = nu^v * unit + O(nu^N), the unit prime to nu and reduced mod
-    nu^(N-v); x = O(nu^N) has v = N and a zero unit."""
+    nu^(N-v); x = O(nu^N) has v = N and a zero unit, and the exact zero
+    has v = N = None.  Sums, products and Frobenius twists track N, as
+    PrecisionLaurent does, and never raise N - v."""
 
     place: NuPlace
     v: int
@@ -109,6 +104,10 @@ class NuAdic:
         k, u = nu_split(nu_mod(unit, place, max(N - v, 0)), place)
         return cls(place, N if k is None else v + k, u, N)
 
+    def is_zero(self) -> bool:
+        """The exact zero, which a sum or product may drop."""
+        return self.N is None
+
     def is_zero_to_prec(self) -> bool:
         return self.unit.is_zero()
 
@@ -121,16 +120,48 @@ class NuAdic:
             out.append(rem)
         return tuple(out)
 
-    def __sub__(self, other: "NuAdic") -> "NuAdic":
+    def __add__(self, other: "NuAdic") -> "NuAdic":
         if self.place.nu != other.place.nu:
             raise ValueError("mismatched places")
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
         N = min(self.N, other.N)
-        vmin = min(self.v, other.v, N)
+        v = min(self.v, other.v, N)
+        unit = sum((x.unit * _nu_pow(self.place, x.v - v)
+                    for x in (self, other) if x.v < N),
+                   APoly.zero(self.place.fs))
+        return NuAdic.from_unit(self.place, v, unit, N)
 
-        def lift(x):
-            return x.unit * _nu_pow(self.place, x.v - vmin)
+    def __neg__(self) -> "NuAdic":
+        return NuAdic(self.place, self.v, -self.unit, self.N)
 
-        return NuAdic.from_unit(self.place, vmin, lift(self) - lift(other), N)
+    def __sub__(self, other: "NuAdic") -> "NuAdic":
+        return self + (-other)
+
+    def __mul__(self, other: "NuAdic") -> "NuAdic":
+        """The product of the units is a unit; N = min(v_x + N_y, v_y + N_x)."""
+        if self.is_zero() or other.is_zero():
+            return self if self.is_zero() else other
+        v = self.v + other.v
+        N = min(self.v + other.N, other.v + self.N)
+        unit = nu_mod(self.unit * other.unit, self.place, N - v)
+        return NuAdic(self.place, N if unit.is_zero() else v, unit, N)
+
+    def frobenius(self, i: int) -> "NuAdic":
+        """x^(i) = x^(q^i): v scales by q^i, and the unit, i q-th powerings
+        mod nu^(N-v), keeps its N - v digits."""
+        if i == 0 or self.is_zero():
+            return self
+        Q, R, u = self.place.fs.q**i, self.N - self.v, self.unit
+        for _ in range(i):
+            u = nu_mod(u.frobenius(1), self.place, R)
+        return NuAdic(self.place, Q * self.v, u, Q * self.v + R)
+
+    def inv(self) -> "NuAdic":
+        """1/x for x not zero to its precision, with its N - v digits."""
+        R = self.N - self.v
+        return NuAdic(self.place, -self.v, nu_inv(self.unit, self.place, R),
+                      R - self.v)
 
     def eq_to_prec(self, other: "NuAdic", K: int) -> bool:
         d = self - other
@@ -146,6 +177,8 @@ class NuAdic:
         }
 
     def __repr__(self):
+        if self.is_zero():
+            return "0"
         if self.is_zero_to_prec():
             return f"O(nu^{self.N})"
         parts = [f"({d!r})*nu^{self.v + i}"
@@ -153,116 +186,40 @@ class NuAdic:
         return " + ".join(parts) + f" + O(nu^{self.N})"
 
 
-# ---------------------------------------------------------------------------
-# the factored-denominator subring
-# ---------------------------------------------------------------------------
+class _NuAdicScalars(ScalarStrategy):
+    """NuAdic scalars at one place, the nu-adic twin of _LaurentScalars:
+    `conv` reduces an element of A mod nu^window and `inv_bracket` keeps
+    `window` digits past its leading one; the arithmetic tracks N."""
 
+    def __init__(self, place: NuPlace, window: int):
+        self.place = place
+        self.fs = place.fs
+        self.window = window
+        self.zero = NuAdic(place, None, APoly.zero(place.fs), None)
+        self.one = self.conv(APoly.one(place.fs))
+        self.key = ("nu-adic", place, window)
 
-class FactoredScalar:
-    """f / prod_k [k]^{e_k} with f in A and [k] = theta^{q^k} - theta.  The
-    denominator is the sorted tuple of its pairs (k, e_k), so a scalar that
-    memo entries share cannot change in place."""
+    def conv(self, c) -> NuAdic:
+        """An element of A, or a polynomial element of K, mod
+        nu^window (an exact zero stays exact); a NuAdic passes through
+        unchanged."""
+        if isinstance(c, NuAdic):
+            return c
+        if isinstance(c, RatFunc):
+            if not c.is_poly():
+                raise ValueError("nu-adic scalars embed integral elements only")
+            c = c.num
+        if c.is_zero():
+            return self.zero
+        return NuAdic.from_unit(self.place, 0, c, self.window)
 
-    __slots__ = ("fs", "num", "den")
-
-    def __init__(self, fs: FieldSpec, num: APoly, den=()):
-        self.fs = fs
-        self.num = num
-        self.den = (tuple(sorted(dict(den).items()))
-                    if den and not num.is_zero() else ())
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _scale_to(self, den: dict):
-        own = dict(self.den)
-        out = self.num
-        for k, e in den.items():
-            extra = e - own.get(k, 0)
-            if extra:
-                out = out * bracket(self.fs, k).pow(extra)
-        return out
-
-    def __add__(self, other):
-        den = dict(self.den)
-        for k, e in other.den:
-            den[k] = max(den.get(k, 0), e)
-        return FactoredScalar(self.fs, self._scale_to(den)
-                              + other._scale_to(den), den)
-
-    def __neg__(self):
-        return FactoredScalar(self.fs, -self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, APoly):
-            other = FactoredScalar(self.fs, other)
-        den = dict(self.den)
-        for k, e in other.den:
-            den[k] = den.get(k, 0) + e
-        return FactoredScalar(self.fs, self.num * other.num, den)
-
-    def den_valuation(self, place: NuPlace) -> int:
-        """v_nu of the denominator product: [k] picks up nu exactly once
-        when f | k."""
-        return sum(e for k, e in self.den if k % place.f == 0)
-
-    def nu_valuation(self, place: NuPlace):
-        if self.is_zero():
-            return None
-        return nu_valuation(self.num, place) - self.den_valuation(place)
-
-    def to_nuadic(self, place: NuPlace, prec: int) -> NuAdic:
-        """One inverse mod nu^m, of the product of the bracket factors."""
-        vd = self.den_valuation(place)
-        m = max(prec + vd, 1)
-        unit = nu_mod(self.num, place, m) * _den_inv(place, self.den, m)
-        return NuAdic.from_unit(place, -vd, unit, prec)
-
-    def __repr__(self):
-        if not self.den:
-            return repr(self.num)
-        den = "*".join(f"[{k}]^{e}" for k, e in self.den)
-        return f"({self.num!r})/({den})"
-
-
-@memo
-def _den_inv(place: NuPlace, den: tuple, m: int) -> APoly:
-    """Inverse mod nu^m of the unit prod_k ([k] / nu^[f | k])^{e_k}, for a
-    FactoredScalar denominator den = ((k, e_k), ...)."""
-    fs = place.fs
-    mod = _nu_pow(place, m)
-    out = APoly.one(fs)
-    for k, e in den:
-        b = bracket(fs, k)
-        if k % place.f == 0:
-            b = b // place.nu
-        out = out * b.pow(e, mod) % mod
-    return nu_inv(out, place, m)
-
-
-class FactoredRing(ScalarStrategy):
-    """Scalar strategy over FactoredScalar, for the closed-form logarithm
-    coefficients: conversion accepts polynomial elements only, and 1/[k]
-    is pure denominator bookkeeping."""
-
-    def __init__(self, fs: FieldSpec):
-        self.fs = fs
-        self.zero = FactoredScalar(fs, APoly.zero(fs))
-        self.one = FactoredScalar(fs, APoly.one(fs))
-        self.key = ("factored", fs)
-
-    def conv(self, c: RatFunc) -> FactoredScalar:
-        if isinstance(c, APoly):
-            return FactoredScalar(self.fs, c)
-        if not c.is_poly():
-            raise ValueError("factored scalars only embed polynomials")
-        return FactoredScalar(self.fs, c.num)
-
-    def inv_bracket(self, k: int) -> FactoredScalar:
-        return FactoredScalar(self.fs, APoly.one(self.fs), ((k, 1),))
+    def inv_bracket(self, k: int) -> NuAdic:
+        """1/[k] with `window` digits: [k] = theta^(q^k) - theta has
+        valuation e = [f | k], so theta is taken to window + e digits."""
+        e = 1 if k % self.place.f == 0 else 0
+        th = NuAdic.from_unit(self.place, 0, APoly.theta(self.fs),
+                              self.window + e)
+        return (th.frobenius(k) - th).inv()
 
 
 # ---------------------------------------------------------------------------
@@ -280,51 +237,36 @@ def a_nu(shape, place: NuPlace) -> APoly:
     return out
 
 
-def _as_apoly(x) -> APoly:
-    """An integral element of K as a polynomial."""
-    if isinstance(x, APoly):
-        return x
-    if not x.is_poly():
-        raise ValueError("the nu-adic action needs integral coordinates")
-    return x.num
-
-
 @memo
-def _nu_log_term(shape, place: NuPlace, Z: tuple, i: int):
-    """Term i of the nu-adic logarithm of Z over the factored subring, with
-    its nu-valuation (None for a zero term): delta_0 of the i-fold twisted
-    transition product applied to the i-twisted point.  One entry per
-    (shape, place, Z, i), which every precision reaching term i shares."""
-    ring = FactoredRing(shape.fs)
+def _nu_log_term(shape, sc: _NuAdicScalars, Z: tuple, i: int) -> tuple:
+    """Term i of the nu-adic logarithm of Z: delta_0 of the i-fold twisted
+    transition product applied to the i-twisted point, in the scalars sc
+    (one entry per (shape, sc, Z, i), shared by every K reaching it)."""
     dims = shape.block_dims
     D = max(dims)
-    pows = _bracket_pow_jets(ring, i, D)
+    pows = _bracket_pow_jets(sc, i, D)
     jets = []
     for ell, dl in enumerate(dims, start=1):
-        jet = LocalJet.zero_jet(D, ring.zero)
+        jet = LocalJet.zero_jet(D, sc.zero)
         for j in range(dl):
             c = Z[shape.slot(ell, j)]
             if not c.is_zero():
-                jet = jet + pows[j].scale(ring.conv(c.frobenius(i)))
+                jet = jet + pows[j].scale(c.frobenius(i))
         jets.append(None if jet.is_zero() else jet)
-    t = tuple(_twisted_term(shape, i, ring, D, jets))
-    return t, min((x.nu_valuation(place) for x in t if not x.is_zero()),
-                  default=None)
+    return tuple(_twisted_term(shape, i, sc, D, jets))
 
 
-def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
-    """Log of a point with |Z|_nu < 1, summed from the terms of
-    _nu_log_term.  Returns (coordinate vector of FactoredScalar,
-    diagnostics)."""
-    q = shape.fs.q
-    d1 = shape.block_dims[0]
-    ring = FactoredRing(shape.fs)
-
-    Z = tuple(_as_apoly(x) for x in Z)
-    vZ = min((nu_valuation(x, place) for x in Z if not x.is_zero()),
-             default=None)
+def nu_log_eval(shape, sc: _NuAdicScalars, Z, K: int, max_terms: int = 40):
+    """Log of a point Z of NuAdic coordinates with |Z|_nu < 1, summed from
+    the terms of _nu_log_term.  Returns (coordinate vector of NuAdic,
+    diagnostics).  Term i is certified to c_i = max(K, q^i v(Z) -
+    i(3d_1 - 1)), the most its stop test and bound test read: its tracked N
+    must reach c_i (PrecisionError otherwise), and its valuation is
+    reported as min(v_i, c_i), c_i for an exact zero."""
+    q, d1 = shape.fs.q, shape.block_dims[0]
+    vZ = min((x.v for x in Z if not x.is_zero_to_prec()), default=None)
     if vZ is None:
-        return [ring.zero] * shape.dim, {"terms": 0, "bound_ok": True}
+        return list(Z), {"terms": 0, "bound_ok": True}
     if vZ < 1:
         raise ValueError("point is not inside the nu-adic unit ball")
 
@@ -332,9 +274,16 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     vals = diag["term_valuations"]
 
     def term(i):
-        t, v = _nu_log_term(shape, place, Z, i)
+        t = _nu_log_term(shape, sc, Z, i)
+        bound = q**i * vZ - i * (3 * d1 - 1)
+        c = max(K, bound)
+        live = [x for x in t if not x.is_zero()]
+        if min((x.N for x in live), default=c) < c:
+            raise PrecisionError(f"nu-adic logarithm term {i} falls short "
+                                 f"of nu^{c}")
+        v = min([c] + [x.v for x in live])
         vals.append(v)
-        if v is not None and v < q**i * vZ - i * (3 * d1 - 1):
+        if v < bound:
             diag["bound_ok"] = False
         return t
 
@@ -342,19 +291,19 @@ def nu_log_eval(shape, place: NuPlace, Z, K: int, max_terms: int = 40):
     acc = _certified_sum(
         term, 1, K, max_terms,
         f"nu-adic logarithm did not certify precision {K} within "
-        f"{max_terms} terms", lambda t: vals[-1], [ring.conv(x) for x in Z])
+        f"{max_terms} terms", lambda t: vals[-1], list(Z))
     diag["terms"] = len(vals) + 1
     return acc, diag
 
 
 @memo
 def _shape_action(shape):
-    """The induced t-module of a shape and its special point in A: one entry
+    """The induced t-module of a shape and its special point: one entry
     per shape, shared by every place and precision (tmodule_of itself keeps
     no memo, since most shapes that reach it never repeat)."""
     from .motive import special_point, tmodule_of
 
-    return tmodule_of(shape), tuple(_as_apoly(x) for x in special_point(shape))
+    return tmodule_of(shape), tuple(special_point(shape))
 
 
 def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
@@ -367,7 +316,10 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     Gamma_s nu^s/(nu^s - 1) sum_a a^(-s), the sum over the monic a prime
     to nu, read nu-adically (Gamma_s = tlayer.gamma_factorial, and
     nu^s/(nu^s - 1) the Euler factor at nu).  At depth >= 2 it is the
-    same coordinate of the logarithm, and no sum over monics checks it."""
+    same coordinate of the logarithm, and no sum over monics checks it.
+
+    E_a(v) and the logarithm run in _NuAdicScalars, and the value is cut
+    to nu^K once its tracked N reaches K (PrecisionError otherwise)."""
     from .motive import star_shape
 
     index = tuple(index)
@@ -376,13 +328,24 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     if a is None:
         a = a_nu(shape, place)
     va, au = nu_split(a, place)
-    d1 = shape.block_dims[0]
-    # working modulus: survives the denominator valuations of every term
-    m = K + va + 2 + 12 * (3 * d1 - 1) + 5
-    Z = E.act(a, point, conv=_as_apoly, red=lambda x: nu_mod(x, place, m))
-    coords, diag = nu_log_eval(shape, place, Z, K + va + 2,
-                               max_terms=max_terms)
-    val = (-coords[shape.slot(1, 0)]).to_nuadic(place, K + va + 1)
+    Kp, D = K + va + 2, shape.block_dims[0]
+    # The window: a summand of term i is Z_j^(i) (Z_j known to nu^W) times
+    # elements of A and brackets known to W digits past their leading one,
+    # and the pole jets, D - 1 orders deep (D = d_1, the largest block),
+    # give the brackets a valuation >= 1 - (i + 1) D.  So term i is known
+    # to nu^((q^i - 1) v(Z) + W + 1 - (i + 1) D): both parts of c_i once
+    # W >= K' + (i + 1) D - q^i, as v(Z) >= 1.  Multiples of 16 let
+    # requests at nearby K share their terms.
+    W = Kp + max([0] + [(i + 1) * D - fs.q**i for i in range(1, D + 2)])
+    W = -(-W // 16) * 16
+    sc = _NuAdicScalars(place, W)
+    Z = E.act(a, [sc.conv(x) for x in point], conv=sc.conv)
+    coords, diag = nu_log_eval(shape, sc, tuple(Z), Kp, max_terms)
+    # O(nu^W) turns an exact zero into one known to the window
+    val = -(coords[shape.slot(1, 0)] + NuAdic(place, W, APoly.zero(fs), W))
+    if val.N - va < K:
+        raise PrecisionError(f"nu-adic value known to nu^{val.N - va}, "
+                             f"below nu^{K}")
     # divide by a: shift the valuation and multiply by the unit inverse
     mm = max(K - (val.v - va), 1)
     return NuAdic.from_unit(place, val.v - va,

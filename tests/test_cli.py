@@ -673,6 +673,7 @@ class TestArgvFuzz:
         assert "Traceback" not in err
 
     @settings(max_examples=100, deadline=None)
+    @example(["verify", "vadic", "--q=5", "--s=2,1,1", "--nu-prec=2"])
     @given(verify_argvs())
     def test_verify_no_traceback(self, argv):
         # an answer (0), a failed check (1) or a usage error (2), in

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import t_minus_theta, tpoly_pow
+from reference import nu_reduce, t_minus_theta, tpoly_pow
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import (APoly, PrecisionError, PrecisionLaurent, RatFunc,
                           field, min_residual_valuation)
@@ -25,7 +25,7 @@ from tmzv.tmodule import (TModule, _bracket_pow_jets, _ExactScalars,
                           log_eval, log_oracle_check, mat_add, mat_identity,
                           mat_map, mat_mul, mat_sub, mat_vec, period_check,
                           split_log_check, stark_log_eval, vec_add, vec_sub)
-from tmzv.vadic import FactoredRing, NuPlace, _as_apoly, nu_mod, zeta_nu
+from tmzv.vadic import NuPlace, _NuAdicScalars, zeta_nu
 from tmzv.zeta import strange_formula_check
 
 
@@ -234,16 +234,21 @@ class TestPoleJet:
     # the jet at t = theta of 1/(t - theta^(q^k)) from each scalar strategy
     # against the explicit formula: the coefficient of u^m is
     # (-1)^m c^(m+1) with c = 1/(theta - theta^(q^k))
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_factored(self, q):
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_nu_adic(self, q):
+        # (-1)^m (-1/[k])^(m+1) = -1/[k]^(m+1), right below its tracked N,
+        # which keeps the window's digits past the leading one
         fs = field(*BRACKET_FIELDS[q])
-        ring = FactoredRing(fs)
-        for k in (1, 2, 3):
-            for D in (1, 2, 4):
-                jet = _pole_inv_jet(ring, k, D)
-                # (-1)^m (-1/[k])^(m+1) = -1/[k]^(m+1)
-                assert [(c.num, c.den) for c in jet.orders] == \
-                    [(-APoly.one(fs), ((k, m + 1),)) for m in range(D)]
+        for nu in ((0, 1), (1, 1)):
+            pl = NuPlace(APoly(fs, nu))
+            sc = _NuAdicScalars(pl, 9)
+            for k in (1, 2, 3):
+                for D in (1, 2, 4):
+                    jet = _pole_inv_jet(sc, k, D)
+                    for m, c in enumerate(jet.orders):
+                        want = -RatFunc(APoly.one(fs), bracket(fs, k).pow(m + 1))
+                        assert c.N - c.v == 9 and c.v == -(m + 1)
+                        assert c.eq_to_prec(nu_reduce(want, pl, c.N), c.N)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_exact_and_laurent(self, q):
@@ -268,13 +273,13 @@ class TestPoleJet:
 
 def scalar_key(x):
     """Everything a scalar of any strategy holds: v, coefficients, N and
-    ram of a series, numerator and denominator of an exact or factored
-    element."""
+    ram of a series, numerator and denominator of an exact element, v,
+    unit and N of a nu-adic one."""
     if isinstance(x, PrecisionLaurent):
         return x.v, x.coeffs, x.N, x.ram
     if isinstance(x, RatFunc):
         return x.num.coeffs, x.den.coeffs
-    return x.num.coeffs, x.den
+    return x.v, x.unit.coeffs, x.N
 
 
 class TestBracketPowerJet:
@@ -284,7 +289,8 @@ class TestBracketPowerJet:
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_matches_taylor_expansion_of_twisted_power(self, q):
         fs = field(*BRACKET_FIELDS[q])
-        strategies = [_ExactScalars(fs), FactoredRing(fs)] + [
+        strategies = [_ExactScalars(fs),
+                      _NuAdicScalars(NuPlace(APoly(fs, (1, 1))), 17)] + [
             _LaurentScalars(fs, 17, ram=ram) for ram in sorted({1, q - 1})]
         for n in range(1, 4):
             for D in range(1, 8):
@@ -430,10 +436,15 @@ class TestActionReference:
         pl = NuPlace(APoly(fs, data.draw(st.sampled_from([(0, 1), (1, 1),
                                                            quad]))))
         m = data.draw(st.integers(1, 4))
-        got = E.act(a, v, conv=_as_apoly, red=lambda x: nu_mod(x, pl, m))
+        sc = _NuAdicScalars(pl, m)
+        got = E.act(a, [sc.conv(x) for x in v], conv=sc.conv)
         want = reference_act(E, a, [RatFunc.from_apoly(x) for x in v])
         assert all(w.is_poly() for w in want)
-        assert got == [nu_mod(w.num, pl, m) for w in want]
+        for g, w in zip(got, want):
+            if g.is_zero():
+                assert w.is_zero()
+            else:
+                assert g.N >= m and g.eq_to_prec(nu_reduce(w, pl, g.N), g.N)
 
     @given(case=modules_and_elements(), prec=st.integers(10, 30))
     @settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""nu-adic places, factored scalars, and nu-adic zeta values.
+"""nu-adic places, the windowed nu-adic scalars, and nu-adic zeta values.
 
 Regenerate tests/data/zeta_nu.json with write_stored_zeta_nu().
 """
@@ -18,8 +18,9 @@ from tmzv import vadic
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import APoly, RatFunc, field
 from tmzv.tlayer import bracket
-from tmzv.vadic import (FactoredScalar, NuPlace, a_nu, nu_inv, nu_mod,
-                        nu_split, nu_valuation, zeta_nu, zeta_nu_check)
+from tmzv.tmodule import _theta_jet_products
+from tmzv.vadic import (NuPlace, _NuAdicScalars, a_nu, nu_inv, nu_mod,
+                        nu_split, zeta_nu, zeta_nu_check)
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,9 +63,9 @@ class TestNuPlace:
     def test_valuation(self):
         pl = q2_place()
         fs = pl.fs
-        assert nu_valuation(APoly.zero(fs), pl) is None
-        assert nu_valuation(APoly.theta(fs), pl) == 0
-        assert nu_valuation(pl.nu * pl.nu * APoly.theta(fs), pl) == 2
+        assert nu_split(APoly.zero(fs), pl)[0] is None
+        assert nu_split(APoly.theta(fs), pl)[0] == 0
+        assert nu_split(pl.nu * pl.nu * APoly.theta(fs), pl)[0] == 2
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -81,7 +82,6 @@ class TestNuPlace:
         k = data.draw(st.integers(0, 40))
         a = unit * pl.nu.pow(k)
         assert nu_split(a, pl) == split_by_one_power(a, pl) == (k, unit)
-        assert nu_valuation(a, pl) == k
         assert nu_split(APoly.zero(fs), pl) == (None, APoly.zero(fs))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -120,7 +120,7 @@ class TestNuPlace:
         fs = pl.fs
         cs = [data.draw(st.integers(0, 1)) for _ in range(4)]
         a = APoly(fs, tuple(cs))
-        if a.is_zero() or nu_valuation(a, pl) != 0:
+        if a.is_zero() or nu_split(a, pl)[0] != 0:
             return
         m = 6
         assert nu_mod(a * nu_inv(a, pl, m) - APoly.one(fs), pl, m).is_zero()
@@ -175,50 +175,54 @@ class TestNuAdic:
         assert {"nu", "v", "digits", "prec"} <= set(d)
 
 
-class TestFactoredScalars:
+class TestNuAdicScalars:
     @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_reduction_compatible_with_exact(self, data):
-        # arithmetic in the factored subring, then reduction, matches exact
-        # rational arithmetic followed by reduction
-        pl = q2_place()
-        fs = pl.fs
-        def draw_pair():
-            num = APoly.one(fs) + APoly(fs, tuple(
-                data.draw(st.integers(0, 1)) for _ in range(3)))
-            e = data.draw(st.integers(0, 2))
-            fac = FactoredScalar(fs, num, {1: e} if e else None)
-            exact = RatFunc(num, bracket(fs, 1).pow(e))
-            return fac, exact
-
-        (fx, ex), (fy, ey) = draw_pair(), draw_pair()
-        fac = fx * fy + fx - fy
-        exact = ex * ey + ex - ey
-        assert fac.to_nuadic(pl, 6).eq_to_prec(nu_reduce(exact, pl, 6), 6)
-
-
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_to_nuadic_matches_exact_reduction(self, data):
-        # one inverse of the product of the bracket powers gives the same
-        # expansion as the exact rational function
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic_matches_exact_reduction(self, data):
+        # sums, differences, products, 1/[k] and twists in the windowed
+        # scalars against exact arithmetic in K reduced mod nu^N: each
+        # result agrees with the exact one below its tracked N, keeps at
+        # most `window` digits past its leading one, and claims no more
+        # digits than its operands carry.  The operands run past nu^window,
+        # so a result that claimed more would show digits the window cut.
         q = data.draw(st.sampled_from([2, 3, 4]))
         pl = data.draw(st.sampled_from(places(q, data.draw(st.integers(1, 2)))))
         fs = pl.fs
-        num = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
-                              for _ in range(data.draw(st.integers(1, 6)))))
-        if num.is_zero():
-            num = APoly.one(fs)
-        num = num * pl.nu.pow(data.draw(st.integers(0, 2)))
-        ks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3,
-                                unique=True))
-        den = {k: data.draw(st.integers(1, 3)) for k in ks}
-        exact = APoly.one(fs)
-        for k, e in den.items():
-            exact = exact * bracket(fs, k).pow(e)
-        prec = data.draw(st.integers(1, 8))
-        assert FactoredScalar(fs, num, den).to_nuadic(pl, prec) == \
-            nu_reduce(RatFunc(num, exact), pl, prec)
+        W = data.draw(st.integers(1, 6))
+        sc = _NuAdicScalars(pl, W)
+
+        def operand():
+            a = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
+                                for _ in range(data.draw(st.integers(0, 14)))))
+            a = a * pl.nu.pow(data.draw(st.integers(0, 3)))
+            x, exact = sc.conv(a), RatFunc.from_apoly(a)
+            k = data.draw(st.integers(0, 3))
+            if k:
+                ib = sc.inv_bracket(k)
+                assert ib.N - ib.v == W
+                assert ib.eq_to_prec(nu_reduce(
+                    RatFunc(APoly.one(fs), bracket(fs, k)), pl, ib.N), ib.N)
+                x, exact = x * ib, exact / RatFunc.from_apoly(bracket(fs, k))
+            return x, exact
+
+        def most(*xs):
+            return min((x.N for x in xs if not x.is_zero()), default=None)
+
+        (x, ex), (y, ey) = operand(), operand()
+        i = data.draw(st.integers(1, 2))
+        inf = float("inf")
+        cases = [(x + y, ex + ey, most(x, y)), (x - y, ex - ey, most(x, y)),
+                 (x.frobenius(i), ex.frobenius(i),
+                  None if x.is_zero() else q**i * x.N)]
+        if not (x.is_zero() or y.is_zero()):
+            cases.append((x * y, ex * ey, min(x.v + y.N, y.v + x.N)))
+        for got, want, bound in cases:
+            if got.is_zero():
+                assert want.is_zero() and bound is None
+                continue
+            assert got.N <= (inf if bound is None else bound)
+            assert got.N - got.v <= W
+            assert got.eq_to_prec(nu_reduce(want, pl, got.N), got.N)
 
 
 class TestZetaNu:
@@ -325,11 +329,12 @@ class TestStoredZetaNu:
 
 
 class TestMemoOrder:
-    # the memo entries of shapes, log terms and inverses serve any later
+    # the memo entries of shapes, log terms, transition products and
+    # inverses serve any later
     # request, so the order of the requests, and whether the entries exist
     # at all, must not change a value or its diagnostics
-    TABLES = (vadic._shape_action, vadic._nu_log_term, vadic._den_inv,
-              vadic.nu_inv)
+    TABLES = (vadic._shape_action, vadic._nu_log_term, _theta_jet_products,
+              vadic.nu_inv, vadic._nu_pow)
 
     def answers(self, requests):
         out = {}
