@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from reference import depth_one_nu_sum, monic_enumerate, nu_reduce
 from tmzv import vadic
 from tmzv.motive import special_point, star_shape, tmodule_of
-from tmzv.scalars import APoly, RatFunc, field
+from tmzv.scalars import APoly, PrecisionError, RatFunc, field
 from tmzv.tlayer import bracket
 from tmzv.tmodule import _theta_jet_products
 from tmzv.vadic import (NuPlace, _NuAdicScalars, a_nu, nu_inv, nu_mod,
@@ -247,6 +247,28 @@ class TestZetaNu:
             fs = field(2 if k % 2 == 0 else 3)
             _, diag = zeta_nu(fs, (1,), NuPlace(APoly.theta(fs)), K=6)
             assert diag["bound_ok"]
+
+    def test_a_term_short_of_its_certificate_raises(self):
+        # at a window too narrow for term 1 to reach nu^10, the log sum
+        # raises rather than report digits it does not know
+        fs = field(3)
+        pl = NuPlace(APoly.theta(fs))
+        shape = star_shape(fs, (2, 1))
+        E, point = vadic._shape_action(shape)
+        sc = _NuAdicScalars(pl, 4)
+        Z = E.act(a_nu(shape, pl), [sc.conv(x) for x in point], conv=sc.conv)
+        with pytest.raises(PrecisionError, match="term 1 falls short"):
+            vadic.nu_log_eval(shape, sc, tuple(Z), 10)
+
+    def test_a_value_short_of_K_raises(self, monkeypatch):
+        # a window of one digit leaves the contracted point O(nu), so the
+        # value is known to nu^1 only, and zeta_nu refuses to cut it to K
+        scalars = vadic._NuAdicScalars
+        monkeypatch.setattr(vadic, "_NuAdicScalars",
+                            lambda place, window: scalars(place, 1))
+        fs = field(3)
+        with pytest.raises(PrecisionError, match=r"known to nu\^1, below"):
+            zeta_nu(fs, (1,), NuPlace(APoly.theta(fs)), K=8)
 
     def test_contraction_independence_q3(self):
         fs = field(3)
