@@ -126,11 +126,14 @@ class NuAdic:
         if self.is_zero() or other.is_zero():
             return other if self.is_zero() else self
         N = min(self.N, other.N)
-        v = min(self.v, other.v, N)
-        unit = sum((x.unit * _nu_pow(self.place, x.v - v)
-                    for x in (self, other) if x.v < N),
-                   APoly.zero(self.place.fs))
-        return NuAdic.from_unit(self.place, v, unit, N)
+        lo, hi = sorted((self, other), key=lambda x: x.v)
+        unit = sum((x.unit * _nu_pow(self.place, x.v - lo.v)
+                    for x in (lo, hi) if x.v < N), APoly.zero(self.place.fs))
+        if lo.v < min(hi.v, N):
+            # a unit plus a multiple of nu is a unit: nothing to split off
+            return NuAdic(self.place, lo.v,
+                          nu_mod(unit, self.place, N - lo.v), N)
+        return NuAdic.from_unit(self.place, min(lo.v, N), unit, N)
 
     def __neg__(self) -> "NuAdic":
         return NuAdic(self.place, self.v, -self.unit, self.N)
