@@ -142,7 +142,7 @@ class NuAdic:
         return self + (-other)
 
     def __mul__(self, other: "NuAdic") -> "NuAdic":
-        """The product of the units is a unit; N = min(v_x + N_y, v_y + N_x)."""
+        """A product of units is a unit; N = min(v_x + N_y, v_y + N_x)."""
         if self.is_zero() or other.is_zero():
             return self if self.is_zero() else other
         v = self.v + other.v
@@ -203,14 +203,11 @@ class _NuAdicScalars(ScalarStrategy):
         self.key = ("nu-adic", place, window)
 
     def conv(self, c) -> NuAdic:
-        """An element of A, or a polynomial element of K, mod
-        nu^window (an exact zero stays exact); a NuAdic passes through
-        unchanged."""
-        if isinstance(c, NuAdic):
-            return c
+        """An element of A, or a polynomial element of K, mod nu^window;
+        an exact zero stays exact."""
         if isinstance(c, RatFunc):
             if not c.is_poly():
-                raise ValueError("nu-adic scalars embed integral elements only")
+                raise ValueError("nu-adic scalars embed integral elements")
             c = c.num
         if c.is_zero():
             return self.zero
