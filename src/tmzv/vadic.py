@@ -306,6 +306,14 @@ def _shape_action(shape):
     return tmodule_of(shape), tuple(special_point(shape))
 
 
+@memo
+def _contracted_point(shape, sc: _NuAdicScalars, a: APoly) -> tuple:
+    """Z = E_a(v) for the special point v, in the scalars sc: one entry per
+    (shape, sc, a), shared by every K whose window is sc's."""
+    E, point = _shape_action(shape)
+    return tuple(E.act(a, [sc.conv(x) for x in point], conv=sc.conv))
+
+
 def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
             max_terms: int = 40):
     """nu-adic MZV: -(1/a) times the d_1-th coordinate of Log(E_a(v)) for
@@ -324,7 +332,6 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
 
     index = tuple(index)
     shape = star_shape(fs, tuple(reversed(index)))
-    E, point = _shape_action(shape)
     if a is None:
         a = a_nu(shape, place)
     va, au = nu_split(a, place)
@@ -339,8 +346,8 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     W = Kp + max([0] + [(i + 1) * D - fs.q**i for i in range(1, D + 2)])
     W = -(-W // 16) * 16
     sc = _NuAdicScalars(place, W)
-    Z = E.act(a, [sc.conv(x) for x in point], conv=sc.conv)
-    coords, diag = nu_log_eval(shape, sc, tuple(Z), Kp, max_terms)
+    coords, diag = nu_log_eval(shape, sc, _contracted_point(shape, sc, a),
+                               Kp, max_terms)
     # O(nu^W) turns an exact zero into one known to the window
     val = -(coords[shape.slot(1, 0)] + NuAdic(place, W, APoly.zero(fs), W))
     if val.N - va < K:

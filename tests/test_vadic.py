@@ -355,8 +355,9 @@ class TestMemoOrder:
     # inverses serve any later
     # request, so the order of the requests, and whether the entries exist
     # at all, must not change a value or its diagnostics
-    TABLES = (vadic._shape_action, vadic._nu_log_term, _theta_jet_products,
-              vadic.nu_inv, vadic._nu_pow)
+    TABLES = (vadic._shape_action, vadic._contracted_point,
+              vadic._nu_log_term, _theta_jet_products, vadic.nu_inv,
+              vadic._nu_pow)
 
     def answers(self, requests):
         out = {}
