@@ -254,11 +254,10 @@ class TestZetaNu:
         fs = field(3)
         pl = NuPlace(APoly.theta(fs))
         shape = star_shape(fs, (2, 1))
-        E, point = vadic._shape_action(shape)
         sc = _NuAdicScalars(pl, 4)
-        Z = E.act(a_nu(shape, pl), [sc.conv(x) for x in point], conv=sc.conv)
+        Z = vadic._contracted_point(shape, sc, a_nu(shape, pl))
         with pytest.raises(PrecisionError, match="term 1 falls short"):
-            vadic.nu_log_eval(shape, sc, tuple(Z), 10)
+            vadic.nu_log_eval(shape, sc, Z, 10)
 
     def test_a_value_short_of_K_raises(self, monkeypatch):
         # a window of one digit leaves the contracted point O(nu), so the
