@@ -246,7 +246,8 @@ class TestPoleJet:
                 for D in (1, 2, 4):
                     jet = _pole_inv_jet(sc, k, D)
                     for m, c in enumerate(jet.orders):
-                        want = -RatFunc(APoly.one(fs), bracket(fs, k).pow(m + 1))
+                        want = -RatFunc(APoly.one(fs),
+                                        bracket(fs, k).pow(m + 1))
                         assert c.N - c.v == 9 and c.v == -(m + 1)
                         assert c.eq_to_prec(nu_reduce(want, pl, c.N), c.N)
 
