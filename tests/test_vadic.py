@@ -179,8 +179,9 @@ class TestNuAdicScalars:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_arithmetic_matches_exact_reduction(self, data):
-        # sums, differences, products, 1/[k] and twists in the windowed
-        # scalars against exact arithmetic in K reduced mod nu^N: each
+        # sums, differences, products and twists in the windowed scalars,
+        # on operands that may carry a 1/[k], against exact arithmetic in
+        # K reduced mod nu^N: each
         # result agrees with the exact one below its tracked N, keeps at
         # most `window` digits past its leading one, and claims no more
         # digits than its operands carry.  The operands run past nu^window,
@@ -223,6 +224,37 @@ class TestNuAdicScalars:
             assert got.N <= (inf if bound is None else bound)
             assert got.N - got.v <= W
             assert got.eq_to_prec(nu_reduce(want, pl, got.N), got.N)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inv_bracket_matches_exact_reduction(self, data):
+        # a numerator times a product of powers of 1/[k], each factor in
+        # the windowed scalars, against the exact rational function reduced
+        # mod nu^N: it agrees below its tracked N, which is the window less
+        # the valuation of the denominator
+        q = data.draw(st.sampled_from([2, 3, 4]))
+        pl = data.draw(st.sampled_from(places(q, data.draw(st.integers(1, 2)))))
+        fs = pl.fs
+        W = data.draw(st.integers(1, 8))
+        sc = _NuAdicScalars(pl, W)
+        num = APoly(fs, tuple(data.draw(st.integers(0, fs.q - 1))
+                              for _ in range(data.draw(st.integers(1, 6)))))
+        if num.is_zero():
+            num = APoly.one(fs)
+        num = num * pl.nu.pow(data.draw(st.integers(0, 2)))
+        ks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3,
+                                unique=True))
+        got, den, vden = sc.conv(num), APoly.one(fs), 0
+        for k in ks:
+            e = data.draw(st.integers(1, 3))
+            for _ in range(e):
+                got = got * sc.inv_bracket(k)
+            den = den * bracket(fs, k).pow(e)
+            vden += e if k % pl.f == 0 else 0
+        assert got.N == W - vden
+        if nu_split(num, pl)[0] < W:
+            assert got.v == nu_split(num, pl)[0] - vden
+        assert got.eq_to_prec(nu_reduce(RatFunc(num, den), pl, got.N), got.N)
 
 
 class TestZetaNu:
