@@ -10,24 +10,43 @@ FieldSpec keeps a q x q table:
 - over F_q, q = p^m with m > 1, a FieldSpec keeps the powers of one
   primitive element g (the least code >= p whose order is q - 1) and their
   logarithms, lists of size q.  A product adds logarithms; a sum uses Zech
-  logarithms, g^i + g^j = g^(i + Z(j - i)) with g^Z(k) = 1 + g^k.
+  logarithms, g^i + g^j = g^(i + Z(j - i)) with g^Z(k) = 1 + g^k;
+- the product kernel keeps bytes.translate tables of 256 bytes, each built by
+  the first product that reads it: one per byte of the widest product slot
+  used so far (one over F_2, at most 255 // (p - 1)), and over F_q with
+  m > 1 at most m fold tables and, for q <= 256, m - 1 digit and m - 1 code
+  tables.  A table that maps c to c mod p is shared.
 
-Polynomial products (FieldSpec.conv) are one big-integer product (Kronecker
-substitution) for every q, unless one operand is a single coefficient c: that
-product is the other operand scaled by c, with no packing.  Over F_p each
-coefficient list is packed into an integer, one fixed-width slot per
-coefficient, the two integers are multiplied and the slots of the product
-are read back and reduced mod p.  A product slot holds a sum of at most
-min(len) terms, each at most (p-1)^2, so the slot width is the smallest of
-1, 2, 4 or 8 bytes that holds min(len) * (p-1)^2; packing and unpacking go
-through an array of that item size in the machine's byte order.  Over F_q
-with m > 1 the product is taken over F_p[x]: each code becomes its m digits
-followed by m - 1 zero digits, so the digit product of a coefficient pair,
-of degree <= 2m - 2, stays inside its group of 2m - 1 slots; each group of
-the F_p product is read back as lo + x^m hi and reduced by the modulus as
-lo + (x^m mod modulus) * hi.
-conv(xs, ys, n) returns only the first n coefficients of the product: the
-packed product is cut to n slots (or slot groups) before it is unpacked.
+Polynomial products (FieldSpec.conv) are big-integer products (Kronecker
+substitution), unless one operand is a single coefficient c: that product is
+the other operand scaled by c, with no packing.  conv(xs, ys, n) cuts both
+operands to n coefficients first and returns the first n coefficients of the
+product.  Over F_p each coefficient list is packed into an integer, one
+w-byte slot per coefficient, and the two integers are multiplied.  A product
+slot holds a sum of at most min(len) terms, each at most (p-1)^2, and w is
+the fewest bytes that hold min(len) * (p-1)^2.  While w(p - 1) <= 255 (the
+byte route) no Python loop runs per coefficient: an operand is packed by
+int.from_bytes (w = 1) or by the slice assignment b[::w] on a bytearray; the
+product is converted to bytes once, byte k of every slot is the slice
+b[k::w] translated to c * 256^k mod p, the translated slices add as integers
+with no carry, since a slot's bytes then sum to at most w(p - 1), and one
+more translation reduces the sum mod p.  Where codes are >= 256 or
+w(p - 1) > 255, packing and unpacking go instead through an array of 1, 2, 4
+or 8-byte machine integers, with one % p per coefficient (the array route):
+every p > 127, and from p = 53 on the products whose shorter operand passes
+a length that falls with p, 3,851 coefficients at p = 67 and 4 at p = 127.
+
+Over F_q with m > 1 each operand is split into its m digit planes (digit j of
+every code, one translation each), and the m^2 plane products are summed as
+integers into the planes P_l = sum_{j+k=l} X_j Y_k, l < 2m - 1, of the
+product over F_p[x]; their slots hold m * min(len) * (p-1)^2.  Each P_l is
+reduced mod p as above; x^m = sum_i red_i x^i mod the modulus folds
+P_{2m-2} .. P_m, top first, into the planes below them, each fold an integer
+sum of the plane translated to c * red_i mod p; the code tables c ->
+(c mod p) * p^j and one more integer sum rebuild the codes.  Over q > 256 the
+split and the rebuild go code by code.  On a 2-core x86 VM (Python 3.11) the
+F_2 product of two 2,500-coefficient lists costs 0.12 us per output
+coefficient, and the F_4 product of two 1,180-coefficient lists 0.32 us.
 
 PrecisionLaurent represents an element of K_inf (ram = 1) or of the totally
 ramified extension K_inf(eta), eta^(q-1) = -theta (ram = q-1), as a truncated
@@ -44,27 +63,8 @@ import sys
 from array import array
 from fractions import Fraction
 
-# array typecode for each slot width in bytes
+# array typecode for each slot width in bytes (the array route)
 _SLOT_TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
-
-
-def _pack_mul(p: int, xs, ys, n=None):
-    """Multiply two F_p coefficient lists via packed big-integer arithmetic;
-    with n, only the first n product coefficients are unpacked."""
-    bound = min(len(xs), len(ys)) * (p - 1) ** 2
-    width = next(w for w in (1, 2, 4, 8) if bound >> (8 * w) == 0)
-    code = _SLOT_TYPECODES[width]
-    order = sys.byteorder
-    prod = int.from_bytes(array(code, xs).tobytes(), order) * int.from_bytes(
-        array(code, ys).tobytes(), order
-    )
-    size = len(xs) + len(ys) - 1
-    if n is not None and n < size:
-        size = n
-        prod &= (1 << (8 * width * n)) - 1
-    out = array(code)
-    out.frombytes(prod.to_bytes(width * size, order))
-    return [c % p for c in out]
 
 
 def _prime_factors(n):
@@ -119,6 +119,9 @@ class FieldSpec:
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
         self.one = 1
+        # the kernel's translate tables, built by the first call that
+        # reads them (_slot_tables, _ext_tables)
+        self._slot_tabs, self._ext_tabs = (), None
         if m > 1:
             self._build_logs()
 
@@ -169,7 +172,6 @@ class FieldSpec:
         self._exp = exp + exp + [0] * (2 * q - 1)
         self._log = log
         self._half = (q - 1) // 2 if p > 2 else 0  # -1 = g^half
-        self._xm = self.from_digits(red)
 
     def digits(self, c):
         """The m base-p digits of a code, lowest first."""
@@ -183,7 +185,9 @@ class FieldSpec:
         """The digit lists of a row of codes, as digits gives them."""
         if self.m == 1:
             return [[c] for c in codes]
-        return [self.digits(c) for c in codes]
+        if self.q > 256:
+            return [self.digits(c) for c in codes]
+        return [list(ds) for ds in zip(*self._digit_planes(codes))]
 
     def from_digits(self, ds):
         """The code with base-p digits ds, lowest first, each reduced mod p."""
@@ -232,6 +236,8 @@ class FieldSpec:
     def conv(self, xs, ys, n=None):
         """Convolution (polynomial product coefficients) of F_q code lists;
         with n, only the first n coefficients of the product."""
+        if n is not None:
+            xs, ys = xs[:n], ys[:n]
         if not xs or not ys:
             return []
         p, m = self.p, self.m
@@ -239,41 +245,151 @@ class FieldSpec:
             # one coefficient c times the other operand: no packing
             if len(xs) != 1:
                 xs, ys = ys, xs
-            c, ys = xs[0], ys if n is None else ys[:n]
+            c = xs[0]
             if c == 1:
                 return list(ys)
             if m == 1:
                 return [c * y % p for y in ys]
             mul = self.mul
             return [mul(c, y) for y in ys]
-        if m == 1:
-            return _pack_mul(p, xs, ys, n)
-        w = 2 * m - 1
         size = len(xs) + len(ys) - 1
-        if n is not None:
-            size = min(size, n)
-        powers = [p**j for j in range(m)]
+        if n is not None and n < size:
+            size = n
+        if m == 1:
+            return list(self._pack_mul(xs, ys, size))
+        return self._digit_conv(xs, ys, size)
 
-        def spread(cs):
-            # digit j of coefficient i goes to slot i*w + j
-            out = [0] * (len(cs) * w)
-            for j, pj in enumerate(powers):
-                out[j::w] = [c // pj % p for c in cs]
-            return out
+    def _slot_width(self, bound):
+        """Bytes per product slot for slot values up to bound: the fewest
+        that hold it while w(p - 1) <= 255 (the byte route), else the fewest
+        of 1, 2, 4 or 8 (the array route)."""
+        w = (bound.bit_length() + 7) // 8
+        if w * (self.p - 1) > 255:
+            w = next(v for v in (1, 2, 4, 8) if v >= w)
+        return w
 
-        z = _pack_mul(p, spread(xs), spread(ys), size * w)
+    def _pack(self, cs, w):
+        """The integer whose w-byte slot i holds cs[i]."""
+        if w * (self.p - 1) > 255:
+            return int.from_bytes(array(_SLOT_TYPECODES[w], cs).tobytes(),
+                                  sys.byteorder)
+        if w == 1:
+            return int.from_bytes(cs, "little")
+        b = bytearray(w * len(cs))
+        b[::w] = cs
+        return int.from_bytes(b, "little")
 
-        def fold(first, count):
-            # the codes of the digits first .. first + count - 1 of each group
-            acc = z[first::w]
-            for j in range(1, count):
-                pj = powers[j]
-                acc = [a + pj * d for a, d in zip(acc, z[first + j::w])]
-            return acc
+    def _unpack(self, z, w, full, size):
+        """The first size of the full w-byte slots of z, each reduced mod p:
+        bytes on the byte route, a list on the array route.  Byte k of every
+        slot is the slice b[k::w], translated to c * 256^k mod p; the
+        translated bytes of a slot sum to at most w(p - 1) <= 255, so the
+        planes add as integers with no carry, and one more translation
+        reduces the sum.  Over F_2 only byte 0 counts, as 256^k is even."""
+        p = self.p
+        if w * (p - 1) > 255:
+            if size < full:
+                z &= (1 << (8 * w * size)) - 1
+            words = array(_SLOT_TYPECODES[w])
+            words.frombytes(z.to_bytes(w * size, sys.byteorder))
+            return [c % p for c in words]
+        tabs = self._slot_tables(w)
+        b = z.to_bytes(w * full, "little")
+        if w == 1 or p == 2:
+            return b[:w * size:w].translate(tabs[0])
+        acc = 0
+        for k, t in enumerate(tabs[:w]):
+            acc += int.from_bytes(b[k:w * size:w].translate(t), "little")
+        return acc.to_bytes(size, "little").translate(tabs[0])
 
-        add, mul, xm = self.add, self.mul, self._xm
-        return [add(lo, mul(xm, hi)) if hi else lo
-                for lo, hi in zip(fold(0, m), fold(m, m - 1))]
+    def _pack_mul(self, xs, ys, size):
+        """The first size coefficients of the product of two F_p coefficient
+        lists (bytes on the byte route, a list on the array route): one
+        big-integer product (Kronecker substitution), whose slots each sum
+        at most min(len) terms of at most (p - 1)^2."""
+        w = self._slot_width(min(len(xs), len(ys)) * (self.p - 1) ** 2)
+        z = self._pack(xs, w) * self._pack(ys, w)
+        return self._unpack(z, w, len(xs) + len(ys) - 1, size)
+
+    def _digit_conv(self, xs, ys, size):
+        """conv over F_q, q = p^m with m > 1, cut to size coefficients.  The
+        digit planes X_j of xs and Y_k of ys (digit j, resp. k, of every
+        code) give the planes P_l = sum_{j+k=l} X_j Y_k of the product over
+        F_p[x], l < 2m - 1, each from m or fewer packed products summed as
+        integers; x^m = sum_i red_i x^i mod the modulus folds P_{2m-2} ..
+        P_m, top first, into the planes below them, and the m planes left
+        are the digits of the product's codes."""
+        m = self.m
+        xps, yps = self._digit_planes(xs), self._digit_planes(ys)
+        w = self._slot_width(m * min(len(xs), len(ys)) * (self.p - 1) ** 2)
+        xi = [self._pack(cs, w) for cs in xps]
+        yi = [self._pack(cs, w) for cs in yps]
+        full = len(xs) + len(ys) - 1
+        acc = [0] * (2 * m - 1)
+        for j, a in enumerate(xi):
+            for k, b in enumerate(yi):
+                acc[j + k] += a * b
+        acc = [int.from_bytes(self._unpack(z, w, full, size), "little")
+               for z in acc]
+        # a plane takes at most m - 1 folds of bytes < p, so its bytes stay
+        # below m(p - 1) <= 255 and the sums carry nothing
+        _, fold, codes = self._ext_tables()
+        for top in range(2 * m - 2, m - 1, -1):
+            b = acc[top].to_bytes(size, "little")
+            for i, t in enumerate(fold, top - m):
+                if t:
+                    acc[i] += int.from_bytes(b.translate(t), "little")
+        digits = [a.to_bytes(size, "little") for a in acc[:m]]
+        if codes is None:
+            # codes >= 256 do not fit a byte
+            return [self.from_digits(ds) for ds in zip(*digits)]
+        out = 0
+        for d, t in zip(digits, codes):
+            out += int.from_bytes(d.translate(t), "little")
+        return list(out.to_bytes(size, "little"))
+
+    def _slot_tables(self, w):
+        """The translate tables of bytes 0 .. w - 1 of a product slot, built
+        as wider slots are first used (only byte 0's over F_2): byte k
+        stands for c * 256^k, so its table maps c to c * 256^k mod p.  Every
+        table of the field that maps c to c mod p is byte 0's."""
+        tabs, p = self._slot_tabs, self.p
+        if not tabs:
+            tabs = (bytes(c % p for c in range(256)),)
+        while len(tabs) < (1 if p == 2 else w):
+            r = pow(256, len(tabs), p)
+            tabs += (tabs[0] if r == 1 else bytes(c * r % p for c in range(256)),)
+        self._slot_tabs = tabs
+        return tabs
+
+    def _ext_tables(self):
+        """(digits, fold, codes) of F_q, q = p^m with m > 1: fold[i] maps c
+        to c * red_i mod p, where x^m = sum_i red_i x^i mod the modulus (None
+        where red_i = 0); for q <= 256, digits[j] maps a code to its digit j
+        and codes[j] maps c to (c mod p) * p^j, else both are None."""
+        if self._ext_tabs is None:
+            p, m = self.p, self.m
+            mod = self._slot_tables(1)[:1]
+            fold = tuple(None if not r else mod[0] if r == 1 else
+                         bytes(c * r % p for c in range(256))
+                         for r in (-c % p for c in self.modulus[:-1]))
+            digits = codes = None
+            if self.q <= 256:
+                digits = mod + tuple(bytes(c // p**j % p for c in range(256))
+                                     for j in range(1, m))
+                codes = mod + tuple(bytes(c % p * p**j for c in range(256))
+                                    for j in range(1, m))
+            self._ext_tabs = digits, fold, codes
+        return self._ext_tabs
+
+    def _digit_planes(self, cs):
+        """The m digit planes of a list of codes, digit j of every code."""
+        digits = self._ext_tables()[0]
+        if digits is None:
+            p = self.p
+            return [[c // p**j % p for c in cs] for j in range(self.m)]
+        b = bytes(cs)
+        return [b.translate(t) for t in digits]
 
     def __eq__(self, other):
         # field() is memoised, so equal fields are nearly always one object

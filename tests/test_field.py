@@ -120,6 +120,16 @@ def test_digit_codec_round_trip(pm):
     assert fs.from_digits([d + 2 * fs.p for d in fs.digits(fs.q - 1)]) == fs.q - 1
 
 
+@pytest.mark.parametrize("pm", [(5, 1), (2, 2), (3, 5), (2, 8), (2, 9)],
+                         ids=lambda pm: "q=%d^%d" % pm)
+def test_row_digits_match_digits(pm):
+    # q <= 256 reads the digits through translate tables, q = 512 per code
+    fs = field(*pm)
+    codes = list(range(fs.q)) + [fs.q - 1, 0, 1]
+    assert fs.row_digits(codes) == [fs.digits(c) for c in codes]
+    assert fs.row_digits([]) == []
+
+
 @pytest.mark.parametrize("pm", [(4093, 1), (2, 12), (3, 7), (5, 5)],
                          ids=lambda pm: "q=%d^%d" % pm)
 def test_largest_fields_build_small(pm):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmzv.cli import main
-from tmzv.scalars import PrecisionLaurent, _pack_mul, field
+from tmzv.scalars import PrecisionLaurent, field
 from tmzv.tlayer import LocalJet, TateTrunc, _clipped_rows, _product_precisions
 from tmzv.zeta import _div_bracket, inv_bracket
 
@@ -28,17 +28,39 @@ def schoolbook_mod_p(p, xs, ys):
     return out
 
 
-def width_edges(p, top=300):
-    """Lengths at which min(len) * (p-1)^2 first needs a wider slot."""
+def pack_mul(p, xs, ys):
+    """The packed F_p product of xs and ys, whatever their lengths."""
+    return list(field(p)._pack_mul(xs, ys, len(xs) + len(ys) - 1))
+
+
+def width_edges(p, m=1, top=300):
+    """Lengths at which m * min(len) * (p-1)^2, the slot bound of the
+    digit-plane products (m = 1: of the F_p product), first needs a wider
+    slot."""
     out = set()
-    for w in (1, 2, 4):
-        n = (256**w - 1) // (p - 1) ** 2 + 1
+    for w in (1, 2, 3, 4):
+        n = (256**w - 1) // (m * (p - 1) ** 2) + 1
         if n <= top:
             out.update((n - 1, n))
     return sorted(n for n in out if n >= 1)
 
 
 EXTENSION_FIELDS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2)}
+
+# around the edges of the byte route: w(p - 1) <= 255 holds at every length
+# here for q = 7, 31 and 37, and up to four coefficients at q = 127; the
+# extension fields split codes with translate tables up to q = 256, and code
+# by code at q = 512
+BYTE_ROUTE_FIELDS = {7: (7, 1), 31: (31, 1), 37: (37, 1), 127: (127, 1),
+                     16: (2, 4), 27: (3, 3), 49: (7, 2), 81: (3, 4),
+                     121: (11, 2), 128: (2, 7), 243: (3, 5), 256: (2, 8),
+                     512: (2, 9)}
+
+
+def reference_product(fs, xs, ys):
+    if fs.m == 1:
+        return schoolbook_mod_p(fs.p, xs, ys)
+    return schoolbook(fs, xs, ys)
 
 
 class TestConv:
@@ -48,7 +70,7 @@ class TestConv:
             for m in (1, n, 300):
                 xs, ys = [p - 1] * n, [p - 1] * m
                 want = schoolbook_mod_p(p, xs, ys)
-                assert _pack_mul(p, xs, ys) == want
+                assert pack_mul(p, xs, ys) == want
                 assert field(p).conv(xs, ys) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5, 257])
@@ -64,7 +86,7 @@ class TestConv:
     def test_large_p_kernel_matches_schoolbook(self, data):
         digits = st.lists(st.integers(0, 4092), min_size=1, max_size=300)
         xs, ys = data.draw(digits), data.draw(digits)
-        assert _pack_mul(4093, xs, ys) == schoolbook_mod_p(4093, xs, ys)
+        assert pack_mul(4093, xs, ys) == schoolbook_mod_p(4093, xs, ys)
 
     @pytest.mark.parametrize("q", [2, 3, 257, 4, 8, 9, 25])
     @settings(max_examples=25, deadline=None)
@@ -86,13 +108,42 @@ class TestConv:
         xs, ys = data.draw(codes), data.draw(codes)
         assert fs.conv(xs, ys) == schoolbook(fs, xs, ys)
 
-    @pytest.mark.parametrize("q", sorted(EXTENSION_FIELDS))
+    @pytest.mark.parametrize("q", sorted(BYTE_ROUTE_FIELDS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_byte_route_matches_schoolbook(self, q, data):
+        p, m = BYTE_ROUTE_FIELDS[q]
+        fs = field(p, m)
+        lengths = st.one_of(st.sampled_from(width_edges(p, m) + [2, 300]),
+                            st.integers(1, 300))
+        codes = st.sampled_from([q - 1]) if data.draw(st.booleans()) else (
+            st.integers(0, q - 1))
+        xs, ys = [data.draw(st.lists(codes, min_size=k, max_size=k))
+                  for k in (data.draw(lengths), data.draw(lengths))]
+        full = reference_product(fs, xs, ys)
+        n = data.draw(st.one_of(st.none(), st.integers(0, len(full) + 3)))
+        assert fs.conv(xs, ys, n) == full[:n]
+
+    @pytest.mark.parametrize("p,length,route", [
+        (2, 300, bytes), (31, 300, bytes), (37, 300, bytes), (127, 4, bytes),
+        (127, 5, list), (251, 2, list), (257, 2, list), (4093, 300, list)])
+    def test_slot_route(self, p, length, route):
+        # bytes when w(p - 1) <= 255 for the fewest w bytes that hold
+        # min(len) * (p - 1)^2, an array of machine integers otherwise
+        xs = [p - 1] * length
+        got = field(p)._pack_mul(xs, xs, 2 * length - 1)
+        assert type(got) is route
+        assert list(got) == schoolbook_mod_p(p, xs, xs)
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 25, 49])
     def test_extension_field_top_codes(self, q):
-        # every digit of every coefficient at p - 1: the fullest slot groups
-        fs = field(*EXTENSION_FIELDS[q])
-        for n in (1, 2, 300):
-            xs = [q - 1] * n
-            assert fs.conv(xs, xs) == schoolbook(fs, xs, xs)
+        # every digit of every coefficient at p - 1: at a width edge the
+        # middle digit plane fills its slots to m * min(len) * (p-1)^2
+        fs = field(*{**EXTENSION_FIELDS, **BYTE_ROUTE_FIELDS}[q])
+        for n in width_edges(fs.p, fs.m) + [1, 2, 300]:
+            for k in (1, n, 300):
+                xs, ys = [q - 1] * n, [q - 1] * k
+                assert fs.conv(xs, ys) == schoolbook(fs, xs, ys)
 
     # a one-coefficient operand scales the other one without packing; a
     # trailing zero sends the same product through the packed path
@@ -106,7 +157,7 @@ class TestConv:
         for c in (0, 1, data.draw(st.integers(2, q - 1)) if q > 2 else 1):
             packed = fs.conv([c, 0], ys)[:len(ys)]
             if fs.m == 1:
-                assert _pack_mul(fs.p, [c], ys) == packed
+                assert pack_mul(fs.p, [c], ys) == packed
             assert fs.conv([c], ys) == packed == fs.conv(ys, [c])
             assert fs.conv([c], [ys[0]]) == packed[:1]
             for n in range(len(ys) + 3):
