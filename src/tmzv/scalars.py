@@ -185,8 +185,6 @@ class FieldSpec:
         """The digit lists of a row of codes, as digits gives them."""
         if self.m == 1:
             return [[c] for c in codes]
-        if self.q > 256:
-            return [self.digits(c) for c in codes]
         return [list(ds) for ds in zip(*self._digit_planes(codes))]
 
     def from_digits(self, ds):
@@ -237,7 +235,10 @@ class FieldSpec:
         """Convolution (polynomial product coefficients) of F_q code lists;
         with n, only the first n coefficients of the product."""
         if n is not None:
-            xs, ys = xs[:n], ys[:n]
+            if len(xs) > n:
+                xs = xs[:n]
+            if len(ys) > n:
+                ys = ys[:n]
         if not xs or not ys:
             return []
         p, m = self.p, self.m
@@ -259,38 +260,41 @@ class FieldSpec:
             return list(self._pack_mul(xs, ys, size))
         return self._digit_conv(xs, ys, size)
 
-    def _slot_width(self, bound):
-        """Bytes per product slot for slot values up to bound: the fewest
-        that hold it while w(p - 1) <= 255 (the byte route), else the fewest
-        of 1, 2, 4 or 8 (the array route)."""
+    def _slot_layout(self, bound):
+        """(w, typecode) of the product slots for slot values up to bound:
+        w the fewest bytes that hold it while w(p - 1) <= 255, with typecode
+        None (the byte route); else w the fewest of 1, 2, 4 or 8, with the
+        array typecode of that width (the array route).  _pack and _unpack
+        take the pair, so the route is chosen here only."""
         w = (bound.bit_length() + 7) // 8
-        if w * (self.p - 1) > 255:
-            w = next(v for v in (1, 2, 4, 8) if v >= w)
-        return w
+        if w * (self.p - 1) <= 255:
+            return w, None
+        w = next(v for v in (1, 2, 4, 8) if v >= w)
+        return w, _SLOT_TYPECODES[w]
 
-    def _pack(self, cs, w):
-        """The integer whose w-byte slot i holds cs[i]."""
-        if w * (self.p - 1) > 255:
-            return int.from_bytes(array(_SLOT_TYPECODES[w], cs).tobytes(),
-                                  sys.byteorder)
+    def _pack(self, cs, slot):
+        """The integer with cs[i] in w-byte slot i; slot is (w, typecode)."""
+        w, typecode = slot
+        if typecode:
+            return int.from_bytes(array(typecode, cs).tobytes(), sys.byteorder)
         if w == 1:
             return int.from_bytes(cs, "little")
         b = bytearray(w * len(cs))
         b[::w] = cs
         return int.from_bytes(b, "little")
 
-    def _unpack(self, z, w, full, size):
+    def _unpack(self, z, slot, full, size):
         """The first size of the full w-byte slots of z, each reduced mod p:
         bytes on the byte route, a list on the array route.  Byte k of every
         slot is the slice b[k::w], translated to c * 256^k mod p; the
         translated bytes of a slot sum to at most w(p - 1) <= 255, so the
         planes add as integers with no carry, and one more translation
         reduces the sum.  Over F_2 only byte 0 counts, as 256^k is even."""
-        p = self.p
-        if w * (p - 1) > 255:
+        p, (w, typecode) = self.p, slot
+        if typecode:
             if size < full:
                 z &= (1 << (8 * w * size)) - 1
-            words = array(_SLOT_TYPECODES[w])
+            words = array(typecode)
             words.frombytes(z.to_bytes(w * size, sys.byteorder))
             return [c % p for c in words]
         tabs = self._slot_tables(w)
@@ -307,9 +311,9 @@ class FieldSpec:
         lists (bytes on the byte route, a list on the array route): one
         big-integer product (Kronecker substitution), whose slots each sum
         at most min(len) terms of at most (p - 1)^2."""
-        w = self._slot_width(min(len(xs), len(ys)) * (self.p - 1) ** 2)
-        z = self._pack(xs, w) * self._pack(ys, w)
-        return self._unpack(z, w, len(xs) + len(ys) - 1, size)
+        slot = self._slot_layout(min(len(xs), len(ys)) * (self.p - 1) ** 2)
+        z = self._pack(xs, slot) * self._pack(ys, slot)
+        return self._unpack(z, slot, len(xs) + len(ys) - 1, size)
 
     def _digit_conv(self, xs, ys, size):
         """conv over F_q, q = p^m with m > 1, cut to size coefficients.  The
@@ -321,15 +325,15 @@ class FieldSpec:
         are the digits of the product's codes."""
         m = self.m
         xps, yps = self._digit_planes(xs), self._digit_planes(ys)
-        w = self._slot_width(m * min(len(xs), len(ys)) * (self.p - 1) ** 2)
-        xi = [self._pack(cs, w) for cs in xps]
-        yi = [self._pack(cs, w) for cs in yps]
+        slot = self._slot_layout(m * min(len(xs), len(ys)) * (self.p - 1) ** 2)
+        xi = [self._pack(cs, slot) for cs in xps]
+        yi = [self._pack(cs, slot) for cs in yps]
         full = len(xs) + len(ys) - 1
         acc = [0] * (2 * m - 1)
         for j, a in enumerate(xi):
             for k, b in enumerate(yi):
                 acc[j + k] += a * b
-        acc = [int.from_bytes(self._unpack(z, w, full, size), "little")
+        acc = [int.from_bytes(self._unpack(z, slot, full, size), "little")
                for z in acc]
         # a plane takes at most m - 1 folds of bytes < p, so its bytes stay
         # below m(p - 1) <= 255 and the sums carry nothing
