@@ -404,19 +404,13 @@ def _add_common(p, formats=("json", "text"), default="text", need_s=False):
     p.add_argument("--format", choices=formats, default=default)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="tmzv",
-        description="multiple zeta values over F_q[theta] via t-modules")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("mzv", help="evaluate a (star) multiple zeta value")
+def _mzv_options(p):
     _add_common(p, need_s=True)
     p.add_argument("--star", action="store_true",
                    help="weak-inequality (star) variant")
-    p.set_defaults(fn=run_mzv)
 
-    p = sub.add_parser("verify", help="run an identity suite")
+
+def _verify_options(p):
     p.add_argument("suite", choices=SUITES)
     _add_common(p)
     p.add_argument("--model", choices=("at", "star"), default=None)
@@ -427,15 +421,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-prec", dest="nu_prec", type=_positive_int)
     p.add_argument("--nmax", type=_positive_int,
                    help="logarithm coefficients checked per shape")
-    p.set_defaults(fn=run_verify)
 
-    p = sub.add_parser("dump", help="serialize an object as JSON")
+
+def _dump_options(p):
     p.add_argument("object", choices=DUMPS)
     _add_common(p, formats=("json",), default="json")
     p.add_argument("--model", choices=("at", "star"), default=None)
     p.add_argument("--star", action="store_true",
                    help="series only: star variant")
-    p.set_defaults(fn=run_dump)
+
+
+# verb -> (its help, the builder of its options, its runner)
+VERBS = {
+    "mzv": ("evaluate a (star) multiple zeta value", _mzv_options, run_mzv),
+    "verify": ("run an identity suite", _verify_options, run_verify),
+    "dump": ("serialize an object as JSON", _dump_options, run_dump),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every verb; when argv's first word names a verb, only
+    that verb's subparser gets its options, as argparse reads no other."""
+    ap = argparse.ArgumentParser(
+        prog="tmzv",
+        description="multiple zeta values over F_q[theta] via t-modules")
+    sub = ap.add_subparsers(dest="verb", required=True)
+    only = argv[0] if argv and argv[0] in VERBS else None
+    for verb, (text, options, fn) in VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        if only in (None, verb):
+            options(p)
+            p.set_defaults(fn=fn)
     return ap
 
 
@@ -450,7 +466,9 @@ def _fail(message) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         rc = args.fn(args)
         sys.stdout.flush()

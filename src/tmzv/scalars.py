@@ -337,20 +337,25 @@ class FieldSpec:
                for z in acc]
         # a plane takes at most m - 1 folds of bytes < p, so its bytes stay
         # below m(p - 1) <= 255 and the sums carry nothing
-        _, fold, codes = self._ext_tables()
+        fold = self._ext_tables()[1]
         for top in range(2 * m - 2, m - 1, -1):
             b = acc[top].to_bytes(size, "little")
             for i, t in enumerate(fold, top - m):
                 if t:
                     acc[i] += int.from_bytes(b.translate(t), "little")
-        digits = [a.to_bytes(size, "little") for a in acc[:m]]
+        return self._from_planes([a.to_bytes(size, "little") for a in acc[:m]])
+
+    def _from_planes(self, digits):
+        """The codes whose digit planes are digits, each the bytes of its
+        digits < p: the code tables and one integer sum."""
+        codes = self._ext_tables()[2]
         if codes is None:
             # codes >= 256 do not fit a byte
             return [self.from_digits(ds) for ds in zip(*digits)]
         out = 0
         for d, t in zip(digits, codes):
             out += int.from_bytes(d.translate(t), "little")
-        return list(out.to_bytes(size, "little"))
+        return list(out.to_bytes(len(digits[0]), "little"))
 
     def _slot_tables(self, w):
         """The translate tables of bytes 0 .. w - 1 of a product slot, built
@@ -984,9 +989,7 @@ class PrecisionLaurent:
                     self.fs, N=None if self.N is None else self.N * k, ram=self.ram
                 )
             out = [0] * ((len(self.coeffs) - 1) * k + 1)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    out[j * k] = c
+            out[::k] = self.coeffs
             return PrecisionLaurent(
                 self.fs, self.v * k, out, N=None if self.N is None else self.N * k, ram=self.ram
             )

@@ -10,7 +10,11 @@ single term in characteristic p, giving
 with g_i = c_{d,i}/D_d.  The normalized ratios g_i satisfy the first-order
 recursion g'_{i} = (g_{i-1}^q - g_i)/[d+1] coming from
 e_{d+1} = e_d^q - D_d^{q-1} e_d, so no large polynomial is ever built, and
-the division by the bracket [d+1] is a shift-and-add recurrence.
+the division by the bracket [d+1] is a few shifts and adds of one packed
+integer.  For q | k, S_d(k) = S_d(k/q)^q in characteristic p, and a q-th
+power over F_q is the Frobenius twist: S_d(k/q) at the same precision N,
+cut to ceil(N/q) and twisted, which maps that precision to q ceil(N/q) >= N,
+with no product.
 
 Row d has g_0 = +-1/l_d and g_i = +-1/(D_i L_{d-i}^{q^i}), all of
 valuation >= 0, so v_inf(S_d(k)) >= max(d k, deg l_d) with
@@ -37,10 +41,14 @@ from .tmodule import (TModule, _certified_sum, _LaurentScalars,
 
 
 def _div_bracket(x: PrecisionLaurent, e: int, N: int) -> PrecisionLaurent:
-    """(x * inv_bracket(fs, e, N)).truncate(N), by the recurrence of
-    1/[e] = sum_j theta^{-Q - j(Q-1)}, Q = q^e: the quotient y, stored from
-    exponent v(x) + Q, has y_m = x_m + y_{m-(Q-1)}, one addition per
-    coefficient and no product.  Zero and exact inputs, and Q >= N, take
+    """(x * inv_bracket(fs, e, N)).truncate(N), with no product: 1/[e] =
+    sum_j theta^{-Q - j(Q-1)}, Q = q^e, so the quotient y, stored from
+    exponent v(x) + Q with length L, is x / (1 - z^(Q-1)) = x prod_{j <
+    steps} (1 + z^((Q-1) 2^j)) mod z^L, 2^steps (Q - 1) >= L.  x is packed
+    into one integer in the kernel's slots, each step is a shift and an
+    add, and the slots, sums of at most 2^steps digits < p, are reduced
+    mod p once at the end.  Over F_q with m > 1 this runs per digit plane,
+    as a sum in F_q is digit-wise.  Zero and exact inputs, and Q >= N, take
     the product."""
     fs = x.fs
     Q = fs.q**e
@@ -48,21 +56,29 @@ def _div_bracket(x: PrecisionLaurent, e: int, N: int) -> PrecisionLaurent:
         return (x * inv_bracket(fs, e, N)).truncate(N)
     v = x.v + Q
     Nout = min(N, x.N + Q, N + x.v)
-    out = list(x.coeffs[:max(Nout - v, 0)])
-    out.extend([0] * (Nout - v - len(out)))
-    if fs.m == 1:
-        p = fs.p
-        for m in range(Q - 1, len(out)):
-            c = out[m - Q + 1]
-            if c:
-                out[m] = (out[m] + c) % p
-    else:
-        add = fs.add
-        for m in range(Q - 1, len(out)):
-            c = out[m - Q + 1]
-            if c:
-                out[m] = add(out[m], c)
+    L = max(Nout - v, 0)
+    steps = 0
+    while (Q - 1) << steps < L:
+        steps += 1
+    slot = fs._slot_layout((fs.p - 1) << steps)
+    shift = 8 * slot[0] * (Q - 1)
+    mask = (1 << 8 * slot[0] * L) - 1
+    planes = []
+    cs = x.coeffs[:L]
+    for plane in [cs] if fs.m == 1 else fs._digit_planes(cs):
+        z = fs._pack(plane, slot)
+        for j in range(steps):
+            z += z << (shift << j)
+        planes.append(fs._unpack(z & mask, slot, L, L))
+    out = planes[0] if fs.m == 1 else fs._from_planes(planes)
     return PrecisionLaurent(fs, v, out, N=Nout)
+
+
+def _twist_to(x: PrecisionLaurent, N: int) -> PrecisionLaurent:
+    """x^q = x.frobenius(1), truncated to N.  The twist sends exponent n to
+    qn, so only the coefficients below ceil(N/q) land below N: x is cut to
+    that precision first, which the twist raises to q ceil(N/q) >= N."""
+    return x.truncate(-(-N // x.fs.q)).frobenius(1).truncate(N)
 
 
 @memo
@@ -81,7 +97,7 @@ def _gamma_row(fs: FieldSpec, d: int, imax: int, N: int):
         for i in range(min(e, imax) + 1):
             acc = PrecisionLaurent.zero(fs, N=N)
             if 1 <= i <= len(prev):
-                acc = acc + prev[i - 1].frobenius(1).truncate(N)
+                acc = acc + _twist_to(prev[i - 1], N)
             if i < len(prev):
                 acc = acc - prev[i]
             row.append(_div_bracket(acc, e, N))
@@ -101,12 +117,21 @@ def _power_sum_floor(q: int, d: int, k: int) -> int:
 def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
     """S_d(k) = sum_{a monic, deg a = d} a^(-k), to guaranteed precision;
     zero to precision prec, without building any row, once
-    _power_sum_floor(q, d, k) >= prec."""
+    _power_sum_floor(q, d, k) >= prec.
+
+    For q | k, S_d(k) = sum_a (a^(-k/q))^q = S_d(k/q)^q in characteristic
+    p, and the q-th power of a series over F_q is its Frobenius twist: no
+    product.  S_d(k/q) is taken at the same prec, so that its memo entry
+    and the rows at prec are shared, and _twist_to cuts it to ceil(prec/q)
+    before the twist, which maps that precision to q ceil(prec/q) >= prec;
+    its valuation is >= 0, so the twist only moves it up."""
     if d < 0 or k < 1:
         raise ValueError("need d >= 0 and k >= 1")
     N = prec
     if _power_sum_floor(fs.q, d, k) >= N:
         return PrecisionLaurent.zero(fs, N=N)
+    if k % fs.q == 0:
+        return _twist_to(power_sum(fs, d, k // fs.q, N), N)
     imax = 0
     while fs.q ** (imax + 1) <= k:
         imax += 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc
-from tmzv.tlayer import TateTrunc, TPoly, gamma_factorial
+from tmzv.tlayer import TateTrunc, TPoly, gamma_factorial, inv_bracket
 from tmzv.vadic import NuAdic, NuPlace, nu_inv, nu_mod, nu_split
 from tmzv.zeta import (MZVIndex, MZVValue, _default_Q, _gamma_product,
                        _rel_guard, _shell_term, lseries_raw, lseries_value,
@@ -82,6 +82,41 @@ def power_sum_enum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent
             term = (term * la).truncate(window)
         acc = acc + term.truncate(prec)
     return acc.truncate(prec)
+
+
+def power_sum_recurrence(fs: FieldSpec, d: int, k: int,
+                         prec: int) -> PrecisionLaurent:
+    """S_d(k) = g_0 b_{k-1} by the plain b-recurrence, for every k: b_j =
+    sum_{q^i <= j} g_i b_{j - q^i}, over the rows g_i = c_{d,i}/D_d of
+    g'_i = (g_{i-1}^q - g_i)/[d+1] built with whole twists and products by
+    1/[d+1].  It shares no code with power_sum's twist for q | k, its cut
+    before the twist or its bracket division; zero to precision prec when
+    the valuation bound max(d k, deg l_d) reaches prec, as there."""
+    q, N = fs.q, prec
+    if max(d * k, q * (q**d - 1) // (q - 1)) >= N:
+        return PrecisionLaurent.zero(fs, N=N)
+    imax = 0
+    while q ** (imax + 1) <= k:
+        imax += 1
+    g = (PrecisionLaurent.one(fs, N=N),)
+    for e in range(1, d + 1):
+        row = []
+        for i in range(min(e, imax) + 1):
+            acc = PrecisionLaurent.zero(fs, N=N)
+            if 1 <= i <= len(g):
+                acc = acc + g[i - 1].frobenius(1).truncate(N)
+            if i < len(g):
+                acc = acc - g[i]
+            row.append((acc * inv_bracket(fs, e, N)).truncate(N))
+        g = tuple(row)
+    b = [PrecisionLaurent.one(fs, N=N)]
+    for j in range(1, k):
+        acc = PrecisionLaurent.zero(fs, N=N)
+        for i in range(len(g)):
+            if q**i <= j:
+                acc = acc + g[i] * b[j - q**i]
+        b.append(acc.truncate(N))
+    return (g[0] * b[k - 1]).truncate(N)
 
 
 def mzv_brute(fs: FieldSpec, s, star: bool = False, prec: int = 20,

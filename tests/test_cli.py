@@ -48,6 +48,32 @@ class TestMZVVerb:
         assert d["s"] == [2] and d["value"]["N"] == 15
 
 
+def help_text(parse, argv):
+    """What parse(argv) prints for --help, with its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("verb", ["mzv", "verify", "dump"])
+    def test_verb_help_matches_full_parser(self, verb):
+        # main builds only the named verb's options; its help is that verb's
+        # subparser's in the parser of every verb
+        full = tmzv.cli.build_parser()
+        want = help_text(full.parse_args, [verb, "--help"])
+        assert help_text(main, [verb, "--help"]) == want
+        assert want[0] == 0 and "--format" in want[1]
+
+    def test_top_help_lists_every_verb(self, capsys):
+        rc, text = help_text(main, ["--help"])
+        assert rc == 0
+        for verb in ("mzv", "verify", "dump"):
+            assert verb in text and tmzv.cli.VERBS[verb][0] in text
+        assert run(capsys, "nosuch", "--q", "2")[0] == 2
+
+
 class TestExitCodes:
     def test_unknown_suite_is_usage_error(self, capsys):
         rc, _ = run(capsys, "verify", "nosuch")

@@ -2,6 +2,8 @@
 schoolbook and pairwise references; direct subtraction and division by a
 bracket, against the negation and product they replace."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -421,6 +423,35 @@ class TestBracketDivision:
         e = data.draw(st.integers(1, 4))
         N = data.draw(st.integers(1, 120))
         assert _div_bracket(x, e, N) == (x * inv_bracket(fs, e, N)).truncate(N)
+
+    @pytest.mark.parametrize("q", [2, 7, 9, 25, 4093])
+    def test_long_and_slot_width_edges(self, q):
+        # a quotient of length L sums up to 2^steps digits per slot, (Q - 1)
+        # 2^steps >= L: L = 2,000, and each L where steps first needs a
+        # wider slot and the L before it, up to 70,000; every x is all top
+        # codes or random codes
+        fs = field(*{2: (2, 1), 7: (7, 1), 9: (3, 2), 25: (5, 2),
+                     4093: (4093, 1)}[q])
+        rng = random.Random(q)
+        for e in (1, 2):
+            Q = fs.q**e
+            lengths = {2000}
+            for steps in range(1, 17):
+                L = ((Q - 1) << (steps - 1)) + 1  # the least L with steps
+                if L > 70000:
+                    break
+                if (fs._slot_layout((fs.p - 1) << steps)
+                        != fs._slot_layout((fs.p - 1) << (steps - 1))):
+                    lengths.update((L - 1, L))
+            for L in sorted(lengths):
+                for coeffs in ([fs.q - 1] * L,
+                               [rng.randrange(fs.q) for _ in range(L)]):
+                    # stored from v(x) + Q = Q - 3 up to N - 3: L slots
+                    x = PrecisionLaurent(fs, -3, coeffs, N=L - 3)
+                    N = L + Q
+                    got = _div_bracket(x, e, N)
+                    assert got.N - (Q - 3) == L
+                    assert got == (x * inv_bracket(fs, e, N)).truncate(N)
 
     def test_no_kernel_call(self, monkeypatch):
         fs = field(2, 2)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from functools import partial
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (compositions, laurent_eq_to_prec, lseries_tate,
-                       mzv_brute, mzv_deformed, power_sum_enum, tate_dict)
+                       mzv_brute, mzv_deformed, power_sum_enum,
+                       power_sum_recurrence, tate_dict)
 from tmzv import zeta
 from tmzv.motive import MotiveShape, at_shape, star_shape
 from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
@@ -59,6 +61,68 @@ class TestPowerSums:
 
 def fq(q):
     return field(2, 2) if q == 4 else field(q)
+
+
+POWER_SUM_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+                    8: (2, 3), 9: (3, 2)}
+
+
+@st.composite
+def power_sum_args(draw):
+    """(q, d, k, prec): k up to q^2 + q, the multiples of q and q^2 drawn
+    as often as the rest."""
+    q = draw(st.sampled_from(sorted(POWER_SUM_FIELDS)))
+    k = draw(st.one_of(st.integers(1, q * q + q),
+                       st.integers(1, q + 1).map(lambda j: j * q),
+                       st.just(q * q)))
+    return q, draw(st.integers(0, 5)), k, draw(st.integers(1, 400))
+
+
+class TestPowerSumTwist:
+    @given(args=power_sum_args())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_recurrence(self, args):
+        # S_d(k) for q | k is the twist of S_d(k/q); the reference runs the
+        # b-recurrence for every k
+        q, d, k, prec = args
+        fs = field(*POWER_SUM_FIELDS[q])
+        got = power_sum(fs, d, k, prec)
+        want = power_sum_recurrence(fs, d, k, prec)
+        assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
+        # the literal sum makes q^d k products: d <= 2, capped in work
+        if d <= 2 and q**d * k <= 3000:
+            assert (got - power_sum_enum(fs, d, k, prec)).is_zero_to_prec()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_no_products_for_k_equal_q(self, d, monkeypatch):
+        fs = field(5)
+        power_sum(fs, d, 1, 2000)
+        power_sum.table.pop((fs, d, 5, 2000), None)
+        want = power_sum_recurrence(fs, d, 5, 2000)
+        calls = []
+        monkeypatch.setattr(type(fs), "conv", lambda *a: calls.append(a))
+        got = power_sum(fs, d, 5, 2000)
+        monkeypatch.undo()
+        assert calls == [] and got == want
+
+    def test_memo_order(self):
+        # the same values, to the byte, in any order and from empty tables
+        requests = [(q, d, k, prec) for q in (2, 3, 4) for d in range(4)
+                    for k in (1, 2, q, q + 1, 2 * q, q * q)
+                    for prec in (30, 95, 400)]
+
+        def answers(seed):
+            order = list(requests)
+            random.Random(seed).shuffle(order)
+            got = {r: json.dumps(power_sum(fq(r[0]), *r[1:]).to_dict())
+                   for r in order}
+            return [got[r] for r in requests]
+
+        first = answers(1)
+        assert answers(2) == first
+        power_sum.table.clear()
+        zeta._gamma_rows.table.clear()
+        assert answers(3) == first
 
 
 def deg_l(q, d):
