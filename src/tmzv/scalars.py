@@ -904,17 +904,17 @@ class PrecisionLaurent:
         if other.N is not None:
             cands.append(other.N + self.v)
         v = self.v + other.v
-        xs, ys, n = self.coeffs, other.coeffs, None
+        n = None
         if cands:
             N = min(cands)
             # a coefficient at index N - v or later in either operand only
-            # reaches exponents >= N, which the product drops, so neither
-            # operand nor the product goes past it; N - v is
+            # reaches exponents >= N, which the product drops, so conv cuts
+            # both operands and the product there; N - v is
             # min(N_a - v_a, N_b - v_b) >= 1, as a series stores no
             # coefficient at or past its N
             n = N - v
-            xs, ys = xs[:n], ys[:n]
-        return PrecisionLaurent(fs, v, fs.conv(xs, ys, n), N=N, ram=self.ram)
+        return PrecisionLaurent(fs, v, fs.conv(self.coeffs, other.coeffs, n),
+                                N=N, ram=self.ram)
 
     def shift(self, k):
         """Multiply by the uniformizer^(-k): exponent shift by k."""
@@ -1131,8 +1131,9 @@ def _row_add(fs, va, Na, ca, vb, Nb, cb, negate):
             # a row kept at its own N is already in _norm form
             return v, N, c
     else:
-        v = min(va, vb)
-        c = [0] * (max(va + len(ca), vb + len(cb)) - v)
+        v, ea, eb = min(va, vb), va + len(ca), vb + len(cb)
+        top = ea if ea > eb else eb
+        c = [0] * (top - v)
         c[va - v : va - v + len(ca)] = ca
         if fs.m == 1:
             p = fs.p
@@ -1145,6 +1146,10 @@ def _row_add(fs, va, Na, ca, vb, Nb, cb, negate):
             for i, x in enumerate(cb, vb - v):
                 if x:
                     c[i] = add(c[i], x)
+        if va != vb and ea != eb and (N is None or top <= N):
+            # each end is one operand's nonzero end coefficient and nothing
+            # reaches N: already in _norm form
+            return v, N, tuple(c)
     v, c = _norm(v, c, N)
     return v, N, c
 

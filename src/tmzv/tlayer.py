@@ -211,15 +211,15 @@ def _clipped_rows(va, ca, vb, Ns):
     the live b_j with i + j <= M, kept whole if it feeds an exact row, and
     left out if the bound does not pass v(a_i)."""
     M = len(Ns) - 1
-    live = [(j, v) for j, v in enumerate(vb) if v is not None]
     rows = []
-    for i, (v, c) in enumerate(zip(va, ca)):
+    for i, v in enumerate(va):
         if v is None:
             continue
         top = v
-        for j, w in live:
-            if i + j > M:
-                break
+        for j in range(M + 1 - i):
+            w = vb[j]
+            if w is None:
+                continue
             n = Ns[i + j]
             if n is None:
                 top = None
@@ -227,9 +227,9 @@ def _clipped_rows(va, ca, vb, Ns):
             if n - w > top:
                 top = n - w
         if top is None:
-            rows.append((i, v, c))
+            rows.append((i, v, ca[i]))
         elif top > v:
-            rows.append((i, v, c[: top - v]))
+            rows.append((i, v, ca[i][: top - v]))
     return rows
 
 
@@ -242,8 +242,15 @@ def _slope(rows):
 def _extent(rows, beta):
     """(lo, span) of the rows under t -> theta^beta t, which moves row i to
     the exponents from v_i - beta*i; lo is the lowest of them."""
-    lo = min(v - beta * i for i, v, _ in rows)
-    return lo, max(v - beta * i + len(cs) for i, v, cs in rows) - lo
+    lo, hi = None, None
+    for i, v, cs in rows:
+        e = v - beta * i
+        if lo is None or e < lo:
+            lo = e
+        e += len(cs)
+        if hi is None or e > hi:
+            hi = e
+    return lo, hi - lo
 
 
 def _lay_out(rows, beta, lo, S):
@@ -261,26 +268,45 @@ def _product_precisions(va, Na, vb, Nb):
     and vb, Nb): the least, over i + j = k, of the precision
     PrecisionLaurent.__mul__ gives a_i * b_j, min(N(a_i) + v(b_j),
     N(b_j) + v(a_i)), where a zero-to-precision factor counts its N as its
-    valuation.  None means exact."""
-    inf = float("inf")
-
-    def live(vs, Ns):
-        # (index, N, lower bound on the valuation) of each row that is not
-        # an exact zero, which bounds no product row
-        return [(i, inf if n is None else n, n if v is None else v)
-                for i, (v, n) in enumerate(zip(vs, Ns))
-                if v is not None or n is not None]
-
-    A, B = live(va, Na), live(vb, Nb)
-    Ns = [inf] * len(va)
-    for i, na, la in A:
-        for j, nb, lb in B:
-            if i + j >= len(Ns):
+    valuation.  None means exact, and a pair of exact rows bounds nothing;
+    an exact zero (v and N None) bounds no product row."""
+    M = len(va) - 1
+    # (index, N, lower bound on the valuation) of each row of b that is
+    # not an exact zero
+    live = [(j, n, n if w is None else w)
+            for j, (w, n) in enumerate(zip(vb, Nb)) if w is not None or n is not None]
+    Ns = [None] * (M + 1)
+    for i, (v, na) in enumerate(zip(va, Na)):
+        if v is None:
+            if na is None:
+                continue
+            v = na
+        for j, nb, w in live:
+            k = i + j
+            if k > M:
                 break
-            n = min(na + lb, nb + la)
-            if n < Ns[i + j]:
-                Ns[i + j] = n
-    return [None if n == inf else n for n in Ns]
+            if na is None:
+                if nb is None:
+                    continue
+                n = nb + v
+            else:
+                n = na + w
+                if nb is not None and nb + v < n:
+                    n = nb + v
+            old = Ns[k]
+            if old is None or n < old:
+                Ns[k] = n
+    return Ns
+
+
+def _leaves_alone(z, x):
+    """Whether z adds to x without changing it: each row of z up to x.M is
+    an exact zero or zero to a precision at or past x's N there, so each
+    row sum keeps x's row and its N."""
+    for v, n, m in zip(z.vs, z.Ns, x.Ns):
+        if v is not None or (n is not None and (m is None or n < m)):
+            return False
+    return True
 
 
 def _settled(vs, Ns):
@@ -297,12 +323,17 @@ class TateTrunc:
     flat as vs[i], Ns[i], cs[i], the v, N and coeffs of a PrecisionLaurent.
     Sums and cuts are the row arithmetic PrecisionLaurent uses (scalars
     _row_add, _row_neg, _norm); coeffs builds PrecisionLaurent views anew.
+    A sum with an operand zero to precision in every row, at or past the
+    other's N in each (exact rows only against exact zeros), is the other
+    operand itself when the M agree (in a - b, only b may be that zero).
 
     A product is one polynomial product over F_q (2-D Kronecker
     substitution) that computes only what its rows certify.  Row k of the
     product keeps the precision N_k that the pairwise sum of
     PrecisionLaurent products would have (see _product_precisions), and
-    results match that sum coefficient for coefficient:
+    results match that sum coefficient for coefficient.  When either
+    operand is zero to precision in every row, the N_k are the whole
+    answer: no clip, no packing and no kernel call.  Otherwise:
 
     - clip: each operand row a_i is cut to the exponents below
       max_j (N_{i+j} - v(b_j)) over the live b_j with i + j <= M (and
@@ -361,6 +392,13 @@ class TateTrunc:
 
     def _add(self, other, negate):
         M = self._align(other)
+        # an operand zero to precision in every row, at or past the other's
+        # N, leaves the other as it is (in a - b only the zero b does)
+        if self.M == M and other.vs.count(None) > M and _leaves_alone(other, self):
+            return self
+        if not negate and other.M == M and self.vs.count(None) > M \
+                and _leaves_alone(self, other):
+            return other
         fs = self.fs
         return TateTrunc._of_rows(fs, M, self.ram, *zip(*[
             _row_add(fs, va, Na, ca, vb, Nb, cb, negate)
@@ -384,8 +422,12 @@ class TateTrunc:
         fs, ram = self.fs, self.ram
         va, vb = self.vs[: M + 1], other.vs[: M + 1]
         Ns = _product_precisions(va, self.Ns[: M + 1], vb, other.Ns[: M + 1])
-        ra = _clipped_rows(va, self.cs[: M + 1], vb, Ns)
-        rb = _clipped_rows(vb, other.cs[: M + 1], va, Ns)
+        if va.count(None) > M or vb.count(None) > M:
+            # an operand zero to precision in every row: N_k is the answer
+            ra = rb = None
+        else:
+            ra = _clipped_rows(va, self.cs, vb, Ns)
+            rb = _clipped_rows(vb, other.cs, va, Ns)
         if not ra or not rb:
             return TateTrunc._of_rows(fs, M, ram, (None,) * (M + 1), Ns, ((),) * (M + 1))
 

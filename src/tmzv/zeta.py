@@ -519,31 +519,34 @@ def _interval_series(fs: FieldSpec, M: int, prec: int, s):
     and the empty interval gives 1.
 
     The intervals also share one table of shell terms Q^(i) LL_i^(-s),
-    keyed by (s, Q, i) and built at the widest window
-    W = prec + _rel_guard(fs, s), which is at least every interval's
-    rel = prec + _rel_guard(fs, sub).  An interval takes each term with
-    every row's N lowered by W - rel, and that is the term built at
-    rel: row k of the term has N_k = min(w_k + W, W) with
-    w_k = min_j (v(Q_j) + v(LL_{k-j})) and exact coefficients below it,
-    and min(w_k + W, W) - (W - rel) = min(w_k + rel, rel).  Both tables
-    live as long as the returned function."""
+    built at the widest window W = prec + _rel_guard(fs, s), which is at
+    least every interval's rel = prec + _rel_guard(fs, sub).  An interval
+    takes each term with every row's N lowered by cut = W - rel, and that
+    is the term built at rel: row k of the term has N_k = min(w_k + W, W)
+    with w_k = min_j (v(Q_j) + v(LL_{k-j})) and exact coefficients below
+    it, and min(w_k + W, W) - (W - rel) = min(w_k + rel, rel).  The table
+    is keyed by (s, Q, i, cut), so each term is built once and lowered
+    once per window.  Both tables live as long as the returned function."""
     W = prec + _rel_guard(fs, s)
     terms, table = {}, {}
     zero = TateTrunc.zero(fs, M)
+
+    def term(si, Qi, i, cut):
+        got = terms.get((si, Qi, i, cut))
+        if got is None:
+            got = terms[si, Qi, i, cut] = (
+                term(si, Qi, i, 0).lower_precision(cut) if cut
+                else _shell_term(si, Qi, i, M, W))
+        return got
 
     def series(sub, Qsub, weak):
         key = (sub, Qsub, weak and len(sub) > 1)
         if key not in table:
             if sub:
                 cut = W - prec - _rel_guard(fs, sub)
-
-                def term(si, Qi, i):
-                    got = terms.get((si, Qi, i))
-                    if got is None:
-                        got = terms[si, Qi, i] = _shell_term(si, Qi, i, M, W)
-                    return got.lower_precision(cut) if cut else got
-
-                table[key] = lseries_raw(list(zip(sub, Qsub)), weak, prec, term, zero)
+                table[key] = lseries_raw(list(zip(sub, Qsub)), weak, prec,
+                                         lambda si, Qi, i: term(si, Qi, i, cut),
+                                         zero)
             else:
                 table[key] = TateTrunc.one(fs, M)
         return table[key]

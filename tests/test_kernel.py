@@ -3,11 +3,13 @@ schoolbook and pairwise references; direct subtraction and division by a
 bracket, against the negation and product they replace."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmzv import tlayer
 from tmzv.cli import main
 from tmzv.scalars import PrecisionLaurent, field
 from tmzv.tlayer import LocalJet, TateTrunc, _clipped_rows, _product_precisions
@@ -229,6 +231,19 @@ def sloped_tate_pairs(draw):
     return out
 
 
+@st.composite
+def zero_operand_pairs(draw):
+    """A pair of tate_pairs with one operand, either one, replaced by a
+    series zero to precision in every row (exact zeros among them)."""
+    a, b = draw(tate_pairs())
+    fs, ram = a.fs, a.ram
+    zeros = st.one_of(st.none(), st.integers(-12, 30)).map(
+        lambda N: PrecisionLaurent.zero(fs, N=N, ram=ram))
+    z = TateTrunc(fs, draw(st.lists(zeros, min_size=a.M + 1, max_size=a.M + 1)),
+                  a.M, ram=ram)
+    return (z, b) if draw(st.booleans()) else (b, z)
+
+
 def assert_matches_pairwise(a, b):
     got = a * b
     want = pairwise_product(a, b)
@@ -247,6 +262,22 @@ class TestTateProduct:
     @given(pair=sloped_tate_pairs())
     def test_clipped_rescaled_product_matches_pairwise_sum(self, pair):
         assert_matches_pairwise(*pair)
+
+    @settings(max_examples=120, deadline=None)
+    @given(pair=zero_operand_pairs())
+    def test_zero_operand_answered_from_precisions(self, pair):
+        # the product of a zero is zero in every row, to the N_k of the
+        # pairwise sum, with no clip and no kernel call
+        a, b = pair
+
+        def refuse(*args):
+            raise AssertionError("a zero operand clipped or multiplied")
+
+        with mock.patch.object(type(a.fs), "conv", refuse), \
+                mock.patch.object(tlayer, "_clipped_rows", refuse):
+            got = a * b
+        assert set(got.vs) == {None}
+        assert_matches_pairwise(a, b)
 
     def test_rows_laid_out_along_their_slope(self, monkeypatch):
         # row i sits at exponent 10*i: under t -> theta^10 t every row starts
@@ -346,25 +377,49 @@ class TestLaurentProduct:
         got, want = a * b, schoolbook_laurent(a, b)
         assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
 
+    @settings(max_examples=100, deadline=None)
+    @given(pair=laurent_pairs())
+    def test_conv_gets_the_stored_coefficients(self, pair):
+        # only conv cuts the operands: it gets them as stored, with
+        # n = N - v (None for an exact product)
+        a, b = pair
+        calls = []
+        conv = type(a.fs).conv
+
+        def spy(self, xs, ys, n=None):
+            calls.append((xs, ys, n))
+            return conv(self, xs, ys, n)
+
+        with mock.patch.object(type(a.fs), "conv", spy):
+            got = a * b
+        [(xs, ys, n)] = calls
+        assert xs is a.coeffs and ys is b.coeffs
+        assert n == (None if got.N is None else got.N - a.v - b.v)
+
     @pytest.mark.parametrize("q,ram", [(3, 1), (3, 2), (5, 4)])
     def test_operands_clipped_at_product_precision(self, q, ram, monkeypatch):
         # N(a * b) - v(a * b) = min(N_a - v_a, N_b - v_b) = 1 here: only the
-        # leading coefficients meet below N, however long the operands are
+        # leading coefficients meet below N, however long the operands are.
+        # The product hands conv the stored coefficients and n = N - v, and
+        # conv alone makes the cut
         fs = field(q)
         a = PrecisionLaurent(fs, 0, [1, 2, 1], N=1, ram=ram)
         b = PrecisionLaurent(fs, -3, [1, 1, 2, 1], ram=ram).frobenius(2)
-        lengths = []
+        calls = []
         conv = type(fs).conv
 
         def spy(self, xs, ys, n=None):
-            lengths.append((len(xs), len(ys)))
-            return conv(self, xs, ys, n)
+            out = conv(self, xs, ys, n)
+            calls.append((xs, ys, n, len(out)))
+            return out
 
         monkeypatch.setattr(type(fs), "conv", spy)
         got = a * b
         monkeypatch.undo()
         want = schoolbook_laurent(a, b)
-        assert lengths == [(1, 1)]
+        [(xs, ys, n, size)] = calls
+        assert xs is a.coeffs and ys is b.coeffs
+        assert (n, size) == (got.N - got.v, 1)
         assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
         assert got.N == got.v + 1
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import anderson_thakur_closed, t_minus_theta
-from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, field,
+from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, _row_add, field,
                           min_residual_valuation)
 from tmzv.tlayer import (LocalJet, TPoly, TateTrunc, _is_exact_zero,
                          anderson_thakur, bracket, d_poly, gamma_factorial,
@@ -178,6 +178,27 @@ def reference_sum(x, y, sign):
     return (live[0], tuple(acc.get(e, 0) for e in range(live[0], live[-1] + 1)), N)
 
 
+@st.composite
+def zero_against(draw):
+    """Rows x of every kind and a series z zero to precision in every row,
+    its own M: z's N in each row lies above, at or below x's N there, or
+    is None (an exact zero), where x's N is a number; opposite an exact
+    row of x it is None or a number.  Half the draws keep every N of z at
+    or past x's, the case in which z leaves x alone."""
+    fs, ram, (ra, _) = draw(row_lists())
+    alone = draw(st.booleans())
+    rz = []
+    for i in range(draw(st.integers(0, 6)) + 1):
+        n = ra[i].N if i < len(ra) else None
+        if n is None:
+            N = None if alone else draw(st.one_of(st.none(), st.integers(-8, 24)))
+        else:
+            N = draw(st.one_of(st.none(), st.sampled_from(
+                [n, n + 1, n + 5] if alone else [n - 5, n - 1, n, n + 1, n + 5])))
+        rz.append(PrecisionLaurent.zero(fs, N=N, ram=ram))
+    return fs, ram, ra, rz
+
+
 class TestFlatRows:
     # every TateTrunc operation on its flat rows against the same operation
     # on the PrecisionLaurent rows one by one, in v, coefficients and N
@@ -197,6 +218,29 @@ class TestFlatRows:
             assert row(x - y) == reference_sum(x, y, -1)
         for x in ra:
             assert row(-x) == reference_sum(PrecisionLaurent.zero(fs, ram=ram), x, -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=zero_against())
+    def test_sum_with_a_zero_operand(self, ops):
+        # against _row_add row by row and the coefficient reference; a zero
+        # that leaves x alone and has at least x's M returns x itself from
+        # x + z, z + x and x - z
+        fs, ram, ra, rz = ops
+        x = TateTrunc(fs, ra, len(ra) - 1, ram=ram)
+        z = TateTrunc(fs, rz, len(rz) - 1, ram=ram)
+        alone = all(b.N is None if a.N is None else b.N is None or b.N >= a.N
+                    for a, b in zip(ra, rz))
+        for a, b, sign in ((x, z, 1), (z, x, 1), (x, z, -1), (z, x, -1)):
+            got = a + b if sign > 0 else a - b
+            assert got.M == min(a.M, b.M)
+            pairs = list(zip(a.coeffs, b.coeffs))
+            assert [(g.v, g.N, g.coeffs) for g in got.coeffs] == [
+                _row_add(fs, u.v, u.N, u.coeffs, w.v, w.N, w.coeffs, sign < 0)
+                for u, w in pairs]
+            assert rows_of(got) == [reference_sum(u, w, sign) for u, w in pairs]
+            if alone and x.M <= z.M and (a is x or sign > 0):
+                # when x is zero in every row too, either operand is the sum
+                assert got is x or got is z and x.vs.count(None) > x.M
 
     @settings(max_examples=200, deadline=None)
     @given(ops=row_lists(), N=st.integers(-10, 30), d=st.integers(0, 12))

@@ -492,6 +492,36 @@ class TestTermTable:
         assert products and all(rel == W for _, _, rel in made)
         assert len(products) == len(set(products))
 
+    @pytest.mark.parametrize("q,s", [(2, (1, 2, 1)), (3, (2, 1, 3)),
+                                     (2, (3, 3)), (3, (1, 1, 1))])
+    def test_each_term_lowered_once_per_window(self, q, s):
+        # every interval shorter than s takes its terms lowered to its own
+        # window; the table keeps each lowered term, so one row builds each
+        # shell term once and lowers it at most once per distinct window
+        fs = field(q)
+        built, lowered = [], []
+        shell_term, lower = zeta._shell_term, TateTrunc.lower_precision
+
+        def spy_term(si, Q, i, M, C):
+            got = shell_term(si, Q, i, M, C)
+            built.append(((si, Q, i), got))
+            return got
+
+        def spy_lower(self, d):
+            lowered.append((id(self), d))
+            return lower(self, d)
+
+        with mock.patch.object(zeta, "_shell_term", spy_term), \
+                mock.patch.object(TateTrunc, "lower_precision", spy_lower):
+            deformed_row(at_shape(fs, s), n_terms=6, prec=22)
+        keys = [key for key, _ in built]
+        assert len(keys) == len(set(keys))
+        assert lowered and len(lowered) == len(set(lowered))
+        assert {t for t, _ in lowered} <= {id(got) for _, got in built}
+        windows = {_rel_guard(fs, s) - _rel_guard(fs, s[a:b])
+                   for a in range(len(s)) for b in range(a + 1, len(s) + 1)}
+        assert {d for _, d in lowered} <= windows - {0}
+
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("s", [(1, 2), (2, 1, 1), (1, 3, 2), (3, 1, 2)])
     def test_inversion_residuals_match_negated_sums(self, q, s):
