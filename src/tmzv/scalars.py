@@ -1131,9 +1131,8 @@ def _row_add(fs, va, Na, ca, vb, Nb, cb, negate):
             # a row kept at its own N is already in _norm form
             return v, N, c
     else:
-        v, ea, eb = min(va, vb), va + len(ca), vb + len(cb)
-        top = ea if ea > eb else eb
-        c = [0] * (top - v)
+        v = min(va, vb)
+        c = [0] * (max(va + len(ca), vb + len(cb)) - v)
         c[va - v : va - v + len(ca)] = ca
         if fs.m == 1:
             p = fs.p
@@ -1146,10 +1145,6 @@ def _row_add(fs, va, Na, ca, vb, Nb, cb, negate):
             for i, x in enumerate(cb, vb - v):
                 if x:
                     c[i] = add(c[i], x)
-        if va != vb and ea != eb and (N is None or top <= N):
-            # each end is one operand's nonzero end coefficient and nothing
-            # reaches N: already in _norm form
-            return v, N, tuple(c)
     v, c = _norm(v, c, N)
     return v, N, c
 

@@ -211,15 +211,15 @@ def _clipped_rows(va, ca, vb, Ns):
     the live b_j with i + j <= M, kept whole if it feeds an exact row, and
     left out if the bound does not pass v(a_i)."""
     M = len(Ns) - 1
+    live = [(j, v) for j, v in enumerate(vb) if v is not None]
     rows = []
-    for i, v in enumerate(va):
+    for i, (v, c) in enumerate(zip(va, ca)):
         if v is None:
             continue
         top = v
-        for j in range(M + 1 - i):
-            w = vb[j]
-            if w is None:
-                continue
+        for j, w in live:
+            if i + j > M:
+                break
             n = Ns[i + j]
             if n is None:
                 top = None
@@ -227,9 +227,9 @@ def _clipped_rows(va, ca, vb, Ns):
             if n - w > top:
                 top = n - w
         if top is None:
-            rows.append((i, v, ca[i]))
+            rows.append((i, v, c))
         elif top > v:
-            rows.append((i, v, ca[i][: top - v]))
+            rows.append((i, v, c[: top - v]))
     return rows
 
 
@@ -426,8 +426,8 @@ class TateTrunc:
             # an operand zero to precision in every row: N_k is the answer
             ra = rb = None
         else:
-            ra = _clipped_rows(va, self.cs, vb, Ns)
-            rb = _clipped_rows(vb, other.cs, va, Ns)
+            ra = _clipped_rows(va, self.cs[: M + 1], vb, Ns)
+            rb = _clipped_rows(vb, other.cs[: M + 1], va, Ns)
         if not ra or not rb:
             return TateTrunc._of_rows(fs, M, ram, (None,) * (M + 1), Ns, ((),) * (M + 1))
 

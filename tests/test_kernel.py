@@ -381,27 +381,40 @@ class TestLaurentProduct:
     @given(pair=laurent_pairs())
     def test_conv_gets_the_stored_coefficients(self, pair):
         # only conv cuts the operands: it gets them as stored, with
-        # n = N - v (None for an exact product)
+        # n = N - v (None for an exact product), and the packed products
+        # it makes see no operand and no product longer than n
         a, b = pair
-        calls = []
-        conv = type(a.fs).conv
+        FS = type(a.fs)
+        calls, kernel = [], []
+        conv, pack_mul, digit_conv = FS.conv, FS._pack_mul, FS._digit_conv
 
         def spy(self, xs, ys, n=None):
             calls.append((xs, ys, n))
             return conv(self, xs, ys, n)
 
-        with mock.patch.object(type(a.fs), "conv", spy):
+        def kernel_spy(product):
+            def spy(self, xs, ys, size):
+                kernel.append((len(xs), len(ys), size))
+                return product(self, xs, ys, size)
+            return spy
+
+        with mock.patch.object(FS, "conv", spy), \
+                mock.patch.object(FS, "_pack_mul", kernel_spy(pack_mul)), \
+                mock.patch.object(FS, "_digit_conv", kernel_spy(digit_conv)):
             got = a * b
         [(xs, ys, n)] = calls
         assert xs is a.coeffs and ys is b.coeffs
         assert n == (None if got.N is None else got.N - a.v - b.v)
+        if n is not None:
+            assert all(max(lens) <= n for lens in kernel)
 
     @pytest.mark.parametrize("q,ram", [(3, 1), (3, 2), (5, 4)])
     def test_operands_clipped_at_product_precision(self, q, ram, monkeypatch):
         # N(a * b) - v(a * b) = min(N_a - v_a, N_b - v_b) = 1 here: only the
         # leading coefficients meet below N, however long the operands are.
         # The product hands conv the stored coefficients and n = N - v, and
-        # conv alone makes the cut
+        # conv alone cuts both to one coefficient: no packed product runs,
+        # and the one-coefficient product has one coefficient
         fs = field(q)
         a = PrecisionLaurent(fs, 0, [1, 2, 1], N=1, ram=ram)
         b = PrecisionLaurent(fs, -3, [1, 1, 2, 1], ram=ram).frobenius(2)
@@ -413,7 +426,12 @@ class TestLaurentProduct:
             calls.append((xs, ys, n, len(out)))
             return out
 
+        def refuse(*args):
+            raise AssertionError("operands longer than n reached a packed product")
+
         monkeypatch.setattr(type(fs), "conv", spy)
+        monkeypatch.setattr(type(fs), "_pack_mul", refuse)
+        monkeypatch.setattr(type(fs), "_digit_conv", refuse)
         got = a * b
         monkeypatch.undo()
         want = schoolbook_laurent(a, b)
