@@ -148,7 +148,7 @@ def dump_object(obj: str, fs: FieldSpec, s, model: str, star: bool,
     if obj == "motive":
         # each entry X is stored as X^(1) and written as its -1 twist
         out["phi"] = [[{"type": "twisted", "twist": -1, "base": _ser(e)}
-                       for e in row] for row in build_motive(shape).phi]
+                       for e in row] for row in build_motive(shape)]
     elif obj == "tmodule":
         E = tmodule_of(shape)
         out["dtheta"] = [[_ser(e) for e in row] for row in E.dtheta]

@@ -112,12 +112,6 @@ def sigma_basis(shape: MotiveShape):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DualTMotive:
-    shape: MotiveShape
-    phi: list  # r x r matrix of TPoly: the +1 twist of each entry
-
-
 def _tm_theta_pow(fs: FieldSpec, d: int, twist: int = 0) -> TPoly:
     """(t - theta^{q^twist})^d in closed form: its t^k coefficient is
     binom(d, k) (-theta^{q^twist})^{d-k}."""
@@ -165,9 +159,10 @@ def _phi_rows(shape: MotiveShape, n: int) -> list:
     return rows
 
 
-def build_motive(shape: MotiveShape) -> DualTMotive:
-    """The motive matrix Phi."""
-    return DualTMotive(shape, _phi_rows(shape, shape.r))
+def build_motive(shape: MotiveShape) -> list:
+    """The rows of the motive matrix Phi: r x r TPoly entries, each stored
+    as its +1 twist."""
+    return _phi_rows(shape, shape.r)
 
 
 def phi_tilde(shape: MotiveShape) -> list:
@@ -296,14 +291,10 @@ def special_point(shape: MotiveShape) -> list:
     return delta1(special_point_pre_sigma(shape), shape)
 
 
-@dataclass
-class SigmaDecomposition:
-    triples: list  # (n_i, ell_i, u_i) with u_i a d-column of RatFunc
-
-
-def split_decomposition(shape: MotiveShape) -> SigmaDecomposition:
-    """alpha(M) = Sum_i t^{n_i} sigma^{ell_i}(iota(u_i)) with every u_i
-    inside the certified logarithm domain."""
+def split_decomposition(shape: MotiveShape) -> list:
+    """Pairs (n_i, u_i), u_i a d-column of RatFunc, with alpha(M) =
+    Sum_i t^{n_i} sigma(iota(u_i)) and every u_i inside the certified
+    logarithm domain."""
     fs = shape.fs
     r = shape.r
 
@@ -312,13 +303,13 @@ def split_decomposition(shape: MotiveShape) -> SigmaDecomposition:
         u[shape.slot(ell, j)] = c
         return u
 
-    triples = []
+    pairs = []
     if shape.model == "Star":
         Qr = shape.Q[r - 1]
         for n in range(Qr.degree() + 1):
             c = Qr[n]
             if not c.is_zero():
-                triples.append((n, 1, unit(r, 0, -c)))
+                pairs.append((n, unit(r, 0, -c)))
     elif shape.model == "AT":
         G = g_vectors(shape)
         for ell in range(1, r + 1):
@@ -326,22 +317,21 @@ def split_decomposition(shape: MotiveShape) -> SigmaDecomposition:
             for n in range(f.degree() + 1):
                 c = f[n]
                 if not c.is_zero():
-                    triples.append((n, 1, unit(ell, 0, c)))
+                    pairs.append((n, unit(ell, 0, c)))
     else:
         raise ValueError("split decomposition needs an AT or Star shape")
-    for _, _, u in triples:
+    for _, u in pairs:
         _tmodule.check_log_domain(shape, u)
-    return SigmaDecomposition(triples)
+    return pairs
 
 
-def split_recomposes(shape: MotiveShape, dec: SigmaDecomposition) -> bool:
-    """Exact check: Sum t^{n_i} iota(u_i) (all ell_i = 1) equals the
-    pre-sigma special point, coordinatewise as polynomials."""
+def split_recomposes(shape: MotiveShape, dec: list) -> bool:
+    """Exact check: Sum t^{n_i} iota(u_i) over the pairs of
+    split_decomposition equals the pre-sigma special point, coordinatewise
+    as polynomials."""
     fs = shape.fs
     acc = [TPoly.zero(fs) for _ in range(shape.r)]
-    for n, ell_i, u in dec.triples:
-        if ell_i != 1:
-            return False
+    for n, u in dec:
         for b, f in enumerate(iota(shape, u)):
             acc[b] = acc[b] + f.tshift(n)
     return acc == special_point_pre_sigma(shape)
@@ -370,4 +360,5 @@ def tmodule_of(shape: MotiveShape):
     kmax = max(layers)
     coeffs = [layers.get(k, [[zero] * d for _ in range(d)])
               for k in range(1, kmax + 1)]
-    return _tmodule.TModule(fs, d, layers[0], coeffs, provenance=shape)
+    return _tmodule.TModule(fs, d, layers[0], coeffs,
+                            block_dims=shape.block_dims)

@@ -770,7 +770,7 @@ class RatFunc:
         a = self.num.laurent(N=N, ram=ram)
         if self.is_poly():
             return a
-        return a / self.den.laurent(N=N, ram=ram)
+        return a * self.den.laurent(N=N, ram=ram).inv()
 
     def __repr__(self):
         if self.is_poly():
@@ -848,19 +848,6 @@ class PrecisionLaurent:
     def is_zero_to_prec(self):
         return self.v is None
 
-    def valuation(self):
-        """Exact valuation in exponent units; raises on zero-to-precision."""
-        if self.v is None:
-            raise _PrecisionError("zero to precision; valuation unknown")
-        return self.v
-
-    def v_infty(self) -> Fraction:
-        return Fraction(self.valuation(), self.ram)
-
-    def abs_infty_exp(self) -> Fraction:
-        """Exponent e with |x| = q^e."""
-        return -self.v_infty()
-
     def _check(self, other):
         if self.fs != other.fs or self.ram != other.ram:
             raise ValueError("mismatched field spec or ramification")
@@ -925,22 +912,24 @@ class PrecisionLaurent:
         )
 
     def inv(self, window=None):
-        """Series inverse.  Result precision N - 2v (exact stays exact up to
-        the requested window)."""
+        """Series inverse.  An exact monomial inverts exactly; otherwise the
+        result has N = N - 2v, or N = -v + window for an exact series, which
+        must state its window."""
         if self.v is None:
             raise _PrecisionError("division by zero-to-precision value")
         fs = self.fs
         v = self.v
-        if self.N is None and len(self.coeffs) == 1:
-            # exact monomial: exact inverse
+        if self.N is not None:
+            W, N = max(self.N - v, 1), self.N - 2 * v
+        elif len(self.coeffs) == 1:
             return PrecisionLaurent(
                 fs, -v, (fs.inv(self.coeffs[0]),), N=None, ram=self.ram
             )
-        if self.N is not None:
-            W = self.N - v
+        elif window is None:
+            raise ValueError("the inverse of an exact series needs a window")
         else:
-            W = window if window is not None else max(len(self.coeffs) * 2, 64)
-        W = max(W, 1)
+            W = max(window, 1)
+            N = -v + W
         b = self.coeffs
         c0inv = fs.inv(b[0])
         out = [0] * W
@@ -950,24 +939,9 @@ class PrecisionLaurent:
             for k in range(1, min(n, len(b) - 1) + 1):
                 acc = fs.add(acc, fs.mul(b[k], out[n - k]))
             out[n] = fs.neg(fs.mul(c0inv, acc))
-        if self.N is not None:
-            N = self.N - 2 * v
-        elif window is not None:
-            N = -v + W
-        else:
-            N = None
-            if len(self.coeffs) > 1:
-                # a finite exact series usually has an infinite inverse;
-                # cap honestly at the computed window
-                N = -v + W
         return PrecisionLaurent(fs, -v, out, N=N, ram=self.ram)
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def pow(self, e, window=None):
-        if e < 0:
-            return self.inv(window=window).pow(-e, window=window)
+    def pow(self, e):
         acc = PrecisionLaurent.one(self.fs, ram=self.ram)
         base = self
         while e:

@@ -468,10 +468,14 @@ class TateTrunc:
 
     def min_residual_valuation(self):
         """Least residual valuation over the rows, in theta-units: v, or N
-        for a row zero to precision N; None if every row is an exact zero."""
-        vals = [n if v is None else v for v, n in zip(self.vs, self.Ns)]
-        best = min((x for x in vals if x is not None), default=None)
-        return None if best is None else Fraction(best, self.ram)
+        for a row zero to precision N; None if every row is an exact zero.
+        An int at ram 1, a Fraction only when ram > 1."""
+        best = None
+        for v, n in zip(self.vs, self.Ns):
+            x = n if v is None else v
+            if x is not None and (best is None or x < best):
+                best = x
+        return best if best is None or self.ram == 1 else Fraction(best, self.ram)
 
     def settled(self, total):
         """Whether adding self leaves every digit that total certifies

@@ -207,13 +207,14 @@ class TModule:
     over K (RatFunc entries); d[theta] = theta I + N with N strictly upper
     triangular (ValueError otherwise)."""
 
-    def __init__(self, fs: FieldSpec, d: int, dtheta, taus, provenance=None,
+    def __init__(self, fs: FieldSpec, d: int, dtheta, taus, block_dims=None,
                  scalars=None):
         self.fs = fs
         self.d = d
         self.dtheta = dtheta
         self.taus = list(taus)
-        self.provenance = provenance
+        # Jordan-block dimensions of d[theta]; one block (d,) by default
+        self.block_dims = block_dims or (d,)
         self.scalars = scalars if scalars is not None else _ExactScalars(fs)
         sc = self.scalars
         self.nilpotent = [[(a - sc.theta if i == j else a)
@@ -237,28 +238,19 @@ class TModule:
             conv = sc.conv
             got = TModule(self.fs, self.d, mat_map(self.dtheta, conv),
                           [mat_map(M, conv) for M in self.taus],
-                          provenance=self.provenance, scalars=sc)
+                          block_dims=self.block_dims, scalars=sc)
             self._laurent_twins[sc.key] = got
         return got
 
-    def with_laurent(self, window: int, ram: int = 1):
+    def with_laurent(self, window: int):
         """The same module over windowed Laurent scalars; coefficient
         recursions then run at a fixed relative working precision."""
-        return self.with_scalars(_LaurentScalars(self.fs, window, ram=ram))
-
-    @property
-    def block_dims(self):
-        """Jordan-block dimensions of d[theta]; the full dimension as a
-        single block unless a shape says otherwise."""
-        prov = self.provenance
-        if prov is not None and hasattr(prov, "block_dims"):
-            return prov.block_dims
-        return (self.d,)
+        return self.with_scalars(_LaurentScalars(self.fs, window))
 
     @classmethod
     def carlitz(cls, fs: FieldSpec):
         one = RatFunc.one(fs)
-        return cls(fs, 1, [[RatFunc.theta(fs)]], [[[one]]], provenance="Direct")
+        return cls(fs, 1, [[RatFunc.theta(fs)]], [[[one]]])
 
     @classmethod
     def carlitz_tensor(cls, fs: FieldSpec, n: int):
@@ -269,7 +261,7 @@ class TModule:
                    for j in range(n)] for i in range(n)]
         tau = [[z] * n for _ in range(n)]
         tau[n - 1][0] = one
-        return cls(fs, n, dtheta, [tau], provenance="Direct")
+        return cls(fs, n, dtheta, [tau])
 
     # -- F_q[t]-action -----------------------------------------------------
 
@@ -436,7 +428,7 @@ def log_coeff_matrix(shape, n: int, scalars=None):
 def _abs_exp(x):
     """log_q |x|_inf as a Fraction, or None when zero (to precision)."""
     if isinstance(x, PrecisionLaurent):
-        return None if x.is_zero_to_prec() else x.abs_infty_exp()
+        return None if x.v is None else -Fraction(x.v, x.ram)
     if isinstance(x, APoly):
         return None if x.is_zero() else Fraction(x.degree())
     if isinstance(x, RatFunc):
@@ -597,18 +589,18 @@ def split_log_check(shape, prec: int = 30) -> dict:
 
     # exact side: the pieces rebuild the special point on the nose
     vsum = None
-    for n, _lvl, u in dec.triples:
+    for n, u in dec:
         a = APoly.monomial(fs, n)
         part = E.act(a, u)
         vsum = part if vsum is None else vec_add(vsum, part)
     v_matches = vsum == special_point(shape)
 
     # analytic side against the twisted-product series
-    nmax = max(n for n, _lvl, _u in dec.triples)
+    nmax = max(n for n, _u in dec)
     inner = prec + nmax + 2
     sc = _LaurentScalars(fs, _eval_window(fs, inner, ()) + _gamma_guard(shape))
     zsum = None
-    for n, _lvl, u in dec.triples:
+    for n, u in dec:
         a = APoly.monomial(fs, n)
         z = E.lie_act(a, log_eval(E, u, prec=inner), conv=sc.conv)
         zsum = z if zsum is None else vec_add(zsum, z)
@@ -620,7 +612,7 @@ def split_log_check(shape, prec: int = 30) -> dict:
         "model": shape.model,
         "s": list(shape.s),
         "prec": prec,
-        "terms": len(dec.triples),
+        "terms": len(dec),
         "recomposes": recomposes,
         "special_point_matches": v_matches,
         "log_residual": res,
@@ -688,9 +680,8 @@ def period_check(shape, prec: int = 30) -> dict:
     """Each period-basis vector must be killed by the exponential."""
     fs = shape.fs
     lam = period_basis(shape, prec=prec)
-    emax = max((_abs_exp(x) or 0) for v in lam for x in v)
-    sc = _LaurentScalars(fs, _eval_window(fs, prec, ()) + math.ceil(emax),
-                         ram=fs.q - 1)
+    W = _eval_window(fs, prec, (x for v in lam for x in v))
+    sc = _LaurentScalars(fs, W, ram=fs.q - 1)
     E = _shape_module(shape)
     res = []
     for v in lam:
@@ -716,12 +707,10 @@ def depth_one_period_check(fs, n: int, prec: int = 30) -> dict:
     shape = star_shape(fs, (n,))
     lam = period_basis(shape, prec=prec)[0]
     W = 2 * (prec + n * math.ceil(fs.q / (fs.q - 1)) + 4)
-    oinv = omega(fs, W, 2 * W).eval_theta().inv(window=W)
+    oinv = omega(fs, W, 2 * W).eval_theta().inv()
     diff = lam[n - 1] - oinv.pow(n)
     res_last = diff.residual_valuation()
-    emax = max((_abs_exp(x) or 0) for x in lam)
-    sc = _LaurentScalars(fs, _eval_window(fs, prec, ()) + math.ceil(emax),
-                         ram=fs.q - 1)
+    sc = _LaurentScalars(fs, _eval_window(fs, prec, lam), ram=fs.q - 1)
     res_exp = min_residual_valuation(
         exp_eval(_shape_module(shape), lam, prec=prec, scalars=sc))
     passed = ((res_last is None or res_last >= prec)

@@ -123,7 +123,7 @@ class TestDelta:
         for ell in range(shape.r):
             acc = TPoly.zero(fs)
             for k in range(shape.r):
-                ent = M.phi[k][ell]
+                ent = M[k][ell]
                 if not ent.is_zero():
                     acc = acc + ent.twist(-1) * coords[k]
             sig.append(acc)
@@ -243,7 +243,7 @@ class TestSplitDecomposition:
     def test_depth_one_single_triple(self):
         fs = field(2)
         dec = split_decomposition(star_shape(fs, (2,)))
-        assert len(dec.triples) == 1
+        assert len(dec) == 1
 
 
 class TestIntegrality:
@@ -273,4 +273,4 @@ class TestDepthOneCollapse:
         one_q = (TPoly.one(fs),)
         at_ = MotiveShape(fs, (3,), one_q, "AT")
         st_ = MotiveShape(fs, (3,), one_q, "Star")
-        assert build_motive(at_).phi[0][0] == build_motive(st_).phi[0][0]
+        assert build_motive(at_)[0][0] == build_motive(st_)[0][0]

@@ -157,6 +157,21 @@ class TestRatFunc:
         a = APoly(fs, (1, 0, 2))
         assert RatFunc.from_apoly(a).laurent(20) == a.laurent(20)
 
+    def test_laurent_of_a_fraction_needs_a_precision(self):
+        # 1/(theta + 1) has an infinite expansion: no precision, no series;
+        # 1/theta^2 is an exact monomial and stays exact
+        fs = fq3()
+        th, one = APoly.theta(fs), APoly.one(fs)
+        x = RatFunc(one, th + one)
+        with pytest.raises(ValueError):
+            x.laurent()
+        y = x.laurent(20)
+        assert y.v == 1 and y.N is not None
+        assert (y * (th + one).laurent(20)
+                - PrecisionLaurent.one(fs)).is_zero_to_prec()
+        z = RatFunc(one, th * th).laurent()
+        assert (z.v, z.coeffs, z.N) == (2, (fs.one,), None)
+
     @pytest.mark.parametrize("make", FIELDS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -252,6 +267,17 @@ class TestPrecisionLaurent:
         y = x.inv(window=30) * x - PrecisionLaurent.one(fs)
         assert y.is_zero_to_prec()
 
+    def test_inverse_of_exact_series_states_its_window(self):
+        fs = fq3()
+        x = (APoly.theta(fs) + APoly.one(fs)).laurent()
+        with pytest.raises(ValueError):
+            x.inv()
+        y = x.inv(window=12)
+        assert (y.v, y.N) == (1, 1 + 12)  # N = -v + W
+        assert (x * y - PrecisionLaurent.one(fs)).is_zero_to_prec()
+        m = APoly.monomial(fs, 3, 2).laurent()
+        assert m.inv() == PrecisionLaurent(fs, 3, (fs.inv(2),))
+
     def test_frobenius_scales_support(self):
         fs = fq2()
         x = APoly(fs, (1, 1)).laurent(12)
@@ -276,7 +302,7 @@ class TestPrecisionLaurent:
         x = APoly(fs, (2, 1)).laurent(15)
         y = x.embed_ram()
         assert y.ram == fs.q - 1
-        assert y.v_infty() == x.v_infty()
+        assert Fraction(y.v, y.ram) == Fraction(x.v, x.ram)
 
     def test_serialization_roundtrip(self):
         fs = fq4()

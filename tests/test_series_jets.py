@@ -88,7 +88,7 @@ def stored_series_jets():
                            (at_shape, "at", (1, 2))):
         shape = make(fs, s)
         E = tmodule_of(shape)
-        for k, (n, _lvl, u) in enumerate(split_decomposition(shape).triples):
+        for k, (n, u) in enumerate(split_decomposition(shape)):
             out["log_eval split q=2 s=%s %s piece=%d n=%d" % (
                 _name(s), model, k, n)] = _digest(_vectors_dict(
                     [log_eval(E, u, prec=40)]))

@@ -251,7 +251,13 @@ class TestFlatRows:
         # the shell-term cut: every finite N lowered by d
         assert rows_of(a.lower_precision(d)) == [
             row(x if x.N is None else x.truncate(x.N - d)) for x in ra]
-        assert a.min_residual_valuation() == min_residual_valuation(ra)
+        got = a.min_residual_valuation()
+        assert got == min_residual_valuation(ra)
+        # in theta-units: an int at ram 1, a Fraction only when ram > 1
+        assert got is None or ram > 1 or type(got) is int
+        zero = TateTrunc(fs, [PrecisionLaurent.zero(fs, ram=ram)] * len(ra),
+                         len(ra) - 1, ram=ram)
+        assert zero.min_residual_valuation() is None
 
     @settings(max_examples=100, deadline=None)
     @given(ops=row_lists(), extra=st.integers(-3, 3))

@@ -201,6 +201,19 @@ class TestSylvesterSolve:
         E = TModule(fs, 2, [[th, one], [z, th]], [tau])
         assert E.with_laurent(20).nilpotent[0][1] == PrecisionLaurent.one(fs)
 
+    @pytest.mark.parametrize("s", [(3,), (2, 1), (1, 2, 1)])
+    def test_block_dims(self, s):
+        fs = field(3)
+        assert TModule.carlitz(fs).block_dims == (1,)
+        assert TModule.carlitz_tensor(fs, sum(s)).block_dims == (sum(s),)
+        for shape in (at_shape(fs, s), star_shape(fs, s)):
+            E = _shape_module(shape)
+            assert E.block_dims == shape.block_dims
+            # the twins over other scalars keep the shape's blocks
+            assert E.with_laurent(20).block_dims == shape.block_dims
+            assert E.with_scalars(
+                _LaurentScalars(fs, 20, ram=2)).block_dims == shape.block_dims
+
 
 BRACKET_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
 
