@@ -53,6 +53,13 @@ ramified extension K_inf(eta), eta^(q-1) = -theta (ram = q-1), as a truncated
 Laurent series.  Exponent n stands for theta^(-n) (resp. eta^(-n)); the
 valuation v_inf is n/ram.  Every value carries a guaranteed precision N: all
 coefficients with exponent < N are correct.  N = None means exact.
+
+Its coefficients, a row, are bytes when q <= 256 and p < 128
+(FieldSpec.byte_rows), else a tuple; the empty row is ().  Byte rows add as
+integers shifted to a common valuation: over F_p a byte then holds at most
+2(p - 1) <= 252, so nothing carries and one translation reduces it mod p;
+over F_{2^m} the sum is their XOR, and over F_{p^m}, p odd, a loop over the
+codes.  A negation is one translation, a cut one slice and rstrip/lstrip.
 """
 
 from __future__ import annotations
@@ -119,11 +126,18 @@ class FieldSpec:
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
         self.one = 1
+        self._hash = hash((p, m, modulus))
         # the kernel's translate tables, built by the first call that
         # reads them (_slot_tables, _ext_tables)
         self._slot_tabs, self._ext_tabs = (), None
         if m > 1:
             self._build_logs()
+        # rows are bytes when a code fits a byte and so does a sum of two
+        # digits, at most 2(p - 1) (_row_add); _neg_tab maps c to -c, which
+        # characteristic 2 never asks for (_row_neg)
+        self.byte_rows = self.q <= 256 and p < 128
+        self._neg_tab = self.byte_rows and p > 2 and bytes(
+            self.neg(c) if c < self.q else 0 for c in range(256))
 
     def _build_logs(self):
         """_log[g^i] = i for 0 <= i < q - 1 and _log[0] = Z = 2(q - 1);
@@ -248,7 +262,7 @@ class FieldSpec:
                 xs, ys = ys, xs
             c = xs[0]
             if c == 1:
-                return list(ys)
+                return ys
             if m == 1:
                 return [c * y % p for y in ys]
             mul = self.mul
@@ -257,7 +271,7 @@ class FieldSpec:
         if n is not None and n < size:
             size = n
         if m == 1:
-            return list(self._pack_mul(xs, ys, size))
+            return self._pack_mul(xs, ys, size)
         return self._digit_conv(xs, ys, size)
 
     def _slot_layout(self, bound):
@@ -276,7 +290,8 @@ class FieldSpec:
         """The integer with cs[i] in w-byte slot i; slot is (w, typecode)."""
         w, typecode = slot
         if typecode:
-            return int.from_bytes(array(typecode, cs).tobytes(), sys.byteorder)
+            # list: an array reads a bytes initializer as machine words
+            return int.from_bytes(array(typecode, list(cs)).tobytes(), sys.byteorder)
         if w == 1:
             return int.from_bytes(cs, "little")
         b = bytearray(w * len(cs))
@@ -355,7 +370,7 @@ class FieldSpec:
         out = 0
         for d, t in zip(digits, codes):
             out += int.from_bytes(d.translate(t), "little")
-        return list(out.to_bytes(len(digits[0]), "little"))
+        return out.to_bytes(len(digits[0]), "little")
 
     def _slot_tables(self, w):
         """The translate tables of bytes 0 .. w - 1 of a product slot, built
@@ -408,7 +423,7 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, m={self.m}, modulus={self.modulus})"
@@ -427,14 +442,16 @@ def _default_modulus(p, m):
 
 
 MEMO_ENTRIES = 8192
+MEMO_TABLES = []
 
 
 def memo(fn):
     """Memoise fn on its positional arguments, compared by value (== and
     hash), so an argument built afresh hits the entry of an equal one.  Each
     function keeps at most MEMO_ENTRIES results and drops the oldest first;
-    the table is fn.table."""
+    the table is fn.table, and MEMO_TABLES lists every table."""
     table = {}
+    MEMO_TABLES.append(table)
     miss = object()
 
     @functools.wraps(fn)
@@ -792,8 +809,7 @@ class PrecisionLaurent:
     def __init__(self, fs, v, coeffs, N=None, ram=1):
         self.fs = fs
         self.ram = ram
-        c = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
-        self.v, self.coeffs = _norm(v, c, N)
+        self.v, self.coeffs = _norm(fs, v, coeffs, N)
         self.N = N
 
     @classmethod
@@ -962,7 +978,8 @@ class PrecisionLaurent:
                 return PrecisionLaurent.zero(
                     self.fs, N=None if self.N is None else self.N * k, ram=self.ram
                 )
-            out = [0] * ((len(self.coeffs) - 1) * k + 1)
+            n = (len(self.coeffs) - 1) * k + 1
+            out = bytearray(n) if self.fs.byte_rows else [0] * n
             out[::k] = self.coeffs
             return PrecisionLaurent(
                 self.fs, self.v * k, out, N=None if self.N is None else self.N * k, ram=self.ram
@@ -1077,16 +1094,20 @@ PrecisionError = _PrecisionError
 # TateTrunc stores one per t-degree, and both classes do row arithmetic here.
 
 
-def _norm(v, c, N):
+def _norm(fs, v, c, N):
     """(v, coefficients) of the row v, c cut below N, with the zeros at both
-    ends stripped; (None, ()) when no nonzero coefficient is left."""
+    ends stripped, as bytes when fs.byte_rows and else as a tuple; (None, ())
+    when no nonzero coefficient is left."""
     if v is None:
         return None, ()
-    hi = len(c)
-    if N is not None and N - v < hi:
+    if N is not None and N - v < len(c):
         # drop stored coefficients at exponents >= N
-        hi = max(N - v, 0)
-    lo = 0
+        c = c[:max(N - v, 0)]
+    if fs.byte_rows:
+        hi = bytes(c).rstrip(b"\0")
+        c = hi.lstrip(b"\0")
+        return (v + len(hi) - len(c), c) if c else (None, ())
+    lo, hi = 0, len(c)
     while lo < hi and not c[lo]:
         lo += 1
     while hi > lo and not c[hi - 1]:
@@ -1106,28 +1127,42 @@ def _row_add(fs, va, Na, ca, vb, Nb, cb, negate):
             return v, N, c
     else:
         v = min(va, vb)
-        c = [0] * (max(va + len(ca), vb + len(cb)) - v)
-        c[va - v : va - v + len(ca)] = ca
-        if fs.m == 1:
-            p = fs.p
-            sign = p - 1 if negate else 1
-            for i, x in enumerate(cb, vb - v):
-                if x:
-                    c[i] = (c[i] + sign * x) % p
+        size = max(va + len(ca), vb + len(cb)) - v
+        p = fs.p
+        if fs.byte_rows and (fs.m == 1 or p == 2):
+            # the rows as integers, one byte per code: over F_{2^m} a sum is
+            # their XOR; over F_p the bytes sum to at most 2(p - 1) <= 255,
+            # so nothing carries, and one translation reduces them mod p
+            a = int.from_bytes(ca, "little") << 8 * (va - v)
+            b = int.from_bytes(_row_neg(fs, cb) if negate else cb, "little") << 8 * (vb - v)
+            c = (a ^ b if p == 2 else a + b).to_bytes(size, "little")
+            if p > 2:
+                c = c.translate(fs._slot_tables(1)[0])
         else:
-            add = fs.sub if negate else fs.add
-            for i, x in enumerate(cb, vb - v):
-                if x:
-                    c[i] = add(c[i], x)
-    v, c = _norm(v, c, N)
+            c = [0] * size
+            c[va - v : va - v + len(ca)] = ca
+            if fs.m == 1:
+                sign = p - 1 if negate else 1
+                for i, x in enumerate(cb, vb - v):
+                    if x:
+                        c[i] = (c[i] + sign * x) % p
+            else:
+                add = fs.sub if negate else fs.add
+                for i, x in enumerate(cb, vb - v):
+                    if x:
+                        c[i] = add(c[i], x)
+    v, c = _norm(fs, v, c, N)
     return v, N, c
 
 
 def _row_neg(fs, cs):
     """The coefficients of the row -x (same v and N): as they are in
-    characteristic 2, else one pass mod p, or one over the nonzero codes."""
+    characteristic 2, else one translation of a bytes row, one pass mod p
+    or one over the nonzero codes."""
     if fs.p == 2:
         return cs
+    if type(cs) is bytes:
+        return cs.translate(fs._neg_tab)
     if fs.m == 1:
         p = fs.p
         return tuple([-c % p for c in cs])

@@ -253,12 +253,12 @@ def _extent(rows, beta):
     return lo, hi - lo
 
 
-def _lay_out(rows, beta, lo, S):
-    """One flat coefficient list holding row i at offset
-    i*S + (v_i - beta*i - lo); S >= span keeps the rows in order."""
-    flat = []
+def _lay_out(rows, beta, lo, S, byte_rows):
+    """One flat row, a bytearray for byte rows and else a list, holding row
+    i at offset i*S + (v_i - beta*i - lo); S >= span keeps the rows in order."""
+    flat = bytearray() if byte_rows else []
     for i, v, cs in rows:
-        flat += [0] * (i * S + v - beta * i - lo - len(flat))
+        flat += bytes(i * S + v - beta * i - lo - len(flat))
         flat += cs
     return flat
 
@@ -320,9 +320,10 @@ def _settled(vs, Ns):
 
 class TateTrunc:
     """t-truncated series: K_inf coefficients for t^0..t^M, row i stored
-    flat as vs[i], Ns[i], cs[i], the v, N and coeffs of a PrecisionLaurent.
-    Sums and cuts are the row arithmetic PrecisionLaurent uses (scalars
-    _row_add, _row_neg, _norm); coeffs builds PrecisionLaurent views anew.
+    flat as vs[i], Ns[i], cs[i], the v, N and coeffs of a PrecisionLaurent
+    (bytes or a tuple, as the field's rows are).  Sums and cuts are the row
+    arithmetic PrecisionLaurent uses (scalars _row_add, _row_neg, _norm),
+    and coeffs builds PrecisionLaurent views anew.
     A sum with an operand zero to precision in every row, at or past the
     other's N in each (exact rows only against exact zeros), is the other
     operand itself when the M agree (in a - b, only b may be that zero).
@@ -370,7 +371,7 @@ class TateTrunc:
 
     @classmethod
     def one(cls, fs, M, ram=1, N=None):
-        v, c = _norm(0, (fs.one,), N)
+        v, c = _norm(fs, 0, (fs.one,), N)
         return cls._of_rows(fs, M, ram, (v,) + (None,) * M, (N,) * (M + 1), (c,) + ((),) * M)
 
     @property
@@ -437,10 +438,9 @@ class TateTrunc:
             return (ra[-1][0] + rb[-1][0]) * S + span_a + span_b, beta, lo_a, lo_b, S
 
         _, beta, lo_a, lo_b, S = min(map(packing, {0, _slope(ra), _slope(rb)}))
-        prod = fs.conv(
-            _lay_out(ra, beta, lo_a, S), _lay_out(rb, beta, lo_b, S), (M + 1) * S
-        )
-        vs, cs = zip(*[_norm(lo_a + lo_b + beta * k, prod[k * S : (k + 1) * S], n)
+        prod = fs.conv(_lay_out(ra, beta, lo_a, S, fs.byte_rows),
+                       _lay_out(rb, beta, lo_b, S, fs.byte_rows), (M + 1) * S)
+        vs, cs = zip(*[_norm(fs, lo_a + lo_b + beta * k, prod[k * S : (k + 1) * S], n)
                        for k, n in enumerate(Ns)])
         return TateTrunc._of_rows(fs, M, ram, vs, Ns, cs)
 
@@ -449,7 +449,7 @@ class TateTrunc:
 
     def _cut(self, Ns):
         """The rows cut to the precisions Ns, each at most the row's own."""
-        vs, cs = zip(*[(v, c) if n == old else _norm(v, c, n)
+        vs, cs = zip(*[(v, c) if n == old else _norm(self.fs, v, c, n)
                        for v, c, old, n in zip(self.vs, self.cs, self.Ns, Ns)])
         return TateTrunc._of_rows(self.fs, self.M, self.ram, vs, Ns, cs)
 

@@ -169,6 +169,38 @@ def lseries_tate(fs: FieldSpec, s, Q=None, star: bool = False, M: int = 20,
                        TateTrunc.zero(fs, M))
 
 
+def row_norm(v, cs, N):
+    """(v, tuple of codes) of the row v, cs cut below N, with the zeros at
+    both ends stripped; (None, ()) when no nonzero code is left."""
+    if v is None:
+        return None, ()
+    live = [j for j, c in enumerate(cs) if c and (N is None or v + j < N)]
+    if not live:
+        return None, ()
+    return v + live[0], tuple(cs[live[0]:live[-1] + 1])
+
+
+def row_neg(fs: FieldSpec, cs) -> tuple:
+    """The codes of -x, one fs.neg per code."""
+    return tuple(fs.neg(c) for c in cs)
+
+
+def row_add(fs: FieldSpec, va, Na, ca, vb, Nb, cb, negate=False):
+    """(v, N, tuple of codes) of the row a + b, or a - b, one exponent at a
+    time through fs.add and fs.neg, below the lesser N."""
+    N = min((n for n in (Na, Nb) if n is not None), default=None)
+    acc = {}
+    for v, cs, neg in ((va, ca, False), (vb, cb, negate)):
+        if v is not None:
+            for j, c in enumerate(cs):
+                acc[v + j] = fs.add(acc.get(v + j, 0), fs.neg(c) if neg else c)
+    if not acc:
+        return None, N, ()
+    lo = min(acc)
+    v, c = row_norm(lo, [acc.get(e, 0) for e in range(lo, max(acc) + 1)], N)
+    return v, N, c
+
+
 def laurent_eq_to_prec(a: PrecisionLaurent, b: PrecisionLaurent, N: int) -> bool:
     """Whether a and b agree below theta^-N; both must be known that far."""
     d = a - b

@@ -551,6 +551,23 @@ class TestClosedOutput:
         assert proc.returncode == 2
 
 
+class TestHashSeed:
+    # bytes hashes are salted per process (PYTHONHASHSEED) and tuples of
+    # ints are not: no answer may depend on an order that a series' hash sets
+    @pytest.mark.parametrize("argv", [
+        ["mzv", "--q", "3", "--s", "1,2", "--prec", "200", "--format", "json"],
+        ["verify", "vadic", "--format", "json"]])
+    def test_answers_do_not_depend_on_the_hash_seed(self, argv):
+        src = str(pathlib.Path(tmzv.cli.__file__).resolve().parents[1])
+        outs = [subprocess.run(
+            [sys.executable, "-m", "tmzv.cli", *argv], capture_output=True,
+            text=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "1")]
+        first, second = (without_timing(json.loads(out)) for out in outs)
+        assert first == second
+
+
 class TestEmitter:
     # json's encoder with the leaf rule writes the same bytes as the Python
     # walk of tests/reference.py, on one payload fed to both

@@ -69,7 +69,7 @@ class TestConv:
                 xs, ys = [p - 1] * n, [p - 1] * m
                 want = schoolbook_mod_p(p, xs, ys)
                 assert pack_mul(p, xs, ys) == want
-                assert field(p).conv(xs, ys) == want
+                assert list(field(p).conv(xs, ys)) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5, 257])
     @settings(max_examples=25, deadline=None)
@@ -77,7 +77,7 @@ class TestConv:
     def test_prime_field_matches_schoolbook(self, p, data):
         digits = st.lists(st.integers(0, p - 1), min_size=1, max_size=300)
         xs, ys = data.draw(digits), data.draw(digits)
-        assert field(p).conv(xs, ys) == schoolbook_mod_p(p, xs, ys)
+        assert list(field(p).conv(xs, ys)) == schoolbook_mod_p(p, xs, ys)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -93,9 +93,9 @@ class TestConv:
         fs = field(*EXTENSION_FIELDS.get(q, (q,)))
         codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=120)
         xs, ys = data.draw(codes), data.draw(codes)
-        full = fs.conv(xs, ys)
+        full = list(fs.conv(xs, ys))
         for n in (0, 1, data.draw(st.integers(0, len(full) + 3)), len(full)):
-            assert fs.conv(xs, ys, n) == full[:n]
+            assert list(fs.conv(xs, ys, n)) == full[:n]
 
     @pytest.mark.parametrize("q", sorted(EXTENSION_FIELDS))
     @settings(max_examples=25, deadline=None)
@@ -104,7 +104,7 @@ class TestConv:
         fs = field(*EXTENSION_FIELDS[q])
         codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=300)
         xs, ys = data.draw(codes), data.draw(codes)
-        assert fs.conv(xs, ys) == schoolbook(fs, xs, ys)
+        assert list(fs.conv(xs, ys)) == schoolbook(fs, xs, ys)
 
     @pytest.mark.parametrize("q", sorted(BYTE_ROUTE_FIELDS))
     @settings(max_examples=25, deadline=None)
@@ -120,7 +120,7 @@ class TestConv:
                   for k in (data.draw(lengths), data.draw(lengths))]
         full = schoolbook(fs, xs, ys) if m > 1 else schoolbook_mod_p(p, xs, ys)
         n = data.draw(st.one_of(st.none(), st.integers(0, len(full) + 3)))
-        assert fs.conv(xs, ys, n) == full[:n]
+        assert list(fs.conv(xs, ys, n)) == full[:n]
 
     @pytest.mark.parametrize("p,length,route", [
         (2, 300, bytes), (31, 300, bytes), (37, 300, bytes), (127, 4, bytes),
@@ -141,7 +141,7 @@ class TestConv:
         for n in width_edges(fs.p, fs.m) + [1, 2, 300]:
             for k in (1, n, 300):
                 xs, ys = [q - 1] * n, [q - 1] * k
-                assert fs.conv(xs, ys) == schoolbook(fs, xs, ys)
+                assert list(fs.conv(xs, ys)) == schoolbook(fs, xs, ys)
 
     # a one-coefficient operand scales the other one without packing; a
     # trailing zero sends the same product through the packed path
@@ -153,11 +153,11 @@ class TestConv:
         codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=40)
         ys = data.draw(codes)
         for c in (0, 1, data.draw(st.integers(2, q - 1)) if q > 2 else 1):
-            packed = fs.conv([c, 0], ys)[:len(ys)]
+            packed = list(fs.conv([c, 0], ys))[:len(ys)]
             if fs.m == 1:
                 assert pack_mul(fs.p, [c], ys) == packed
-            assert fs.conv([c], ys) == packed == fs.conv(ys, [c])
-            assert fs.conv([c], [ys[0]]) == packed[:1]
+            assert list(fs.conv([c], ys)) == packed == list(fs.conv(ys, [c]))
+            assert list(fs.conv([c], [ys[0]])) == packed[:1]
             for n in range(len(ys) + 3):
                 assert fs.conv([c], ys, n) == packed[:n] == fs.conv(ys, [c], n)
 
@@ -296,7 +296,7 @@ class TestTateProduct:
         got = a * a
         monkeypatch.undo()
         assert lengths == [(6, 6, 6)]
-        assert [(c.v, c.coeffs) for c in got.coeffs] == [
+        assert [(c.v, tuple(c.coeffs)) for c in got.coeffs] == [
             (10 * k, ((k + 1) % 3,)) if (k + 1) % 3 else (None, ())
             for k in range(6)]
         assert_matches_pairwise(a, a)
@@ -313,7 +313,7 @@ class TestTateProduct:
         Ns = _product_precisions(a.vs, a.Ns, b.vs, b.Ns)
         assert Ns == [2, 2]
         assert [i for i, _, _ in _clipped_rows(a.vs, a.cs, b.vs, Ns)] == [0]
-        assert [(x.v, x.coeffs, x.N) for x in (a * b).coeffs] == [(0, (1,), 2)] * 2
+        assert [(x.v, tuple(x.coeffs), x.N) for x in (a * b).coeffs] == [(0, (1,), 2)] * 2
         assert_matches_pairwise(a, b)
 
     @pytest.mark.parametrize("q,ram", [(2, 1), (5, 4)])

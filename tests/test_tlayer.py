@@ -157,7 +157,7 @@ def row_lists(draw):
 
 
 def row(x):
-    return (x.v, x.coeffs, x.N)
+    return (x.v, tuple(x.coeffs), x.N)
 
 
 def rows_of(t):

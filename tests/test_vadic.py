@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from reference import depth_one_nu_sum, monic_enumerate, nu_reduce
 from tmzv import vadic
 from tmzv.motive import special_point, star_shape, tmodule_of
-from tmzv.scalars import APoly, PrecisionError, RatFunc, field
+from tmzv.scalars import MEMO_TABLES, APoly, PrecisionError, RatFunc, field
 from tmzv.tlayer import bracket
-from tmzv.tmodule import _theta_jet_products
 from tmzv.vadic import (NuPlace, _NuAdicScalars, a_nu, nu_inv, nu_mod,
                         nu_split, zeta_nu, zeta_nu_check)
 
@@ -386,9 +385,6 @@ class TestMemoOrder:
     # inverses serve any later
     # request, so the order of the requests, and whether the entries exist
     # at all, must not change a value or its diagnostics
-    TABLES = (vadic._shape_action, vadic._contracted_point,
-              vadic._nu_log_term, _theta_jet_products, vadic.nu_inv,
-              vadic._nu_pow)
 
     def answers(self, requests):
         out = {}
@@ -404,8 +400,8 @@ class TestMemoOrder:
         rng = random.Random(5)
         first = self.answers(rng.sample(requests, len(requests)))
         second = self.answers(rng.sample(requests, len(requests)))
-        for fn in self.TABLES:
-            fn.table.clear()
+        for table in MEMO_TABLES:
+            table.clear()
         third = self.answers(requests)
         assert len(first) == 40
         assert first == second == third
