@@ -52,7 +52,9 @@ PrecisionLaurent represents an element of K_inf (ram = 1) or of the totally
 ramified extension K_inf(eta), eta^(q-1) = -theta (ram = q-1), as a truncated
 Laurent series.  Exponent n stands for theta^(-n) (resp. eta^(-n)); the
 valuation v_inf is n/ram.  Every value carries a guaranteed precision N: all
-coefficients with exponent < N are correct.  N = None means exact.
+coefficients with exponent < N are correct.  N = None means exact.  Values
+are built in K_inf and enter the tower by embed_ram, a ring map that keeps N
+(scaled by q-1); only eta_pow, for Omega's eta^(-q), builds inside it.
 
 Its coefficients, a row, are bytes when q <= 256 and p < 128
 (FieldSpec.byte_rows), else a tuple; the empty row is ().  Byte rows add as
@@ -660,9 +662,9 @@ class APoly:
             self.gcd(frob[f // r] - frob[0]).degree() == 0
             for r in _prime_factors(f))
 
-    def laurent(self, N=None, ram=1):
-        """Embed into PrecisionLaurent (exponent -deg..0, optionally ramified)."""
-        return PrecisionLaurent.from_apoly(self, N=N, ram=ram)
+    def laurent(self, N=None):
+        """Embed into PrecisionLaurent over K_inf (exponent -deg..0)."""
+        return PrecisionLaurent.from_apoly(self, N=N)
 
     def __repr__(self):
         if self.is_zero():
@@ -783,11 +785,11 @@ class RatFunc:
         return RatFunc(self.num.frobenius(i), self.den.frobenius(i),
                        reduce=False)
 
-    def laurent(self, N=None, ram=1):
-        a = self.num.laurent(N=N, ram=ram)
+    def laurent(self, N=None):
+        a = self.num.laurent(N=N)
         if self.is_poly():
             return a
-        return a * self.den.laurent(N=N, ram=ram).inv()
+        return a * self.den.laurent(N=N).inv()
 
     def __repr__(self):
         if self.is_poly():
@@ -829,36 +831,20 @@ class PrecisionLaurent:
         return cls(fs, 0, (fs.one,), N=N, ram=ram)
 
     @classmethod
-    def theta_pow(cls, fs, k, N=None, ram=1):
-        """theta^k as a series in the given tower."""
-        if ram == 1:
-            return cls(fs, -k, (fs.one,), N=N, ram=1)
-        # theta = -eta^(q-1)
-        c = fs.one if k % 2 == 0 else fs.neg(fs.one)
-        return cls(fs, -k * ram, (c,), N=N, ram=ram)
+    def theta_pow(cls, fs, k, N=None):
+        """theta^k in K_inf."""
+        return cls(fs, -k, (fs.one,), N=N)
 
     @classmethod
     def eta_pow(cls, fs, k, N=None):
-        q = fs.q
-        return cls(fs, -k, (fs.one,), N=N, ram=q - 1)
+        """eta^k in K_inf(eta): the one value built inside the tower."""
+        return cls(fs, -k, (fs.one,), N=N, ram=fs.q - 1)
 
     @classmethod
-    def from_apoly(cls, a: APoly, N=None, ram=1):
-        fs = a.fs
+    def from_apoly(cls, a: APoly, N=None):
         if a.is_zero():
-            return cls.zero(fs, N=N, ram=ram)
-        d = a.degree()
-        if ram == 1:
-            return cls(fs, -d, a.coeffs[::-1], N=N, ram=1)
-        e = ram
-        coeffs = [0] * (d * e + 1)
-        for j in range(d + 1):
-            c = a[j]
-            if c:
-                if j % 2:
-                    c = fs.neg(c)
-                coeffs[(d - j) * e] = c
-        return cls(fs, -d * e, coeffs, N=N, ram=e)
+            return cls.zero(a.fs, N=N)
+        return cls(a.fs, -a.degree(), a.coeffs[::-1], N=N)
 
     # queries
     def is_zero_to_prec(self):
@@ -1009,8 +995,9 @@ class PrecisionLaurent:
 
     # tower maps
     def embed_ram(self):
-        """Embedding K_inf -> K_inf(eta): exponents scale by e = q-1,
-        theta^(-n) -> (-1)^n eta^(-n(q-1))."""
+        """Embedding K_inf -> K_inf(eta), the ring map by which every value
+        but eta_pow's enters the tower: v and N scale by e = q-1, and
+        theta^(-n) -> (-1)^n eta^(-n(q-1)), the one place this rule is kept."""
         if self.ram != 1:
             raise ValueError("already ramified")
         fs = self.fs
@@ -1018,11 +1005,14 @@ class PrecisionLaurent:
         N = None if self.N is None else self.N * e
         if self.v is None:
             return PrecisionLaurent.zero(fs, N=N, ram=e)
-        out = [0] * ((len(self.coeffs) - 1) * e + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                n = self.v + j
-                out[j * e] = c if n % 2 == 0 else fs.neg(c)
+        cs = self.coeffs
+        n = (len(cs) - 1) * e + 1
+        out = bytearray(n) if fs.byte_rows else [0] * n
+        out[::e] = cs
+        if fs.p != 2:
+            # the coefficients j at odd exponents v + j change sign
+            j = (self.v + 1) % 2
+            out[j * e::2 * e] = _row_neg(fs, cs[j::2])
         return PrecisionLaurent(fs, self.v * e, out, N=N, ram=e)
 
     def residual_valuation(self):

@@ -183,10 +183,9 @@ class TPoly:
                     best = e
         return best
 
-    def to_tate(self, M: int, N=None, ram=1):
-        fs = self.fs
-        out = [self[i].laurent(N=N, ram=ram) for i in range(M + 1)]
-        return TateTrunc(fs, out, M, ram=ram)
+    def to_tate(self, M: int, N=None):
+        """The t-truncation to degree M over K_inf."""
+        return TateTrunc(self.fs, [self[i].laurent(N=N) for i in range(M + 1)], M)
 
     def __repr__(self):
         if self.is_zero():
@@ -486,16 +485,16 @@ class TateTrunc:
         """Evaluate the stored truncation at t = theta."""
         fs = self.fs
         acc = PrecisionLaurent.zero(fs, ram=self.ram)
-        th = PrecisionLaurent.theta_pow(fs, 1, ram=self.ram)
+        th = PrecisionLaurent.theta_pow(fs, 1)
+        th = th.embed_ram() if self.ram > 1 else th
         for c in reversed(self.coeffs):
             acc = acc * th + c
         return acc
 
     def embed_ram(self):
-        if self.ram != 1:
-            raise ValueError("already ramified")
-        e = self.fs.q - 1
-        return TateTrunc(self.fs, [c.embed_ram() for c in self.coeffs], self.M, ram=e)
+        """Each row through PrecisionLaurent.embed_ram."""
+        return TateTrunc(self.fs, [c.embed_ram() for c in self.coeffs], self.M,
+                         ram=self.fs.q - 1)
 
     def __repr__(self):
         return " + ".join(f"[{c!r}]·t^{i}" for i, c in enumerate(self.coeffs[:4])) + (
@@ -729,34 +728,30 @@ def omega_factor_count(fs: FieldSpec, N_theta: int) -> int:
 
 
 def omega(fs: FieldSpec, M: int, N_theta: int) -> TateTrunc:
-    """Omega as a TateTrunc over the ramified tower (ram = q-1; for q = 2 the
-    tower is K_inf itself).  Leading scalar is eta^(-q); coefficients exact to
+    """Omega = eta^(-q) prod_i (1 - t/theta^(q^i)) as a TateTrunc over the
+    ramified tower (ram = q-1; for q = 2 the tower is K_inf itself): the
+    product is formed in K_inf and embedded once.  Coefficients exact to
     theta-precision N_theta (eta-precision N_theta*(q-1))."""
-    e = fs.q - 1
-    Nram = N_theta * e
-    nfac = omega_factor_count(fs, N_theta)
+    Nram = N_theta * (fs.q - 1)
+    one = PrecisionLaurent.one(fs)
+    acc = TateTrunc(fs, [one], M)
+    for i in range(1, omega_factor_count(fs, N_theta) + 1):
+        acc = acc * TateTrunc(fs, [one, -PrecisionLaurent.theta_pow(fs, -(fs.q**i))], M)
     lead = PrecisionLaurent.eta_pow(fs, -fs.q, N=Nram + fs.q)
-    one = PrecisionLaurent.one(fs, ram=e)
-    acc = TateTrunc(fs, [one], M, ram=e)
-    for i in range(1, nfac + 1):
-        c1 = -PrecisionLaurent.theta_pow(fs, -(fs.q**i), ram=e)
-        fac = TateTrunc(fs, [one, c1], M, ram=e)
-        acc = acc * fac
-    out = acc.scale(lead)
-    return out.truncate(Nram)
+    return acc.embed_ram().scale(lead).truncate(Nram)
 
 
 def omega_jet(fs: FieldSpec, D: int, N_theta: int) -> LocalJet:
-    """Jet of Omega at t = theta over the ramified tower."""
+    """Jet of Omega at t = theta over the ramified tower: eta^(-q) times the
+    jets of the factors 1 - t/theta^(q^i), each built in K_inf to
+    theta-precision N_theta + q + D and embedded."""
     e = fs.q - 1
-    Nram = N_theta * e
-    nfac = omega_factor_count(fs, N_theta)
+    Nt = N_theta + fs.q + D
     z = PrecisionLaurent.zero(fs, ram=e)
-    acc = LocalJet.of([PrecisionLaurent.eta_pow(fs, -fs.q, N=Nram + fs.q * e + D * e)], D, z)
-    for i in range(1, nfac + 1):
-        tpi = PrecisionLaurent.theta_pow(fs, -(fs.q**i), ram=e, N=Nram + fs.q * e + D * e)
-        one = PrecisionLaurent.one(fs, ram=e, N=Nram + fs.q * e + D * e)
-        c0 = one - PrecisionLaurent.theta_pow(fs, 1 - fs.q**i, ram=e, N=Nram + fs.q * e + D * e)
-        fac = LocalJet.of([c0, -tpi], D, z)
-        acc = acc * fac
+    acc = LocalJet.of([PrecisionLaurent.eta_pow(fs, -fs.q, N=Nt * e)], D, z)
+    one = PrecisionLaurent.one(fs, N=Nt)
+    for i in range(1, omega_factor_count(fs, N_theta) + 1):
+        c0 = one - PrecisionLaurent.theta_pow(fs, 1 - fs.q**i, N=Nt)
+        c1 = -PrecisionLaurent.theta_pow(fs, -(fs.q**i), N=Nt)
+        acc = acc * LocalJet.of([c0.embed_ram(), c1.embed_ram()], D, z)
     return acc

@@ -117,18 +117,18 @@ class _ExactScalars(ScalarStrategy):
 
 
 class _LaurentScalars(ScalarStrategy):
-    """Truncated Laurent series carrying a relative window (in theta-digits):
-    every inverse keeps `window` digits past its leading exponent, so
-    products of factors with opposite huge valuations do not collapse."""
+    """Truncated Laurent series in K_inf (embed_ram takes them to the
+    ramified tower) carrying a relative window (in theta-digits): every
+    inverse keeps `window` digits past its leading exponent, so products of
+    factors with opposite huge valuations do not collapse."""
 
-    def __init__(self, fs: FieldSpec, window: int, ram: int = 1):
+    def __init__(self, fs: FieldSpec, window: int):
         self.fs = fs
         self.window = window
-        self.ram = ram
-        self.zero = PrecisionLaurent.zero(fs, ram=ram)
-        self.one = PrecisionLaurent.one(fs, ram=ram)
-        self.theta = PrecisionLaurent.theta_pow(fs, 1, ram=ram)
-        self.key = ("laurent", fs, window, ram)
+        self.zero = PrecisionLaurent.zero(fs)
+        self.one = PrecisionLaurent.one(fs)
+        self.theta = PrecisionLaurent.theta_pow(fs, 1)
+        self.key = ("laurent", fs, window)
 
     def conv(self, c):
         """A RatFunc or APoly as a windowed Laurent series; a
@@ -137,34 +137,24 @@ class _LaurentScalars(ScalarStrategy):
             return c
         if isinstance(c, APoly):
             c = RatFunc.from_apoly(c)
-        if c.is_zero():
-            return PrecisionLaurent.zero(self.fs, ram=self.ram)
-        a = c.num.laurent(ram=self.ram)
-        if c.is_poly():
-            return a
-        return a * c.den.laurent(ram=self.ram).inv(
-            window=self.window * self.ram)
+        a = c.num.laurent()
+        return a if c.is_poly() else a * c.den.laurent().inv(window=self.window)
 
     def inv_bracket(self, k: int):
-        x = inv_bracket(self.fs, k, self.fs.q**k + self.window)
-        return x.embed_ram() if self.ram > 1 else x
+        return inv_bracket(self.fs, k, self.fs.q**k + self.window)
 
     def bracket_pow(self, k: int, m: int, b: int):
         """b (-[k])^m, b an integer, exactly, from its at most m + 1 terms:
         with Q = q^k, (-[k])^m = (theta - theta^Q)^m has binom(m, i)
-        (-1)^(m+i) at theta^e, e = mQ - i(Q - 1), which sits at exponent
-        -e ram with the sign (-1)^e of theta = -eta^(q-1) when ram > 1."""
-        fs, ram = self.fs, self.ram
+        (-1)^(m+i) at theta^(mQ - i(Q - 1))."""
+        fs = self.fs
         p, Q = fs.p, fs.q**k
         if not b % p:
             return self.zero
-        step = (Q - 1) * ram
-        cs = [0] * (m * step + 1)
+        cs = [0] * (m * (Q - 1) + 1)
         for i in range(m + 1):
-            e = m * Q - i * (Q - 1)
-            sign = (-1) ** (m + i + (e if ram > 1 else 0))
-            cs[i * step] = b * math.comb(m, i) * sign % p
-        return PrecisionLaurent(fs, -m * Q * ram, cs, ram=ram)
+            cs[i * (Q - 1)] = b * math.comb(m, i) * (-1) ** (m + i) % p
+        return PrecisionLaurent(fs, -m * Q, cs)
 
 
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:
@@ -480,15 +470,23 @@ def _truncate_vec(vec, prec: int):
     return [x.truncate(prec * x.ram) for x in vec]
 
 
-def exp_eval(E: TModule, z, prec: int = 40, max_terms: int = 60, scalars=None):
-    """Exp_E(z) to absolute precision prec (theta-digits), evaluated over a
-    windowed Laurent backend with measured term decay."""
-    sc = (scalars if scalars is not None
-          else _LaurentScalars(E.fs, _eval_window(E.fs, prec, z)))
+def exp_eval(E: TModule, z, prec: int = 40, max_terms: int = 60, window=None):
+    """Exp_E(z) to absolute precision prec (theta-digits), with measured
+    term decay.  The coefficients are computed over windowed Laurent
+    scalars in K_inf (window from _eval_window unless given) and, for a point
+    in the ramified tower, embedded entry by entry."""
+    if window is None:
+        window = _eval_window(E.fs, prec, z)
+    sc = _LaurentScalars(E.fs, window)
     EL = E.with_scalars(sc)
     zz = [sc.conv(x) for x in z]
-    acc = _series_sum(EL.exp_coeff, zz, prec, max_terms)
-    return _truncate_vec(acc, prec)
+    ramified = max(x.ram for x in zz) > 1
+
+    def coeff(n):
+        C = EL.exp_coeff(n)
+        return mat_map(C, PrecisionLaurent.embed_ram) if ramified else C
+
+    return _truncate_vec(_series_sum(coeff, zz, prec, max_terms), prec)
 
 
 def _iter_slots(block_dims):
@@ -647,20 +645,17 @@ def period_basis(shape, prec: int = 30):
     for _ in range(shape.block_dims[0]):
         opow.append(opow[-1] * oj)
 
-    def embed_jet(jet: LocalJet) -> LocalJet:
-        return LocalJet([c.embed_ram() for c in jet.orders], zero_r)
-
     def g_entry(j, ell):
-        """(j, ell) entry of the inverse triangular factor, as a jet."""
+        """(j, ell) entry of the inverse triangular factor, as a jet built
+        in K_inf and embedded."""
         if j == ell:
-            return LocalJet.const_jet(PrecisionLaurent.one(fs), D,
-                                      PrecisionLaurent.zero(fs))
+            return opow[0]
         sub = tuple(reversed(s[ell - 1:j - 1]))
         Qsub = tuple(reversed(shape.Q[ell - 1:j - 1]))
         jet = lseries_jet(fs, sub, Q=Qsub, star=not star, D=D, prec=W)
         if not star and (j - ell) % 2 == 1:
             jet = -jet
-        return jet
+        return LocalJet([c.embed_ram() for c in jet.orders], zero_r)
 
     zjet = LocalJet.zero_jet(D, zero_r)
     out = []
@@ -669,7 +664,7 @@ def period_basis(shape, prec: int = 30):
         blocks = []
         for ell in range(1, r + 1):
             if ell <= j:
-                blocks.append(embed_jet(g_entry(j, ell)) * scale)
+                blocks.append(g_entry(j, ell) * scale)
             else:
                 blocks.append(zjet)
         out.append(delta0(blocks, shape))
@@ -681,12 +676,8 @@ def period_check(shape, prec: int = 30) -> dict:
     fs = shape.fs
     lam = period_basis(shape, prec=prec)
     W = _eval_window(fs, prec, (x for v in lam for x in v))
-    sc = _LaurentScalars(fs, W, ram=fs.q - 1)
     E = _shape_module(shape)
-    res = []
-    for v in lam:
-        res.append(min_residual_valuation(
-            exp_eval(E, v, prec=prec, scalars=sc)))
+    res = [min_residual_valuation(exp_eval(E, v, prec=prec, window=W)) for v in lam]
     passed = all(x is None or x >= prec for x in res)
     return {
         "identity": "Exp(lambda_j) = 0",
@@ -710,9 +701,7 @@ def depth_one_period_check(fs, n: int, prec: int = 30) -> dict:
     oinv = omega(fs, W, 2 * W).eval_theta().inv()
     diff = lam[n - 1] - oinv.pow(n)
     res_last = diff.residual_valuation()
-    sc = _LaurentScalars(fs, _eval_window(fs, prec, lam), ram=fs.q - 1)
-    res_exp = min_residual_valuation(
-        exp_eval(_shape_module(shape), lam, prec=prec, scalars=sc))
+    res_exp = min_residual_valuation(exp_eval(_shape_module(shape), lam, prec=prec))
     passed = ((res_last is None or res_last >= prec)
               and (res_exp is None or res_exp >= prec))
     return {

@@ -320,11 +320,13 @@ def zeta_nu(fs: FieldSpec, index, place: NuPlace, K: int = 8, a: APoly = None,
     the weak-model module of the reversed tuple; a defaults to the canonical
     contraction and the value is independent of the choice.
 
-    The value carries the Carlitz factorial: at depth one it is
-    Gamma_s nu^s/(nu^s - 1) sum_a a^(-s), the sum over the monic a prime
-    to nu, read nu-adically (Gamma_s = tlayer.gamma_factorial, and
-    nu^s/(nu^s - 1) the Euler factor at nu).  At depth >= 2 it is the
-    same coordinate of the logarithm, and no sum over monics checks it.
+    The value carries the Carlitz factorial of every entry: at depth one
+    it is Gamma_s nu^s/(nu^s - 1) sum_a a^(-s), the sum over the monic a
+    prime to nu, read nu-adically (Gamma_s = tlayer.gamma_factorial, and
+    nu^s/(nu^s - 1) the Euler factor at nu).  At depth r >= 2 it is the
+    same coordinate of the logarithm and carries Gamma_{s_1}...Gamma_{s_r}:
+    divided by that product it satisfies the harmonic product of the
+    inf-adic values (tests/test_relations.py); no sum over monics checks it.
 
     E_a(v) and the logarithm run in _NuAdicScalars, and the value is cut
     to nu^K once its tracked N reaches K (PrecisionError otherwise)."""

@@ -337,7 +337,11 @@ def _jet_term(s: int, Q: TPoly, i: int, D: int, rel: int) -> LocalJet:
     return qj * _ll_inv_jet(Q.fs, i, s, D, rel)
 
 
-def lseries_raw(pairs, star: bool, prec, term, zero, imax: int = 64):
+# the most shells an L-series sum forms before it raises PrecisionError
+LSERIES_MAX_SHELLS = 64
+
+
+def lseries_raw(pairs, star: bool, prec, term, zero):
     """Shell dynamic program.  pairs = [(s_1, Q_1), ..., (s_k, Q_k)] with the
     first pair taking the largest Frobenius index; term(s, Q, i) is the
     shell term Q^(i) LL_i^(-s), a TateTrunc or a LocalJet, and zero the
@@ -356,7 +360,7 @@ def lseries_raw(pairs, star: bool, prec, term, zero, imax: int = 64):
     prefix = [zero] * k
     stable = 0
     seen = False
-    for i in range(imax + 1):
+    for i in range(LSERIES_MAX_SHELLS + 1):
         # at entry m, G is shell i of the chains from entry m + 1 on and
         # prefix[m + 1] the shells before i; a strict chain goes on in the
         # earlier shells only, a weak one in shell i too
@@ -380,7 +384,7 @@ def lseries_raw(pairs, star: bool, prec, term, zero, imax: int = 64):
         if stable >= 2 and i + 1 >= k:
             return prefix[0]
     raise PrecisionError(
-        f"L-series shells did not certify precision {prec} within {imax} terms")
+        f"L-series shells did not certify precision {prec} within {LSERIES_MAX_SHELLS} terms")
 
 
 def _default_Q(fs: FieldSpec, s, Q):
@@ -578,7 +582,6 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
 
     fs = shape.fs
     q = fs.q
-    e = q - 1
     r = shape.r
     s = shape.s
     dims = shape.block_dims + (0,)
@@ -620,17 +623,17 @@ def trivialization_check(shape, M: int = 20, N: int = 30) -> dict:
     # ramified Psi and the twist equations
     Om = omega(fs, M, Nw)
     maxd = max(dims)
-    Ompow = [TateTrunc.one(fs, M, ram=e)]
+    Ompow = [one_t.embed_ram()]
     for _ in range(maxd):
         Ompow.append(Ompow[-1] * Om)
-    zero_r = TateTrunc.zero(fs, M, ram=e)
+    zero_r = zero_t.embed_ram()
     Psi = [[zero_r] * (r + 1) for _ in range(r + 1)]
     for j in range(r + 1):
         for ell in range(j + 1):
             Psi[j][ell] = Fhat[j][ell].embed_ram() * Ompow[dims[ell]]
     pt = phi_tilde(shape)
-    Phi_ram = [[x.twist(-1).to_tate(M, None, ram=e) for x in row] for row in pt]
-    Phi1_ram = [[x.to_tate(M, None, ram=e) for x in row] for row in pt]
+    Phi_ram = [[x.twist(-1).to_tate(M).embed_ram() for x in row] for row in pt]
+    Phi1_ram = [[x.to_tate(M).embed_ram() for x in row] for row in pt]
     R_lit = mat_sub([[x.twist(-1) for x in row] for row in Psi],
                     mat_mul(Phi_ram, Psi))
     res_lit = min_residual_valuation(

@@ -144,6 +144,22 @@ def mzv_brute(fs: FieldSpec, s, star: bool = False, prec: int = 20,
     return MZVValue(rec(0, D).truncate(prec), idx, "BruteForce", star)
 
 
+def chen_delta(q: int, a: int, b: int, j: int) -> int:
+    """Delta_j of the harmonic product of depth-one values over F_q,
+
+        zeta(a) zeta(b) = zeta(a+b) + zeta(a,b) + zeta(b,a)
+                          + sum_{0<j<a+b} Delta_j zeta(a+b-j, j),
+
+    as an integer mod p: (-1)^(a-1) C(j-1, a-1) + (-1)^(b-1) C(j-1, b-1)
+    when (q - 1) | j, else 0 (H.-J. Chen, J. Number Theory, 2015, after
+    Thakur, IMRN 2010)."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    if not 0 < j < a + b or j % (q - 1):
+        return 0
+    return ((-1) ** (a - 1) * comb(j - 1, a - 1)
+            + (-1) ** (b - 1) * comb(j - 1, b - 1)) % p
+
+
 def mzv_deformed(fs: FieldSpec, s, star: bool = False, prec: int = 40) -> MZVValue:
     """Third MZV route: normalized deformed series at t = theta divided by
     the Gamma factors."""
@@ -199,6 +215,22 @@ def row_add(fs: FieldSpec, va, Na, ca, vb, Nb, cb, negate=False):
     lo = min(acc)
     v, c = row_norm(lo, [acc.get(e, 0) for e in range(lo, max(acc) + 1)], N)
     return v, N, c
+
+
+def ramified_laurent(a: APoly, e: int) -> PrecisionLaurent:
+    """An exact element a of A in the ramified tower K_inf(eta), eta^e =
+    -theta (e = q - 1): theta^j written as (-1)^j eta^(-j e), one
+    coefficient at a time, with no call to PrecisionLaurent.embed_ram."""
+    fs = a.fs
+    if a.is_zero():
+        return PrecisionLaurent.zero(fs, ram=e)
+    d = a.degree()
+    coeffs = [0] * (d * e + 1)
+    for j in range(d + 1):
+        c = a[j]
+        if c:
+            coeffs[(d - j) * e] = fs.neg(c) if j % 2 else c
+    return PrecisionLaurent(fs, -d * e, coeffs, ram=e)
 
 
 def laurent_eq_to_prec(a: PrecisionLaurent, b: PrecisionLaurent, N: int) -> bool:

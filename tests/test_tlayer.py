@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import anderson_thakur_closed, t_minus_theta
+from reference import anderson_thakur_closed, ramified_laurent, t_minus_theta
 from tmzv.scalars import (APoly, PrecisionLaurent, RatFunc, _row_add, field,
                           min_residual_valuation)
 from tmzv.tlayer import (LocalJet, TPoly, TateTrunc, _is_exact_zero,
@@ -116,7 +116,14 @@ class TestTateTrunc:
         # the inverse twist divides guaranteed precision by q
         Om = omega(fs, M, fs.q * N + 2 * fs.q)
         lhs = Om.twist(-1)
-        rhs = t_minus_theta(fs).to_tate(M, None, ram=fs.q - 1) * Om
+        # t - theta built in K_inf and embedded, which is the same series
+        # as the one written in K_inf(eta) one coefficient at a time
+        tm = t_minus_theta(fs).to_tate(M).embed_ram()
+        assert tm.coeffs[:2] == (ramified_laurent(-APoly.theta(fs), fs.q - 1),
+                                 ramified_laurent(APoly.one(fs), fs.q - 1))
+        assert all(x.ram == fs.q - 1 and x.v is None and x.N is None
+                   for x in tm.coeffs[2:])
+        rhs = tm * Om
         res = (lhs - rhs).min_residual_valuation()
         assert res is None or res >= N
 
@@ -307,6 +314,66 @@ class TestFlatRows:
                 if obj is t or isinstance(obj, (tuple, list)):
                     todo.extend(gc.get_referents(obj))
             assert all(id(c) in seen for c in t.cs)
+
+
+# q in {3, 4, 5, 9}: q - 1 > 1, in odd and even characteristic
+EMBED_FIELDS = [(3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+def laurent_key(x):
+    return x.v, tuple(x.coeffs), x.N, x.ram
+
+
+def tate_key(x):
+    return x.M, x.ram, [laurent_key(c) for c in x.coeffs]
+
+
+class TestEmbedRam:
+    # embed_ram, K_inf -> K_inf(eta), is a ring map that keeps N (scaled by
+    # e = q - 1).  Every value but eta^(-q) is built in K_inf and embedded,
+    # so each operation done in K_inf and then embedded must equal the same
+    # operation on the embedded operands, in v, coefficients, N and ram
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_laurent_operations_commute(self, data):
+        fs = field(*data.draw(st.sampled_from(EMBED_FIELDS)))
+        e = fs.q - 1
+        x, y = data.draw(laurent_rows(fs, 1)), data.draw(laurent_rows(fs, 1))
+        E = PrecisionLaurent.embed_ram
+        ex, ey = E(x), E(y)
+        assert ex.ram == e and ex.N == (None if x.N is None else x.N * e)
+        for got, want in ((x + y, ex + ey), (x - y, ex - ey), (-x, -ex),
+                          (x * y, ex * ey)):
+            assert laurent_key(E(got)) == laurent_key(want)
+        for i in (1, 2):
+            assert laurent_key(E(x.frobenius(i))) == \
+                laurent_key(ex.frobenius(i))
+        if x.v is not None:
+            w = data.draw(st.integers(1, 40))
+            exact = PrecisionLaurent(fs, x.v, x.coeffs)
+            assert laurent_key(E(exact.inv(window=w))) == \
+                laurent_key(E(exact).inv(window=w * e))
+            if x.N is not None:
+                assert laurent_key(E(x.inv())) == laurent_key(ex.inv())
+        # the sign rule theta^j = (-1)^j eta^(-j e), against the oracle
+        a = APoly(fs, data.draw(st.lists(st.integers(0, fs.q - 1), max_size=8)))
+        assert laurent_key(E(a.laurent())) == laurent_key(ramified_laurent(a, e))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_tate_sums_and_products_commute(self, data):
+        fs = field(*data.draw(st.sampled_from(EMBED_FIELDS)))
+        rows = laurent_rows(fs, 1)
+        a, b = (TateTrunc(fs, data.draw(st.lists(rows, min_size=M + 1,
+                                                 max_size=M + 1)), M)
+                for M in (data.draw(st.integers(0, 5)),
+                          data.draw(st.integers(0, 5))))
+        E = TateTrunc.embed_ram
+        ea, eb = E(a), E(b)
+        assert ea.ram == fs.q - 1
+        for got, want in ((a + b, ea + eb), (a - b, ea - eb), (-a, -ea),
+                          (a * b, ea * eb)):
+            assert tate_key(E(got)) == tate_key(want)
 
 
 @st.composite

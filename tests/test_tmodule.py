@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import nu_reduce, t_minus_theta, tpoly_pow
+from reference import nu_reduce, ramified_laurent, t_minus_theta, tpoly_pow
 from tmzv.motive import at_shape, star_shape
 from tmzv.scalars import (APoly, PrecisionError, PrecisionLaurent, RatFunc,
                           field, min_residual_valuation)
@@ -123,14 +123,15 @@ class TestMatrixProducts:
         assert x.M == 1
 
 
-def solve_by_iteration(E, R, n):
+def solve_by_iteration(E, R, n, ram=1):
     """The fixed point of X = (R - X N' + N X) / lam, iterated from R / lam,
-    over windowed Laurent scalars; 1/lam is the schoolbook series inverse
-    of lam = theta^(q^n) - theta."""
+    over windowed Laurent scalars: in K_inf at ram 1, and at ram q - 1 in
+    K_inf(eta), with R and N embedded; 1/lam is the schoolbook series
+    inverse of lam = theta^(q^n) - theta in that tower (schoolbook_inv)."""
     sc = E.scalars
-    lam = sc.theta.frobenius(n) - sc.theta
-    ilam = lam.inv(window=sc.window * sc.ram)
-    N = E.nilpotent
+    ilam = schoolbook_inv(bracket(E.fs, n), sc.window, ram)
+    R = mat_map(R, lambda x: in_tower(x, ram))
+    N = mat_map(E.nilpotent, lambda x: in_tower(x, ram))
     Np = mat_map(N, lambda x: x.frobenius(n))
     X = mat_map(R, lambda x: x * ilam)
     for _ in range(2 * E.d + 2):
@@ -186,9 +187,13 @@ class TestSylvesterSolve:
         for n in (1, 2, 3):
             R = E._conv_rhs([E.exp_coeff(k) for k in range(n)], n)
             got = E._sylvester_solve(R, n)
-            want = solve_by_iteration(E, R, n)
-            assert [[laurent_key(x) for x in r] for r in got] == \
-                [[laurent_key(x) for x in r] for r in want]
+            # the solve in K_inf, embedded, against the iteration run in
+            # each tower
+            for ram in sorted({1, q - 1}):
+                want = solve_by_iteration(E, R, n, ram)
+                assert [[scalar_key(in_tower(x, ram)) for x in r]
+                        for r in got] == \
+                    [[scalar_key(x) for x in r] for r in want]
 
     def test_rejects_non_triangular_d_theta(self):
         fs = field(2)
@@ -209,10 +214,16 @@ class TestSylvesterSolve:
         for shape in (at_shape(fs, s), star_shape(fs, s)):
             E = _shape_module(shape)
             assert E.block_dims == shape.block_dims
-            # the twins over other scalars keep the shape's blocks
-            assert E.with_laurent(20).block_dims == shape.block_dims
-            assert E.with_scalars(
-                _LaurentScalars(fs, 20, ram=2)).block_dims == shape.block_dims
+            # the Laurent twin keeps the shape's blocks, and its entries,
+            # embedded, are the exact entries written in K_inf(eta) one
+            # coefficient at a time
+            EL = E.with_laurent(20)
+            assert EL.block_dims == shape.block_dims
+            for M, ML in zip([E.dtheta] + E.taus, [EL.dtheta] + EL.taus):
+                for x, y in zip(sum(M, []), sum(ML, [])):
+                    assert x.is_poly()
+                    want = ramified_laurent(x.num, fs.q - 1)
+                    assert scalar_key(y.embed_ram()) == scalar_key(want)
 
 
 BRACKET_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
@@ -220,8 +231,30 @@ BRACKET_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
 
 def schoolbook_inv(x, window, ram):
     """The series inverse of an exact element of A, the way a windowed
-    Laurent strategy once inverted it."""
-    return x.laurent(ram=ram).inv(window=window * ram)
+    Laurent strategy once inverted it: in K_inf at ram 1, and at ram
+    q - 1 in K_inf(eta), from reference.ramified_laurent, with the window
+    scaled to eta-digits."""
+    y = x.laurent() if ram == 1 else ramified_laurent(x, ram)
+    return y.inv(window=window * ram)
+
+
+def in_tower(x, ram):
+    """A series of K_inf in the tower of ram: embedded when ram > 1."""
+    return x.embed_ram() if ram > 1 else x
+
+
+class RamifiedConv:
+    """The conv and zero of K_inf(eta) for exact polynomials, through
+    reference.ramified_laurent: what the jets of _LaurentScalars, which
+    work in K_inf, must equal once embedded."""
+
+    def __init__(self, fs):
+        self.fs, self.ram = fs, fs.q - 1
+        self.zero = PrecisionLaurent.zero(fs, ram=self.ram)
+
+    def conv(self, c):
+        assert c.is_poly()
+        return ramified_laurent(c.num, self.ram)
 
 
 class TestBracketInverse:
@@ -270,19 +303,24 @@ class TestPoleJet:
         th = APoly.theta(fs)
         for k in (1, 2):
             x = th - th.frobenius(k)
-            cases = [(_ExactScalars(fs), RatFunc(x).inv())]
+            cases = [(_ExactScalars(fs), 1, RatFunc(x).inv())]
             for ram in sorted({1, q - 1}):
                 for window in (1, 17, 60):
-                    cases.append((_LaurentScalars(fs, window, ram=ram),
+                    cases.append((_LaurentScalars(fs, window), ram,
                                   schoolbook_inv(x, window, ram)))
-            for sc, c in cases:
+            for sc, ram, c in cases:
                 for D in (1, 3):
                     want, p = [], c
                     for m in range(D):
                         want.append(p if m % 2 == 0 else -p)
                         p = p * c
-                    jet = _pole_inv_jet(sc, k, D)
-                    assert jet.orders == tuple(want)
+                    got = _pole_inv_jet(sc, k, D).orders
+                    if ram > 1:
+                        # built in K_inf, embedded, against the ramified
+                        # schoolbook inverse and its powers
+                        got = [y.embed_ram() for y in got]
+                    assert [scalar_key(y) for y in got] == \
+                        [scalar_key(y) for y in want]
 
 
 def scalar_key(x):
@@ -303,19 +341,31 @@ class TestBracketPowerJet:
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_matches_taylor_expansion_of_twisted_power(self, q):
         fs = field(*BRACKET_FIELDS[q])
-        strategies = [_ExactScalars(fs),
-                      _NuAdicScalars(NuPlace(APoly(fs, (1, 1))), 17)] + [
-            _LaurentScalars(fs, 17, ram=ram) for ram in sorted({1, q - 1})]
+        laurent = _LaurentScalars(fs, 17)
+        # (strategy, the scalars the Taylor expansion is written in): the
+        # Laurent jets also embedded, against the oracle in K_inf(eta)
+        strategies = [(sc, sc) for sc in (
+            _ExactScalars(fs), _NuAdicScalars(NuPlace(APoly(fs, (1, 1))), 17),
+            laurent)]
+        if q > 2:
+            strategies.append((laurent, RamifiedConv(fs)))
         for n in range(1, 4):
             for D in range(1, 8):
-                for sc in strategies:
+                for sc, tower in strategies:
                     jets = _bracket_pow_jets(sc, n, D)
                     assert len(jets) == D
                     for j, got in enumerate(jets):
                         want = tpoly_pow(t_minus_theta(fs), j).twist(
-                            n).jet(D, sc)
-                        assert [scalar_key(x) for x in got.orders] == \
+                            n).jet(D, tower)
+                        assert [scalar_key(x) for x in lift(got, tower)] == \
                             [scalar_key(x) for x in want.orders]
+
+
+def lift(jet, tower):
+    """The orders of a jet, embedded when tower is the ramified oracle."""
+    if isinstance(tower, RamifiedConv):
+        return [x.embed_ram() for x in jet.orders]
+    return list(jet.orders)
 
 
 def apoly_route_jets(sc, n, D):
@@ -336,14 +386,15 @@ class TestClosedFormBracketPowers:
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_laurent_jets_match_apoly_route(self, q):
         fs = field(*BRACKET_FIELDS[q])
-        for ram in sorted({1, q - 1}):
-            sc = _LaurentScalars(fs, 11, ram=ram)
+        sc = _LaurentScalars(fs, 11)
+        # in K_inf, and embedded against the A route in K_inf(eta)
+        for tower in [sc] + ([RamifiedConv(fs)] if q > 2 else []):
             for n in range(1, 5):
                 got = _bracket_pow_jets(sc, n, 6)
-                want = apoly_route_jets(sc, n, 6)
+                want = apoly_route_jets(tower, n, 6)
                 for g, w in zip(got, want):
-                    assert [(x.v, x.coeffs, x.N, x.ram) for x in g.orders] \
-                        == [(x.v, x.coeffs, x.N, x.ram) for x in w.orders]
+                    assert [scalar_key(x) for x in lift(g, tower)] \
+                        == [scalar_key(x) for x in w.orders]
 
 
 class TestCarlitz:

@@ -11,6 +11,8 @@ Run from anywhere inside a checkout; it needs only the standard library,
 - the Tier-1 suite: tests passed and failed, and its wall time;
 - for each `tmzv verify` suite at its defaults, the sum of its reports'
   `elapsed_s`, its verdict and the wall time of the command;
+- the source size: the line count of each `src/tmzv/*.py` file and their
+  total;
 - the git commit, the Python version and the core count.
 
 Every figure comes from one sitting on one machine, so points taken on
@@ -106,6 +108,16 @@ def record_verify():
     return out
 
 
+def record_src_lines():
+    pkg = os.path.join(SRC, "tmzv")
+    files = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                files[name] = fh.read().count(b"\n")
+    return {"files": files, "total": sum(files.values())}
+
+
 def git_sha():
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                           capture_output=True, text=True)
@@ -133,6 +145,7 @@ def main(argv=None):
         "workloads": workloads,
         "verify": verify,
         "tier1": tier1,
+        "src_lines": record_src_lines(),
     }
     with open(args.out, "w") as fh:
         json.dump(point, fh, indent=1, sort_keys=True)
