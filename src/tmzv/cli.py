@@ -48,10 +48,11 @@ def _parse_tuple(text: str):
     try:
         s = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError("expected a comma-separated integer tuple, got %r"
-                         % text)
+        raise argparse.ArgumentTypeError(
+            "expected a comma-separated integer tuple, got %r" % text)
     if not s or any(x < 1 for x in s):
-        raise ValueError("index entries must be positive integers")
+        raise argparse.ArgumentTypeError(
+            "index entries must be positive integers")
     return s
 
 
@@ -70,8 +71,8 @@ def _parse_coeffs(text: str):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError("expected comma-separated coefficients, got %r"
-                         % text)
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated coefficients, got %r" % text)
 
 
 def _leaf(x):

@@ -13,10 +13,10 @@ a +1 twist on its coefficient, keeping all Frobenius twists nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
-from .scalars import APoly, FieldSpec, RatFunc, memo
+from .scalars import APoly, FieldSpec, RatFunc, frozen, memo
 from .tlayer import TPoly, anderson_thakur
 from . import tmodule as _tmodule
 from .zeta import outside_polylog_domain
@@ -26,31 +26,44 @@ from .zeta import outside_polylog_domain
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MotiveShape:
-    fs: FieldSpec
-    s: tuple
-    Q: tuple
-    model: str  # AT | Star | ExtGeneric
+    __slots__ = ("fs", "s", "Q", "model", "_hash")
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        if self.model not in ("AT", "Star", "ExtGeneric"):
-            raise ValueError("unknown model %r" % (self.model,))
-        if not self.s or any(si < 1 for si in self.s):
+    def __init__(self, fs: FieldSpec, s: tuple, Q: tuple, model: str):
+        if model not in ("AT", "Star", "ExtGeneric"):
+            raise ValueError("unknown model %r" % (model,))
+        if not s or any(si < 1 for si in s):
             raise ValueError("composition entries must be positive")
-        if len(self.Q) != len(self.s):
+        if len(Q) != len(s):
             raise ValueError("need one twisting polynomial per entry")
         # the shape's series is Li*_{(s_r,...,s_1)}(Q_r,...,Q_1), so Q_r is
         # the polylogarithm's first argument
-        r = len(self.s)
-        for i, Qi in enumerate(self.Q):
+        for i, Qi in enumerate(Q):
             if Qi.is_zero():
                 raise ValueError("twisting polynomials must be nonzero")
-            if outside_polylog_domain(self.fs.q, self.s[i],
-                                      Qi.gauss_norm_exp(), i == r - 1):
+            last = i == len(s) - 1
+            if outside_polylog_domain(fs.q, s[i], Qi.gauss_norm_exp(), last):
                 raise ValueError("norm condition fails at the last entry"
-                                 if i == r - 1 else
+                                 if last else
                                  "norm condition fails at entry %d" % (i + 1,))
+        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "_hash", hash((fs, s, Q, model)))  # memo key
+
+    def __eq__(self, other):
+        return isinstance(other, MotiveShape) and (
+            self.fs, self.s, self.Q, self.model) == (
+            other.fs, other.s, other.Q, other.model)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "MotiveShape(fs=%r, s=%r, Q=%r, model=%r)" % (
+            self.fs, self.s, self.Q, self.model)
 
     @property
     def r(self):
@@ -59,33 +72,20 @@ class MotiveShape:
     @property
     def block_dims(self):
         """d_ell = s_ell + ... + s_r."""
-        out = []
-        acc = 0
-        for si in reversed(self.s):
-            acc += si
-            out.append(acc)
-        return tuple(reversed(out))
+        return tuple(accumulate(reversed(self.s)))[::-1]
 
     @property
     def dim(self):
         return sum(self.block_dims)
 
-    @property
-    def offsets(self):
-        out = []
-        acc = 0
-        for d in self.block_dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
-
     def slot(self, ell: int, j: int) -> int:
         """Coordinate index of the basis vector (t-theta)^j m_ell
         (ell is 1-based, 0 <= j < d_ell; j descends within a block)."""
-        d = self.block_dims[ell - 1]
+        dims = self.block_dims
+        d = dims[ell - 1]
         if not 0 <= j < d:
             raise IndexError("jet index out of range")
-        return self.offsets[ell - 1] + (d - 1 - j)
+        return sum(dims[:ell - 1]) + (d - 1 - j)
 
 
 def at_shape(fs: FieldSpec, s) -> MotiveShape:

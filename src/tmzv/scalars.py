@@ -475,6 +475,11 @@ def field(p: int, m: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, m, modulus)
 
 
+def frozen(self, name, *_value):
+    """__setattr__ and __delattr__ of a record set once, in __init__."""
+    raise AttributeError("cannot assign to field %r" % (name,))
+
+
 class APoly:
     """Polynomial in theta over F_q; coefficient i is the theta^i code."""
 

@@ -11,9 +11,7 @@ twist x^(i) is the power x^(q^i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, memo
+from .scalars import APoly, FieldSpec, PrecisionError, RatFunc, frozen, memo
 from .tlayer import LocalJet
 from .tmodule import (ScalarStrategy, _bracket_pow_jets, _certified_sum,
                       _twisted_term)
@@ -23,18 +21,26 @@ from .tmodule import (ScalarStrategy, _bracket_pow_jets, _certified_sum,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NuPlace:
     """A finite place of K: a monic irreducible nu with residue degree
     f = deg nu; |x|_nu = q^(-f * v_nu(x))."""
 
-    nu: APoly
+    __slots__ = ("nu", "_hash")
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        if not self.nu.is_monic():
+    def __init__(self, nu: APoly):
+        if not nu.is_monic():
             raise ValueError("nu must be monic")
-        if not self.nu.is_irreducible():
+        if not nu.is_irreducible():
             raise ValueError("nu must be irreducible")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "_hash", hash((nu,)))  # memo key
+
+    def __eq__(self, other):
+        return isinstance(other, NuPlace) and self.nu == other.nu
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def fs(self) -> FieldSpec:
@@ -85,17 +91,28 @@ def nu_inv(a: APoly, place: NuPlace, m: int) -> APoly:
     return (x.scale(a.fs.inv(g.lead()))) % mod
 
 
-@dataclass(frozen=True)
 class NuAdic:
     """x = nu^v * unit + O(nu^N), the unit prime to nu and reduced mod
     nu^(N-v); x = O(nu^N) has v = N and a zero unit, and the exact zero
     has v = N = None.  Sums, products and Frobenius twists track N, as
     PrecisionLaurent does, and never raise N - v."""
 
-    place: NuPlace
-    v: int
-    unit: APoly
-    N: int
+    __slots__ = ("place", "v", "unit", "N")
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, place: NuPlace, v: int, unit: APoly, N: int):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "N", N)
+
+    def __eq__(self, other):
+        return isinstance(other, NuAdic) and (
+            self.place, self.v, self.unit, self.N) == (
+            other.place, other.v, other.unit, other.N)
+
+    def __hash__(self):  # not cached: most values are never hashed
+        return hash((self.place, self.v, self.unit, self.N))
 
     @classmethod
     def from_unit(cls, place: NuPlace, v: int, unit: APoly, N: int) -> "NuAdic":

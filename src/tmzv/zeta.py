@@ -24,11 +24,10 @@ over the O(log_q prec) outermost degrees below that bound (mzv_cutoff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, memo, min_residual_valuation)
+                      RatFunc, frozen, memo, min_residual_valuation)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, inv_bracket, l_poly, omega)
 from .tmodule import (TModule, _certified_sum, _LaurentScalars,
@@ -153,21 +152,40 @@ def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MZVIndex:
-    s: tuple
+    __slots__ = ("s",)
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        if not self.s or any(si < 1 for si in self.s):
+    def __init__(self, s: tuple):
+        if not s or any(si < 1 for si in s):
             raise ValueError("index entries must be positive")
+        object.__setattr__(self, "s", s)
+
+    def __eq__(self, other):
+        return isinstance(other, MZVIndex) and self.s == other.s
+
+    def __hash__(self):
+        return hash((self.s,))
+
+    def __repr__(self):
+        return "MZVIndex(s=%r)" % (self.s,)
 
 
-@dataclass
 class MZVValue:
-    value: PrecisionLaurent
-    index: MZVIndex
-    route: str
-    star: bool
+    __slots__ = ("value", "index", "route", "star")
+
+    def __init__(self, value: PrecisionLaurent, index, route: str, star):
+        self.value, self.index = value, index
+        self.route, self.star = route, star
+
+    def __eq__(self, other):
+        return isinstance(other, MZVValue) and (
+            self.value, self.index, self.route, self.star) == (
+            other.value, other.index, other.route, other.star)
+
+    def __repr__(self):
+        return "MZVValue(value=%r, index=%r, route=%r, star=%r)" % (
+            self.value, self.index, self.route, self.star)
 
 
 def mzv_cutoff(s, prec: int, q: int) -> int:
@@ -463,18 +481,26 @@ def polylog(fs: FieldSpec, s, u, star: bool = False,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DeformedRow:
     """All interval sub-series of a shape, Omega-free normalized, as
     t-truncations.  Keys are half-open intervals (a, b), 1 <= a < b <= r+1:
     L[(a,b)] deforms the strict-chain series on (s_a,...,s_{b-1});
     Lstar[(a,b)] the weak-chain series on the reversed interval."""
 
-    shape: object
-    M: int
-    prec: int
-    L: dict
-    Lstar: dict
+    __slots__ = ("shape", "M", "prec", "L", "Lstar")
+
+    def __init__(self, shape, M: int, prec: int, L: dict, Lstar: dict):
+        self.shape, self.M, self.prec = shape, M, prec
+        self.L, self.Lstar = L, Lstar
+
+    def __eq__(self, other):
+        return isinstance(other, DeformedRow) and (
+            self.shape, self.M, self.prec, self.L, self.Lstar) == (
+            other.shape, other.M, other.prec, other.L, other.Lstar)
+
+    def __repr__(self):
+        return "DeformedRow(shape=%r, M=%r, prec=%r, L=%r, Lstar=%r)" % (
+            self.shape, self.M, self.prec, self.L, self.Lstar)
 
     def inversion_residuals(self) -> dict:
         """Inclusion-exclusion between the strict and weak series, in both

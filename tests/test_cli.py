@@ -119,6 +119,25 @@ class TestExitCodes:
         assert cap.err.splitlines()[-1].endswith(
             "--prec: expected a positive integer, got %r" % prec)
 
+    # argparse drops a ValueError's text: these once printed "invalid
+    # _parse_tuple value: '0'" and "invalid _parse_coeffs value: 'a'"
+    @pytest.mark.parametrize("argv,message", [
+        (["mzv", "--q", "2", "--s", "0"],
+         "--s: index entries must be positive integers"),
+        (["mzv", "--q", "2", "--s", "1,x"],
+         "--s: expected a comma-separated integer tuple, got '1,x'"),
+        (["verify", "vadic", "--nu", "a"],
+         "--nu: expected comma-separated coefficients, got 'a'"),
+        (["mzv", "--q", "4", "--s", "1", "--modulus", "1,,1"],
+         "--modulus: expected comma-separated coefficients, got '1,,1'")])
+    def test_tuple_option_errors_name_the_fault(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.splitlines()[-1].endswith(message)
+
     # each once exited 0 with an empty or vacuous report, or exit 2 labelled
     # as a resource error
     @pytest.mark.parametrize("suite,flag", [("oracle-log", "--nmax"),

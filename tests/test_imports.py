@@ -1,10 +1,14 @@
 """Every name a module of the package imports is used in that module, every
 local a function of the package assigns is read, every parameter it takes
-is read, and no function imports again from a sibling module that its file
-imports from at the top."""
+is read, no function imports again from a sibling module that its file
+imports from at the top, and a fresh import of the CLI loads neither
+dataclasses nor inspect."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +153,23 @@ def test_scan_finds_a_redundant_local_import():
                      "    from tmzv.tlayer import bracket\n"
                      "    return omega, mzv, tmodule_of, bracket, TPoly\n")
     assert redundant_local_imports(tree) == [(4, "tlayer")]
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize, which cost a fresh
+# `tmzv` run more time than its arithmetic; the records are written by hand
+PROBE = """
+import sys
+before = set(sys.modules)
+import tmzv.cli, tmzv.motive
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_fresh_import_loads_no_dataclasses():
+    src = str(pathlib.Path(tmzv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"tmzv.cli", "tmzv.motive"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}

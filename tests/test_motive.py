@@ -11,7 +11,7 @@ from tmzv.motive import (MotiveShape, _tm_theta_pow, at_shape, build_motive,
                          tmodule_of)
 from tmzv.scalars import APoly, RatFunc, field
 from tmzv.tlayer import TPoly
-from tmzv.tmodule import _ExactScalars
+from tmzv.tmodule import _ExactScalars, _theta_jet_products
 
 
 def _ap(fs, *coeffs):
@@ -67,6 +67,58 @@ class TestShapes:
         else:
             with pytest.raises(ValueError, match="norm condition"):
                 MotiveShape(fs, (1, 1), Q, "Star")
+
+
+class TestShapeRecord:
+    """MotiveShape is a frozen record, equal and hashed by value."""
+
+    def test_equal_by_value_across_fresh_builds(self):
+        a, b = at_shape(field(3), (1, 2)), at_shape(field(3), (1, 2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != star_shape(field(3), (1, 2))
+        assert a != at_shape(field(3), (2, 1))
+
+    def test_unequal_to_the_tuple_of_its_fields(self):
+        a = at_shape(field(3), (1, 2))
+        assert a != (a.fs, a.s, a.Q, a.model)
+
+    def test_fields_cannot_be_assigned(self):
+        a = at_shape(field(3), (1, 2))
+        with pytest.raises(AttributeError):
+            a.s = (2, 1)
+        with pytest.raises(AttributeError):
+            del a.model
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a.s == (1, 2) and a.model == "AT"
+
+    def test_validation_messages(self):
+        fs = field(2)
+        one = TPoly.one(fs)
+        big = TPoly.const(fs, RatFunc.from_apoly(APoly.theta(fs).pow(9)))
+        for args, message in [
+                (((1,), (one,), "Other"), "unknown model 'Other'"),
+                (((), (), "AT"), "composition entries must be positive"),
+                (((1, 0), (one, one), "AT"),
+                 "composition entries must be positive"),
+                (((1, 1), (one,), "AT"),
+                 "need one twisting polynomial per entry"),
+                (((1,), (TPoly.zero(fs),), "AT"),
+                 "twisting polynomials must be nonzero"),
+                (((1,), (big,), "AT"), "norm condition fails at the last entry"),
+                (((1, 1), (big, one), "Star"),
+                 "norm condition fails at entry 1")]:
+            with pytest.raises(ValueError) as exc:
+                MotiveShape(fs, *args)
+            assert str(exc.value) == message
+
+    def test_a_fresh_shape_hits_the_memo_entry(self):
+        fs = field(3)
+        sc = _ExactScalars(fs)
+        first = _theta_jet_products(at_shape(fs, (1, 2)), sc, 3)
+        size = len(_theta_jet_products.table)
+        assert _theta_jet_products(at_shape(fs, (1, 2)), sc, 3) is first
+        assert len(_theta_jet_products.table) == size
 
 
 class TestStarDimension:

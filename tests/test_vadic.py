@@ -18,8 +18,8 @@ from tmzv import vadic
 from tmzv.motive import special_point, star_shape, tmodule_of
 from tmzv.scalars import MEMO_TABLES, APoly, PrecisionError, RatFunc, field
 from tmzv.tlayer import bracket
-from tmzv.vadic import (NuPlace, _NuAdicScalars, a_nu, nu_inv, nu_mod,
-                        nu_split, zeta_nu, zeta_nu_check)
+from tmzv.vadic import (NuAdic, NuPlace, _NuAdicScalars, a_nu, nu_inv,
+                        nu_mod, nu_split, zeta_nu, zeta_nu_check)
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,6 +58,32 @@ class TestNuPlace:
         fs = field(2)
         with pytest.raises(ValueError):
             NuPlace(APoly(fs, (1, 0, 1)))  # (theta + 1)^2
+
+    def test_validation_messages(self):
+        for q, coeffs, message in [(2, (0, 0, 1), "nu must be irreducible"),
+                                   (2, (1, 0, 1), "nu must be irreducible"),
+                                   (2, (), "nu must be monic"),
+                                   (3, (1, 2), "nu must be monic")]:
+            with pytest.raises(ValueError) as exc:
+                NuPlace(APoly(field(q), coeffs))
+            assert str(exc.value) == message
+
+    def test_a_frozen_record_equal_by_value(self):
+        a, b = q2_place(), q2_place()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != NuPlace(APoly.theta(field(2)))
+        assert a != (a.nu,)
+        with pytest.raises(AttributeError):
+            a.nu = APoly.theta(field(2))
+        with pytest.raises(AttributeError):
+            del a.nu
+        assert repr(a) == "NuPlace(%r)" % (a.nu,) == "NuPlace(θ^2 + θ + 1)"
+
+    def test_a_fresh_place_hits_the_memo_entry(self):
+        first = vadic._nu_pow(q2_place(), 3)
+        size = len(vadic._nu_pow.table)
+        assert vadic._nu_pow(q2_place(), 3) is first
+        assert len(vadic._nu_pow.table) == size
 
     def test_valuation(self):
         pl = q2_place()
@@ -126,6 +152,19 @@ class TestNuPlace:
 
 
 class TestNuAdic:
+    def test_a_frozen_record_equal_by_value(self):
+        pl = q2_place()
+        fs = pl.fs
+        a = NuAdic.from_unit(pl, 1, APoly(fs, (1, 1)), 6)
+        b = NuAdic(q2_place(), a.v, APoly(fs, a.unit.coeffs), 6)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != NuAdic(pl, a.v, a.unit, 7)
+        assert a != (a.place, a.v, a.unit, a.N)
+        for name in ("place", "v", "unit", "N"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+        assert a.N == 6
+
     def test_eq_to_prec(self):
         pl = q2_place()
         fs = pl.fs

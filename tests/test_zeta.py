@@ -22,10 +22,10 @@ from tmzv.motive import MotiveShape, at_shape, star_shape
 from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
 from tmzv.tlayer import (LocalJet, TateTrunc, TPoly, anderson_thakur,
                          l_poly)
-from tmzv.zeta import (MZVIndex, _gamma_rows, _jet_term, _ll_inv_tate,
-                       _rel_guard, _shell_term, carlitz_check, cm_check,
-                       deformed_row, depth_one_check, inversion_check,
-                       lseries_raw, mzv, polylog, power_sum,
+from tmzv.zeta import (DeformedRow, MZVIndex, _gamma_rows, _jet_term,
+                       _ll_inv_tate, _rel_guard, _shell_term, carlitz_check,
+                       cm_check, deformed_row, depth_one_check,
+                       inversion_check, lseries_raw, mzv, polylog, power_sum,
                        stark_unit_check, strange_formula_check)
 
 
@@ -39,6 +39,48 @@ class TestIndex:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             MZVIndex((1, 0))
+
+    @pytest.mark.parametrize("s", [(), (0,), (1, 0), (2, -1)])
+    def test_validation_message(self, s):
+        with pytest.raises(ValueError) as exc:
+            MZVIndex(s)
+        assert str(exc.value) == "index entries must be positive"
+
+    def test_a_frozen_record_equal_by_value(self):
+        a, b = MZVIndex((1, 2)), MZVIndex(tuple([1, 2]))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != MZVIndex((2, 1)) and a != ((1, 2),)
+        with pytest.raises(AttributeError):
+            a.s = (3,)
+        with pytest.raises(AttributeError):
+            del a.s
+        assert repr(a) == "MZVIndex(s=(1, 2))"
+
+
+class TestRecords:
+    """MZVValue and DeformedRow are mutable records compared by field."""
+
+    def test_values_compare_by_field(self):
+        fs = field(2)
+        a, b = mzv(fs, (1, 2), prec=20), mzv(fs, (1, 2), prec=20)
+        assert a is not b and a == b
+        assert a != (a.value, a.index, a.route, a.star)
+        assert a != mzv(fs, (1, 2), star=True, prec=20)
+        b.route = "Other"
+        assert b.route == "Other" and a != b
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_rows_compare_by_field(self):
+        shape = at_shape(field(2), (1, 2))
+        a = DeformedRow(shape, 2, 10, {}, {})
+        b = DeformedRow(at_shape(field(2), (1, 2)), 2, 10, {}, {})
+        assert a == b and a != DeformedRow(shape, 3, 10, {}, {})
+        assert a != (shape, 2, 10, {}, {})
+        b.prec = 11
+        assert b.prec == 11 and a != b
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestPowerSums:

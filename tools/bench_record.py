@@ -13,6 +13,9 @@ Run from anywhere inside a checkout; it needs only the standard library,
   `elapsed_s`, its verdict and the wall time of the command;
 - the source size: the line count of each `src/tmzv/*.py` file and their
   total;
+- the start-up cost, `import_s`: the median wall time of IMPORT_RUNS fresh
+  `python -c "import tmzv.cli"` runs minus that of as many `python -c pass`
+  runs, taken in turn, with bytecode from the benchmark's private cache;
 - the git commit, the Python version and the core count.
 
 Every figure comes from one sitting on one machine, so points taken on
@@ -36,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 RUNS = 3
 SECONDS = 5
+IMPORT_RUNS = 7
 
 
 def _env():
@@ -118,6 +122,25 @@ def record_src_lines():
     return {"files": files, "total": sum(files.values())}
 
 
+def record_import_s():
+    env = _env()
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = os.path.join(ROOT, ".perfbench_out",
+                                              "pycache")
+
+    def wall(code):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                       check=True)
+        return time.perf_counter() - t0
+
+    wall("import tmzv.cli")  # fills the bytecode cache
+    runs = [(wall("pass"), wall("import tmzv.cli"))
+            for _ in range(IMPORT_RUNS)]
+    return round(statistics.median(b for _, b in runs)
+                 - statistics.median(a for a, _ in runs), 4)
+
+
 def git_sha():
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                           capture_output=True, text=True)
@@ -146,6 +169,7 @@ def main(argv=None):
         "verify": verify,
         "tier1": tier1,
         "src_lines": record_src_lines(),
+        "import_s": record_import_s(),
     }
     with open(args.out, "w") as fh:
         json.dump(point, fh, indent=1, sort_keys=True)
