@@ -62,6 +62,8 @@ integers shifted to a common valuation: over F_p a byte then holds at most
 2(p - 1) <= 252, so nothing carries and one translation reduces it mod p;
 over F_{2^m} the sum is their XOR, and over F_{p^m}, p odd, a loop over the
 codes.  A negation is one translation, a cut one slice and rstrip/lstrip.
+A twist by q^i, i > 0, is a cut to the codes that land below N, then one
+_spread into a zeroed row; a twist by q^-i is the slice cs[::q^i].
 """
 
 from __future__ import annotations
@@ -332,6 +334,28 @@ class FieldSpec:
         z = self._pack(xs, slot) * self._pack(ys, slot)
         return self._unpack(z, slot, len(xs) + len(ys) - 1, size)
 
+    def geometric(self, cs, step, L):
+        """The first L coefficients of cs / (1 - z^step) = cs prod_{j <
+        steps} (1 + z^(step 2^j)) mod z^L, 2^steps step >= L: cs packed into
+        one integer in the kernel's slots, each factor a shift and an add,
+        and the slots, sums of at most 2^steps digits < p, reduced mod p
+        once at the end.  Over F_q with m > 1 this runs per digit plane, as
+        a sum in F_q is digit-wise."""
+        steps = 0
+        while step << steps < L:
+            steps += 1
+        slot = self._slot_layout((self.p - 1) << steps)
+        shift = 8 * slot[0] * step
+        mask = (1 << 8 * slot[0] * L) - 1
+        planes = []
+        cs = cs[:L]
+        for plane in [cs] if self.m == 1 else self._digit_planes(cs):
+            z = self._pack(plane, slot)
+            for j in range(steps):
+                z += z << (shift << j)
+            planes.append(self._unpack(z & mask, slot, L, L))
+        return planes[0] if self.m == 1 else self._from_planes(planes)
+
     def _digit_conv(self, xs, ys, size):
         """conv over F_q, q = p^m with m > 1, cut to size coefficients.  The
         digit planes X_j of xs and Y_k of ys (digit j, resp. k, of every
@@ -552,8 +576,8 @@ class APoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = APoly.const(self.fs, other % self.fs.q if other >= 0 else self.fs.neg((-other) % self.fs.q))
+        if not isinstance(other, APoly):
+            return NotImplemented
         return APoly(self.fs, self.fs.conv(self.coeffs, other.coeffs))
 
     def scale(self, c):
@@ -637,20 +661,13 @@ class APoly:
         """theta -> theta^(q^i) on exponents (F_q coefficients are fixed)."""
         if i == 0 or self.is_zero():
             return self
-        if i < 0:
-            k = self.fs.q ** (-i)
-            out = [0] * (self.degree() // k + 1)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    if j % k:
-                        raise ValueError("q-th root not representable in A")
-                    out[j // k] = c
-            return APoly(self.fs, out)
-        k = self.fs.q**i
-        out = [0] * (self.degree() * k + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[j * k] = c
+        if i > 0:
+            return APoly(self.fs, _spread(self.fs, self.coeffs, self.fs.q**i))
+        cs = self.coeffs
+        out = cs[::self.fs.q ** -i]
+        # the codes the slice drops must all be zeros
+        if cs.count(0) - out.count(0) != len(cs) - len(out):
+            raise ValueError("q-th root not representable in A")
         return APoly(self.fs, out)
 
     def is_irreducible(self):
@@ -958,37 +975,34 @@ class PrecisionLaurent:
             e >>= 1
         return acc
 
-    def frobenius(self, i: int):
-        """q^i power: exponent scaling (F_q coefficients are Frobenius-fixed)."""
+    def frobenius(self, i: int, N=None):
+        """The q^i power, exponent n to q^i n (F_q coefficients are
+        Frobenius-fixed), truncated to N when N is given: equal to
+        frobenius(i).truncate(N), but for i > 0 only the ceil((N - q^i v) /
+        q^i) codes that land below N are spread."""
         if i == 0:
-            return self
-        q = self.fs.q
+            return self if N is None else self.truncate(N)
+        fs, v, cs = self.fs, self.v, self.coeffs
         if i > 0:
-            k = q**i
-            if self.v is None:
-                return PrecisionLaurent.zero(
-                    self.fs, N=None if self.N is None else self.N * k, ram=self.ram
-                )
-            n = (len(self.coeffs) - 1) * k + 1
-            out = bytearray(n) if self.fs.byte_rows else [0] * n
-            out[::k] = self.coeffs
-            return PrecisionLaurent(
-                self.fs, self.v * k, out, N=None if self.N is None else self.N * k, ram=self.ram
-            )
-        k = q ** (-i)
-        newN = None if self.N is None else -((-self.N) // k)  # ceil(N/k)
-        if self.v is None:
-            return PrecisionLaurent.zero(self.fs, N=newN, ram=self.ram)
-        if self.v % k:
+            k = fs.q**i
+            M = None if self.N is None else self.N * k
+        else:
+            k = fs.q ** -i
+            M = None if self.N is None else -(-self.N // k)  # ceil(N/k)
+        if N is None or M is not None and M <= N:
+            N = M
+        if v is None:
+            return PrecisionLaurent.zero(fs, N=N, ram=self.ram)
+        if i > 0:
+            if N is not None:
+                cs = cs[:max(-((k * v - N) // k), 0)]
+            return PrecisionLaurent(fs, v * k, _spread(fs, cs, k), N=N, ram=self.ram)
+        if v % k:
             raise ValueError("q-th root not representable: valuation not divisible")
-        out = [0] * ((len(self.coeffs) - 1) // k + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                n = self.v + j
-                if n % k:
-                    raise ValueError("q-th root not representable: exponent not divisible")
-                out[n // k - self.v // k] = c
-        return PrecisionLaurent(self.fs, self.v // k, out, N=newN, ram=self.ram)
+        out = cs[::k]
+        if cs.count(0) - out.count(0) != len(cs) - len(out):
+            raise ValueError("q-th root not representable: exponent not divisible")
+        return PrecisionLaurent(fs, v // k, out, N=N, ram=self.ram)
 
     def truncate(self, N):
         """Reduce guaranteed precision to N (no-op if already weaker)."""
@@ -1011,9 +1025,7 @@ class PrecisionLaurent:
         if self.v is None:
             return PrecisionLaurent.zero(fs, N=N, ram=e)
         cs = self.coeffs
-        n = (len(cs) - 1) * e + 1
-        out = bytearray(n) if fs.byte_rows else [0] * n
-        out[::e] = cs
+        out = _spread(fs, cs, e)
         if fs.p != 2:
             # the coefficients j at odd exponents v + j change sign
             j = (self.v + 1) % 2
@@ -1163,6 +1175,16 @@ def _row_neg(fs, cs):
         return tuple([-c % p for c in cs])
     neg = fs.neg
     return tuple([neg(c) if c else 0 for c in cs])
+
+
+def _spread(fs, cs, k):
+    """A new row with k - 1 zeros between consecutive codes of cs: a
+    bytearray when fs.byte_rows, else a list.  Every strided row of the
+    package is laid out here (the kernel's slots, in _pack, aside)."""
+    n = (len(cs) - 1) * k + 1 if cs else 0
+    out = bytearray(n) if fs.byte_rows else [0] * n
+    out[::k] = cs
+    return out
 
 
 def min_residual_valuation(values):

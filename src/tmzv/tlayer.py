@@ -25,6 +25,7 @@ from .scalars import (
     _norm,
     _row_add,
     _row_neg,
+    _spread,
     memo,
     min_residual_valuation,
 )
@@ -629,12 +630,8 @@ def inv_bracket(fs: FieldSpec, k: int, N: int) -> PrecisionLaurent:
     Q = fs.q**k
     if Q >= N:
         return PrecisionLaurent.zero(fs, N=N)
-    coeffs = [0] * (N - Q)
-    j = 0
-    while Q + j * (Q - 1) < N:
-        coeffs[j * (Q - 1)] = fs.one
-        j += 1
-    return PrecisionLaurent(fs, Q, coeffs, N=N)
+    ones = (fs.one,) * -((Q - N) // (Q - 1))  # at Q + j(Q - 1) < N
+    return PrecisionLaurent(fs, Q, _spread(fs, ones, Q - 1), N=N)
 
 
 @memo

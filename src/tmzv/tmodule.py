@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, memo, min_residual_valuation)
+                      RatFunc, _spread, memo, min_residual_valuation)
 from .tlayer import (LocalJet, _is_exact_zero, bracket, gamma_factorial,
                      inv_bracket, omega, omega_jet)
 
@@ -151,10 +151,8 @@ class _LaurentScalars(ScalarStrategy):
         p, Q = fs.p, fs.q**k
         if not b % p:
             return self.zero
-        cs = [0] * (m * (Q - 1) + 1)
-        for i in range(m + 1):
-            cs[i * (Q - 1)] = b * math.comb(m, i) * (-1) ** (m + i) % p
-        return PrecisionLaurent(fs, -m * Q, cs)
+        cs = [b * math.comb(m, i) * (-1) ** (m + i) % p for i in range(m + 1)]
+        return PrecisionLaurent(fs, -m * Q, _spread(fs, cs, Q - 1))
 
 
 def _pole_inv_jet(sc, k: int, D: int) -> LocalJet:

@@ -12,9 +12,8 @@ recursion g'_{i} = (g_{i-1}^q - g_i)/[d+1] coming from
 e_{d+1} = e_d^q - D_d^{q-1} e_d, so no large polynomial is ever built, and
 the division by the bracket [d+1] is a few shifts and adds of one packed
 integer.  For q | k, S_d(k) = S_d(k/q)^q in characteristic p, and a q-th
-power over F_q is the Frobenius twist: S_d(k/q) at the same precision N,
-cut to ceil(N/q) and twisted, which maps that precision to q ceil(N/q) >= N,
-with no product.
+power over F_q is the Frobenius twist: frobenius(1, N) of S_d(k/q) at the
+same precision N spreads only its codes below ceil(N/q), with no product.
 
 Row d has g_0 = +-1/l_d and g_i = +-1/(D_i L_{d-i}^{q^i}), all of
 valuation >= 0, so v_inf(S_d(k)) >= max(d k, deg l_d) with
@@ -27,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (APoly, FieldSpec, PrecisionError, PrecisionLaurent,
-                      RatFunc, frozen, memo, min_residual_valuation)
+                      RatFunc, _spread, frozen, memo, min_residual_valuation)
 from .tlayer import (LocalJet, TPoly, TateTrunc, anderson_thakur,
                      gamma_factorial, inv_bracket, l_poly, omega)
 from .tmodule import (TModule, _certified_sum, _LaurentScalars,
@@ -41,43 +40,18 @@ from .tmodule import (TModule, _certified_sum, _LaurentScalars,
 
 def _div_bracket(x: PrecisionLaurent, e: int, N: int) -> PrecisionLaurent:
     """(x * inv_bracket(fs, e, N)).truncate(N), with no product: 1/[e] =
-    sum_j theta^{-Q - j(Q-1)}, Q = q^e, so the quotient y, stored from
-    exponent v(x) + Q with length L, is x / (1 - z^(Q-1)) = x prod_{j <
-    steps} (1 + z^((Q-1) 2^j)) mod z^L, 2^steps (Q - 1) >= L.  x is packed
-    into one integer in the kernel's slots, each step is a shift and an
-    add, and the slots, sums of at most 2^steps digits < p, are reduced
-    mod p once at the end.  Over F_q with m > 1 this runs per digit plane,
-    as a sum in F_q is digit-wise.  Zero and exact inputs, and Q >= N, take
-    the product."""
+    sum_j theta^{-Q - j(Q-1)}, Q = q^e, so the quotient, stored from
+    exponent v(x) + Q with length L, is x / (1 - z^(Q-1)) mod z^L, a few
+    shifts and adds of one packed integer (FieldSpec.geometric).  Zero and
+    exact inputs, and Q >= N, take the product."""
     fs = x.fs
     Q = fs.q**e
     if x.v is None or x.N is None or Q >= N:
         return (x * inv_bracket(fs, e, N)).truncate(N)
     v = x.v + Q
     Nout = min(N, x.N + Q, N + x.v)
-    L = max(Nout - v, 0)
-    steps = 0
-    while (Q - 1) << steps < L:
-        steps += 1
-    slot = fs._slot_layout((fs.p - 1) << steps)
-    shift = 8 * slot[0] * (Q - 1)
-    mask = (1 << 8 * slot[0] * L) - 1
-    planes = []
-    cs = x.coeffs[:L]
-    for plane in [cs] if fs.m == 1 else fs._digit_planes(cs):
-        z = fs._pack(plane, slot)
-        for j in range(steps):
-            z += z << (shift << j)
-        planes.append(fs._unpack(z & mask, slot, L, L))
-    out = planes[0] if fs.m == 1 else fs._from_planes(planes)
-    return PrecisionLaurent(fs, v, out, N=Nout)
-
-
-def _twist_to(x: PrecisionLaurent, N: int) -> PrecisionLaurent:
-    """x^q = x.frobenius(1), truncated to N.  The twist sends exponent n to
-    qn, so only the coefficients below ceil(N/q) land below N: x is cut to
-    that precision first, which the twist raises to q ceil(N/q) >= N."""
-    return x.truncate(-(-N // x.fs.q)).frobenius(1).truncate(N)
+    return PrecisionLaurent(fs, v, fs.geometric(x.coeffs, Q - 1, max(Nout - v, 0)),
+                            N=Nout)
 
 
 @memo
@@ -96,7 +70,7 @@ def _gamma_row(fs: FieldSpec, d: int, imax: int, N: int):
         for i in range(min(e, imax) + 1):
             acc = PrecisionLaurent.zero(fs, N=N)
             if 1 <= i <= len(prev):
-                acc = acc + _twist_to(prev[i - 1], N)
+                acc = acc + prev[i - 1].frobenius(1, N)
             if i < len(prev):
                 acc = acc - prev[i]
             row.append(_div_bracket(acc, e, N))
@@ -121,16 +95,16 @@ def power_sum(fs: FieldSpec, d: int, k: int, prec: int) -> PrecisionLaurent:
     For q | k, S_d(k) = sum_a (a^(-k/q))^q = S_d(k/q)^q in characteristic
     p, and the q-th power of a series over F_q is its Frobenius twist: no
     product.  S_d(k/q) is taken at the same prec, so that its memo entry
-    and the rows at prec are shared, and _twist_to cuts it to ceil(prec/q)
-    before the twist, which maps that precision to q ceil(prec/q) >= prec;
-    its valuation is >= 0, so the twist only moves it up."""
+    and the rows at prec are shared, and frobenius(1, prec) spreads only its
+    codes below ceil(prec/q), as the others land at or past prec; its
+    valuation is >= 0, so the twist only moves it up."""
     if d < 0 or k < 1:
         raise ValueError("need d >= 0 and k >= 1")
     N = prec
     if _power_sum_floor(fs.q, d, k) >= N:
         return PrecisionLaurent.zero(fs, N=N)
     if k % fs.q == 0:
-        return _twist_to(power_sum(fs, d, k // fs.q, N), N)
+        return power_sum(fs, d, k // fs.q, N).frobenius(1, N)
     imax = 0
     while fs.q ** (imax + 1) <= k:
         imax += 1
@@ -244,26 +218,20 @@ def _rel_guard(fs: FieldSpec, s) -> int:
 
 def _frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
     """c^{q^i} to relative precision rel.  A polynomial's q^i-th power has
-    support on multiples of q^i, so only its top few monomials land inside
-    the window; any other c^{q^i} is converted by the windowed Laurent
-    strategy (exact numerator times the denominator's inverse to rel digits
-    past its leading exponent)."""
+    support on multiples of q^i, so only its top ceil(rel/q^i) monomials
+    land inside the window: they are cut and spread.  Any other c is
+    converted by the windowed Laurent strategy to ceil(rel/q^i) digits past
+    its leading exponent, which the twist maps to >= rel; a monomial
+    denominator stays exact."""
     if c.is_zero():
         return PrecisionLaurent.zero(c.fs)
-    if not c.is_poly():
-        return _LaurentScalars(c.fs, rel).conv(c.frobenius(i))
-    fs = c.fs
-    a = c.num
-    d = a.degree()
-    k = fs.q**i
-    v = -d * k
-    coeffs = [0] * rel
-    for j in range(d, -1, -1):
-        off = (d - j) * k
-        if off >= rel:
-            break
-        coeffs[off] = a[j]
-    return PrecisionLaurent(fs, v, coeffs, N=v + rel)
+    fs, k = c.fs, c.fs.q**i
+    if c.is_poly():
+        a = c.num.coeffs
+        v = -(len(a) - 1) * k
+        return PrecisionLaurent(fs, v, _spread(fs, a[::-1][:-(-rel // k)], k), N=v + rel)
+    y = _LaurentScalars(fs, -(-rel // k)).conv(c)
+    return y.frobenius(i, None if y.N is None else y.v * k + rel)
 
 
 @memo

@@ -10,6 +10,7 @@ from math import comb
 
 from tmzv.scalars import APoly, FieldSpec, PrecisionLaurent, RatFunc
 from tmzv.tlayer import TateTrunc, TPoly, gamma_factorial, inv_bracket
+from tmzv.tmodule import _LaurentScalars
 from tmzv.vadic import NuAdic, NuPlace, nu_inv, nu_mod, nu_split
 from tmzv.zeta import (MZVIndex, MZVValue, _default_Q, _gamma_product,
                        _rel_guard, _shell_term, lseries_raw, lseries_value,
@@ -215,6 +216,41 @@ def row_add(fs: FieldSpec, va, Na, ca, vb, Nb, cb, negate=False):
     lo = min(acc)
     v, c = row_norm(lo, [acc.get(e, 0) for e in range(lo, max(acc) + 1)], N)
     return v, N, c
+
+
+def spread(cs, k) -> list:
+    """The codes of cs with k - 1 zeros between consecutive ones, appended
+    one code at a time."""
+    out = []
+    for c in cs:
+        if out:
+            out.extend([0] * (k - 1))
+        out.append(c)
+    return out
+
+
+def frob_laurent_rel(c: RatFunc, i: int, rel: int) -> PrecisionLaurent:
+    """c^{q^i} to relative precision rel by the per-monomial builder: the
+    top monomials of a polynomial's twist written one at a time into a
+    window of rel codes; any other c is twisted in K and then converted by
+    the windowed Laurent strategy, with window rel (the one step it shares
+    with zeta._frob_laurent_rel)."""
+    if c.is_zero():
+        return PrecisionLaurent.zero(c.fs)
+    if not c.is_poly():
+        return _LaurentScalars(c.fs, rel).conv(c.frobenius(i))
+    fs = c.fs
+    a = c.num
+    d = a.degree()
+    k = fs.q**i
+    v = -d * k
+    coeffs = [0] * rel
+    for j in range(d, -1, -1):
+        off = (d - j) * k
+        if off >= rel:
+            break
+        coeffs[off] = a[j]
+    return PrecisionLaurent(fs, v, coeffs, N=v + rel)
 
 
 def ramified_laurent(a: APoly, e: int) -> PrecisionLaurent:

@@ -2,14 +2,17 @@
 _row_neg and _norm) against the tuple reference of tests/reference.py:
 sums, differences, negations and cuts at N, with offset valuations and
 all-zero results.  Rows are bytes over F_q with q <= 256 and p < 128, and
-tuples over every other field, with the same answers."""
+tuples over every other field, with the same answers.  The strided rows of
+the Frobenius twists (scalars._spread) and the cut twist frobenius(i, N)
+are checked against one code at a time and against frobenius(i).truncate(N)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import row_add, row_neg, row_norm
-from tmzv.scalars import APoly, PrecisionLaurent, _norm, _row_add, _row_neg, field
+from reference import row_add, row_neg, row_norm, spread
+from tmzv.scalars import (APoly, PrecisionLaurent, _norm, _row_add, _row_neg,
+                          _spread, field)
 
 BYTE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 7: (7, 1), 8: (2, 3),
                9: (3, 2), 25: (5, 2), 27: (3, 3), 243: (3, 5), 256: (2, 8)}
@@ -87,3 +90,99 @@ def test_byte_rows_on_the_array_route(p, length):
             want[i + j] = (want[i + j] + x * y) % p
     got = a * a
     assert (got.v, list(got.coeffs)) == (0, want)
+
+
+# ---------------------------------------------------------------------------
+# strided rows and the cut twist
+# ---------------------------------------------------------------------------
+
+# q = 131 keeps tuple rows; its twists are long, so there i <= 1
+TWIST_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2), 131: (131, 1)}
+
+
+@pytest.mark.parametrize("q", sorted(TWIST_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_spread_matches_one_code_at_a_time(q, data):
+    fs = field(*TWIST_FIELDS[q])
+    cs = data.draw(st.lists(codes(fs), max_size=12))
+    k = data.draw(st.integers(1, 6))
+    for row in (tuple(cs),) + ((bytes(cs),) if fs.byte_rows else ()):
+        got = _spread(fs, row, k)
+        # a new, mutable row even for one code or k = 1: embed_ram writes
+        # its sign flips into it
+        assert type(got) is (bytearray if fs.byte_rows else list)
+        assert list(got) == spread(cs, k)
+
+
+@st.composite
+def twist_cases(draw, fs):
+    """(x, i, N): a series exact, to a finite N or zero to precision (with
+    any codes, zeros included), a twist i in -2..3 (-2..1 at q = 131) that
+    x can take, and N below, at or past the twist's own N, or None."""
+    i = draw(st.integers(-2, 1 if fs.q == 131 else 3))
+    ram = draw(st.sampled_from([1, fs.q - 1]))
+    kind = draw(st.sampled_from(["exact", "finite", "zero"]))
+    v = draw(st.integers(-6, 6))
+    if kind == "zero":
+        x = PrecisionLaurent.zero(
+            fs, N=draw(st.one_of(st.none(), st.integers(-6, 20))), ram=ram)
+    else:
+        cs = draw(st.lists(codes(fs), max_size=12))
+        N = None if kind == "exact" else v + draw(st.integers(0, 16))
+        x = PrecisionLaurent(fs, v, cs, N=N, ram=ram)
+    if i < 0:
+        # a negative twist needs support and valuation on multiples of q^-i
+        x = x.frobenius(-i)
+        if x.N is not None and draw(st.booleans()):
+            x = x.truncate(x.N - draw(st.integers(0, 5)))
+    twisted = x.frobenius(i)
+    k = fs.q ** abs(i)
+    anchors = [0] + [n for n in (twisted.N, twisted.v) if n is not None]
+    if twisted.v is not None:
+        anchors.append(twisted.v + len(twisted.coeffs))
+    N = draw(st.one_of(st.none(), st.builds(
+        int.__add__, st.sampled_from(anchors),
+        st.one_of(st.sampled_from([-1, 0, 1]),
+                  st.integers(-2 * k - 2, 2 * k + 2)))))
+    return x, i, N
+
+
+@pytest.mark.parametrize("q", sorted(TWIST_FIELDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cut_twist_is_the_twist_truncated(q, data):
+    fs = field(*TWIST_FIELDS[q])
+    x, i, N = data.draw(twist_cases(fs))
+    want = x.frobenius(i) if N is None else x.frobenius(i).truncate(N)
+    got = x.frobenius(i, N)
+    assert type(got.coeffs) is type(want.coeffs)
+    assert (got.v, got.coeffs, got.N, got.ram) == \
+        (want.v, want.coeffs, want.N, want.ram)
+
+
+@pytest.mark.parametrize("q", sorted(TWIST_FIELDS))
+def test_cut_twist_keeps_the_last_code_below_N(q):
+    # codes at exponents 0 and k: below N = k + 1, so both stay, though
+    # floor((N - k v) / k) would keep one
+    fs = field(*TWIST_FIELDS[q])
+    k = fs.q
+    got = PrecisionLaurent(fs, 0, (1, 1)).frobenius(1, k + 1)
+    assert (got.v, list(got.coeffs), got.N) == (0, [1] + [0] * (k - 1) + [1], k + 1)
+    assert PrecisionLaurent(fs, 0, (1, 1)).frobenius(1, k).coeffs == (
+        b"\x01" if fs.byte_rows else (1,))
+
+
+@pytest.mark.parametrize("q", sorted(TWIST_FIELDS))
+def test_roots_off_the_multiples_are_not_representable(q):
+    fs = field(*TWIST_FIELDS[q])
+    for N in (None, 3):
+        with pytest.raises(ValueError, match="valuation not divisible"):
+            PrecisionLaurent(fs, 1, (1,)).frobenius(-1, N)
+        with pytest.raises(ValueError, match="exponent not divisible"):
+            PrecisionLaurent(fs, 0, (1, 1)).frobenius(-1, N)
+    with pytest.raises(ValueError, match="q-th root not representable in A"):
+        APoly(fs, (1, 1)).frobenius(-1)
+    # zeros off the multiples of q are no obstacle
+    assert APoly(fs, (1,) + (0,) * (q - 1) + (2 % fs.p,)).frobenius(-1) == \
+        APoly(fs, (1, 2 % fs.p))

@@ -139,6 +139,17 @@ class TestAPoly:
         th = APoly.theta(fs)
         assert th.frobenius(2) == th.pow(9)
 
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_no_product_with_an_int(self, make):
+        # an int n is no F_q element: its code n mod q is not the image of
+        # n in F_p over F_{p^m}, so APoly * int is refused
+        a = APoly.one(make())
+        for n in (3, -4, 0):
+            with pytest.raises(TypeError):
+                a * n
+            with pytest.raises(TypeError):
+                n * a
+
     def test_monic_enumerate_count(self):
         fs = fq3()
         assert len(list(monic_enumerate(fs, 2))) == 9

@@ -14,19 +14,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (compositions, laurent_eq_to_prec, lseries_tate,
-                       mzv_brute, mzv_deformed, power_sum_enum,
+from reference import (compositions, frob_laurent_rel, laurent_eq_to_prec,
+                       lseries_tate, mzv_brute, mzv_deformed, power_sum_enum,
                        power_sum_recurrence, tate_dict)
 from tmzv import zeta
 from tmzv.motive import MotiveShape, at_shape, star_shape
 from tmzv.scalars import APoly, PrecisionLaurent, RatFunc, field
 from tmzv.tlayer import (LocalJet, TateTrunc, TPoly, anderson_thakur,
                          l_poly)
-from tmzv.zeta import (DeformedRow, MZVIndex, _gamma_rows, _jet_term,
-                       _ll_inv_tate, _rel_guard, _shell_term, carlitz_check,
-                       cm_check, deformed_row, depth_one_check,
-                       inversion_check, lseries_raw, mzv, polylog, power_sum,
-                       stark_unit_check, strange_formula_check)
+from tmzv.zeta import (DeformedRow, MZVIndex, _frob_laurent_rel,
+                       _gamma_rows, _jet_term, _ll_inv_tate, _rel_guard,
+                       _shell_term, carlitz_check, cm_check, deformed_row,
+                       depth_one_check, inversion_check, lseries_raw, mzv,
+                       polylog, power_sum, stark_unit_check,
+                       strange_formula_check)
 
 
 def indices(max_weight=5, max_depth=3):
@@ -380,6 +381,19 @@ class TestDeformedSeries:
         assert got.M == M
         assert [(c.v, c.coeffs, c.N) for c in got.coeffs] == [
             (c.v, c.coeffs, c.N) for c in want.coeffs]
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_twisted_shell_coefficients_match_the_monomial_builder(self, q):
+        # c^{q^i} to relative precision rel: the cut polynomial spread, or
+        # the fraction converted to ceil(rel / q^i) digits and then twisted,
+        # against the twist written one monomial at a time
+        fs = field(*POWER_SUM_FIELDS[q])
+        t, one = RatFunc.theta(fs), RatFunc.one(fs)
+        cs = [RatFunc.zero(fs), one, t, t * t * t + t + t, one / t,
+              (t + one) / (t * t), t * t * t / (t + one)]
+        for c, i, rel in itertools.product(cs, range(7), (1, 5, 40)):
+            got, want = _frob_laurent_rel(c, i, rel), frob_laurent_rel(c, i, rel)
+            assert (got.v, got.coeffs, got.N) == (want.v, want.coeffs, want.N)
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
